@@ -3,10 +3,12 @@
 #ifndef SEP2P_BENCH_BENCH_COMMON_H_
 #define SEP2P_BENCH_BENCH_COMMON_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/export.h"
@@ -27,19 +29,41 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
+// The value of the integer flag NAME=V / NAME V (the first one given),
+// or `fallback` when it is absent. A value that is missing, not a whole
+// number or negative is reported on stderr and exits 2, as sep2p_cli
+// does for bad flags.
+inline int NonNegativeIntArg(int argc, char** argv, const char* name,
+                             int fallback) {
+  const size_t name_len = std::strlen(name);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, name_len) != 0) continue;
+    const char* value = nullptr;
+    if (argv[i][name_len] == '=') {
+      value = argv[i] + name_len + 1;
+    } else if (argv[i][name_len] == '\0') {
+      value = i + 1 < argc ? argv[i + 1] : "";
+    } else {
+      continue;
+    }
+    const char* end = value + std::strlen(value);
+    int parsed = 0;
+    auto [ptr, ec] = std::from_chars(value, end, parsed);
+    if (ec != std::errc() || ptr != end || parsed < 0) {
+      std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
+                   name, value);
+      std::exit(2);
+    }
+    return parsed;
+  }
+  return fallback;
+}
+
 // --threads=N / --threads N caps the worker count for network build and
 // trial execution; 0 (the default) means one per hardware thread.
 // Results are bit-identical for every value — only wall-clock changes.
 inline int ThreadsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      return std::atoi(argv[i] + 10);
-    }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 0;
+  return NonNegativeIntArg(argc, argv, "--threads", 0);
 }
 
 // --trace=FILE / --trace FILE: record the first --trace-trials trials
@@ -60,15 +84,7 @@ inline std::string TraceArg(int argc, char** argv) {
 // --trace-trials=N / --trace-trials N caps how many trials --trace
 // records (default 1, the historical single representative trial).
 inline int TraceTrialsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace-trials=", 15) == 0) {
-      return std::atoi(argv[i] + 15);
-    }
-    if (std::strcmp(argv[i], "--trace-trials") == 0 && i + 1 < argc) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return 1;
+  return NonNegativeIntArg(argc, argv, "--trace-trials", 1);
 }
 
 // --metrics=FILE / --metrics FILE: write the sweep's merged

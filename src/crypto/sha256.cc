@@ -1,123 +1,20 @@
 #include "crypto/sha256.h"
 
-#include <cstring>
+// SHA256_Init/Update/Final are deprecated since OpenSSL 3.0 in favour of
+// EVP, but every 3.x release still ships them, and they are the fast path
+// for the 32-64 byte hashes the protocols are made of: EVP allocates a
+// context per hash, and the one-shot SHA256() fetches the algorithm on
+// every call. The deprecation warning is silenced in this file only.
+#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace sep2p::crypto {
 
-namespace {
-
-constexpr uint32_t kRoundConstants[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
-inline uint32_t BigSigma0(uint32_t x) {
-  return Rotr(x, 2) ^ Rotr(x, 13) ^ Rotr(x, 22);
-}
-inline uint32_t BigSigma1(uint32_t x) {
-  return Rotr(x, 6) ^ Rotr(x, 11) ^ Rotr(x, 25);
-}
-inline uint32_t SmallSigma0(uint32_t x) {
-  return Rotr(x, 7) ^ Rotr(x, 18) ^ (x >> 3);
-}
-inline uint32_t SmallSigma1(uint32_t x) {
-  return Rotr(x, 17) ^ Rotr(x, 19) ^ (x >> 10);
-}
-inline uint32_t Ch(uint32_t x, uint32_t y, uint32_t z) {
-  return (x & y) ^ (~x & z);
-}
-inline uint32_t Maj(uint32_t x, uint32_t y, uint32_t z) {
-  return (x & y) ^ (x & z) ^ (y & z);
-}
-
-}  // namespace
-
 Sha256::Sha256() { Reset(); }
 
-void Sha256::Reset() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[4 * i]) << 24) |
-           (static_cast<uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = SmallSigma1(w[i - 2]) + w[i - 7] + SmallSigma0(w[i - 15]) +
-           w[i - 16];
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kRoundConstants[i] + w[i];
-    uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
+void Sha256::Reset() { SHA256_Init(&ctx_); }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
-  total_len_ += len;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, data, take);
-    buffer_len_ += take;
-    data += take;
-    len -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-  while (len >= 64) {
-    ProcessBlock(data);
-    data += 64;
-    len -= 64;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, data, len);
-    buffer_len_ = len;
-  }
+  SHA256_Update(&ctx_, data, len);
 }
 
 void Sha256::Update(const std::vector<uint8_t>& data) {
@@ -133,30 +30,8 @@ void Sha256::Update(const Digest& digest) {
 }
 
 Digest Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-
-  // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit big-endian
-  // message length.
-  uint8_t pad[72];
-  size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  size_t rem = (buffer_len_ + 1) % 64;
-  size_t zeros = (rem <= 56) ? (56 - rem) : (120 - rem);
-  std::memset(pad + pad_len, 0, zeros);
-  pad_len += zeros;
-  for (int i = 7; i >= 0; --i) {
-    pad[pad_len++] = static_cast<uint8_t>(bit_len >> (8 * i));
-  }
-  Update(pad, pad_len);
-  // Update() counted the padding; the count is irrelevant from here on.
-
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
-  }
+  SHA256_Final(out.data(), &ctx_);
   return out;
 }
 

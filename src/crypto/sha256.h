@@ -1,13 +1,18 @@
-// SHA-256 implemented from scratch (FIPS 180-4).
+// SHA-256 (FIPS 180-4), computed by OpenSSL's libcrypto.
 //
 // This is the cryptographic hash the whole system builds on: node ids are
 // hash(public key) (imposed node location, SEP2P §3.2), verifiable randoms
 // commit via hash(RND_i) (§3.4), and the execution Setter location is
-// hash(RND_T) (§3.5). The implementation is validated against the NIST
-// test vectors in tests/sha256_test.cc and cross-checked against OpenSSL.
+// hash(RND_T) (§3.5). Every SHA-256 in the tree, HMAC-SHA256 and the
+// simulation signature provider included, goes through this class. The
+// context is a plain SHA256_CTX held by value, so instances live on the
+// stack and share no state between threads. tests/sha256_test.cc checks
+// the NIST vectors and digests computed without libcrypto.
 
 #ifndef SEP2P_CRYPTO_SHA256_H_
 #define SEP2P_CRYPTO_SHA256_H_
+
+#include <openssl/sha.h>
 
 #include <array>
 #include <cstddef>
@@ -37,12 +42,7 @@ class Sha256 {
   void Reset();
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
-  uint32_t state_[8];
-  uint64_t total_len_;
-  uint8_t buffer_[64];
-  size_t buffer_len_;
+  SHA256_CTX ctx_;
 };
 
 // One-shot helpers.

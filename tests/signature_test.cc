@@ -7,6 +7,7 @@
 
 #include "crypto/ed25519_provider.h"
 #include "crypto/sim_provider.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace sep2p::crypto {
@@ -135,6 +136,43 @@ TEST(SimProviderTest, WrongLengthSignatureRejected) {
   ASSERT_TRUE(pair.ok());
   std::vector<uint8_t> msg{1};
   EXPECT_FALSE(provider.Verify(pair->pub, msg, Signature{1, 2, 3}));
+}
+
+// Pins SimProvider's signature bytes, so that a slip in the hash backend
+// fails here rather than as a moved digest far downstream. The expected
+// value is HMAC-SHA256(key = SHA-256("sep2p-sim-tag" || SHA-256(priv)),
+// msg), computed with Python's hashlib/hmac:
+//   python3 -c "import hashlib, hmac; priv = bytes(range(32));
+//     msg = bytes(i % 251 for i in range(16384));
+//     key = hashlib.sha256(b'sep2p-sim-tag'
+//                          + hashlib.sha256(priv).digest()).digest();
+//     print(hmac.new(key, msg, hashlib.sha256).hexdigest())"
+TEST(SimProviderTest, SignatureBytesArePinned) {
+  SimProvider provider;
+  PrivateKey priv;
+  for (int i = 0; i < 32; ++i) priv.data.push_back(static_cast<uint8_t>(i));
+  std::vector<uint8_t> msg(16384);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i % 251);
+  }
+  auto pub = provider.DerivePublicKey(priv);
+  ASSERT_TRUE(pub.ok());
+
+  auto sig = provider.Sign(priv, msg);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(util::ToHex(*sig),
+            "ef65c8e14c129ce3ab93bc436fe37973cf426b10fb47769ec13e642e403e51d9");
+  EXPECT_TRUE(provider.Verify(*pub, msg, *sig));
+
+  Signature tampered = *sig;
+  tampered[31] ^= 0x01;
+  const VerifyItem items[] = {
+      {*pub, msg, *sig}, {*pub, msg, tampered}, {*pub, msg, *sig}};
+  uint8_t ok[3] = {9, 9, 9};
+  provider.VerifyBatch(items, 3, ok);
+  EXPECT_EQ(ok[0], 1);
+  EXPECT_EQ(ok[1], 0);
+  EXPECT_EQ(ok[2], 1);
 }
 
 }  // namespace
