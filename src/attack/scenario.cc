@@ -50,11 +50,17 @@ std::vector<crypto::PublicKey> CoalitionList(
 // Restart loop shared by the selection-based scenarios: kUnavailable
 // aborts (benign OR malicious — attack runs inject no benign failures,
 // so here every abort is a coalition strike or its collateral) restart
-// with a fresh engagement, anything else is a real error.
+// with a fresh engagement, anything else is a real error. The run is
+// observed through the protocol's ideal transport.
 Result<core::SelectionProtocol::Outcome> RunWithRestarts(
-    const core::ProtocolContext& ctx, uint32_t trigger, util::Rng& rng,
-    const core::SelectionOptions& options, int* restarts) {
-  core::SelectionProtocol protocol(ctx);
+    const core::SelectionProtocol& protocol, uint32_t trigger,
+    util::Rng& rng, core::AttackHooks* attack, obs::TraceRecorder* trace,
+    obs::MetricsRegistry* metrics, int* restarts) {
+  net::Transport& transport = protocol.ideal_transport();
+  transport.set_trace(trace);
+  transport.set_metrics(metrics);
+  core::SelectionOptions options;
+  options.attack = attack;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     Result<core::SelectionProtocol::Outcome> run =
         protocol.Run(trigger, rng, options);
@@ -104,12 +110,10 @@ class NoneScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, /*attack=*/nullptr, trace, metrics,
+        &out.restarts);
     if (!run.ok()) return run.status();
     out.attempts = out.restarts + 1;
     FinishSelection(ctx_, *run, metrics, out);
@@ -166,13 +170,9 @@ class CsarGrindScenario final : public Scenario {
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
     GrindHooks hooks(ctx_);
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
-    options.attack = &hooks;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, &hooks, trace, metrics, &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity || hooks.strikes > 0;
     out.strikes = hooks.strikes;
@@ -223,13 +223,9 @@ class SlBiasScenario final : public Scenario {
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
     BiasHooks hooks(ctx_);
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
-    options.attack = &hooks;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, &hooks, trace, metrics, &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.attempts = out.restarts + 1;
@@ -289,13 +285,9 @@ class SlWithholdScenario final : public Scenario {
         static_cast<double>(colluders_.size()) /
         static_cast<double>(ctx_.directory->alive_count());
     WithholdHooks hooks(ctx_, fraction);
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
-    options.attack = &hooks;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, &hooks, trace, metrics, &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.strikes = hooks.strikes;
@@ -362,13 +354,9 @@ class SlForgeScenario final : public Scenario {
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
     ForgeHooks hooks(ctx_, colluders_);
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
-    options.attack = &hooks;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, &hooks, trace, metrics, &out.restarts);
     if (!run.ok()) return run.status();
     out.attempted = hooks.opportunity;
     out.attempts = out.restarts + 1;
@@ -676,12 +664,10 @@ class EquivocateScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    core::SelectionOptions options;
-    options.trace = trace;
-    options.metrics = metrics;
     AttackOutcome out;
-    Result<core::SelectionProtocol::Outcome> run =
-        RunWithRestarts(ctx_, trigger, rng, options, &out.restarts);
+    Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
+        protocol_, trigger, rng, /*attack=*/nullptr, trace, metrics,
+        &out.restarts);
     if (!run.ok()) return run.status();
     out.attempts = out.restarts + 1;
 

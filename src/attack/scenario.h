@@ -2,9 +2,11 @@
 //
 // Each Scenario runs ONE attacked protocol execution end to end —
 // restart loop included — with the coalition's malicious behaviour
-// plugged into the core protocols through core::AttackHooks (the same
-// seams the benign net::FailureModel uses) or staged at the node layer
-// (poisoned join caches, equivocating distribution). The scenario then
+// plugged into the message-level protocols through core::AttackHooks
+// (a withheld reveal or attestation is a server that stops answering,
+// so the transport times out and retries it before the run aborts) or
+// staged at the node layer (poisoned join caches, equivocating
+// distribution). The scenario then
 // reports what an omniscient observer saw: whether the coalition had an
 // opportunity and deviated, whether any honest-observable signal fired,
 // what the verifiers accepted, and what the attack cost.
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "core/context.h"
+#include "core/selection.h"
 #include "net/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,10 +67,11 @@ class Scenario {
   // `colluders` is the ascending directory-index view of the coalition
   // (sim::Network::colluder_indices(), sampled by
   // strategies::SampleColluders); it is frozen for the scenario's
-  // lifetime (one trial, inside one reassignment epoch).
+  // lifetime (at most one reassignment epoch). A scenario owns one
+  // selection protocol object, so it must stay on one thread at a time.
   Scenario(const core::ProtocolContext& ctx,
            const std::vector<uint32_t>& colluders)
-      : ctx_(ctx), colluders_(colluders) {}
+      : ctx_(ctx), colluders_(colluders), protocol_(ctx) {}
   virtual ~Scenario() = default;
 
   virtual const char* name() const = 0;
@@ -86,6 +90,9 @@ class Scenario {
 
   const core::ProtocolContext& ctx_;
   const std::vector<uint32_t>& colluders_;
+  // Selections run on its ideal transport, which carries the trial's
+  // trace and metrics.
+  core::SelectionProtocol protocol_;
 };
 
 // Scenario registry. "none" is the honest baseline every cost-overhead

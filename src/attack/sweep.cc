@@ -129,10 +129,13 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
 
       const int end =
           std::min(begin + sim::TrialRunner::kShardSize, trials);
+      // One scenario per epoch: an epoch is one shard, run serially on
+      // one worker, so the scenario's protocol object stays on one
+      // thread.
+      std::unique_ptr<Scenario> scenario =
+          MakeScenario(name, ctx, net.ColluderIndices());
       Status status = runner.RunTrialRange(
           begin, end, trial_seed, [&](int t, util::Rng& rng) {
-            std::unique_ptr<Scenario> scenario =
-                MakeScenario(name, ctx, net.ColluderIndices());
             obs::MetricsRegistry* met =
                 shard_metrics.empty()
                     ? nullptr

@@ -1,12 +1,17 @@
 // Malicious-behaviour injection seams (ROADMAP item 4).
 //
-// The benign net::FailureModel flips a coin at every participant step
-// and aborts the run; an ACTIVE adversary deviates *selectively* — a
-// colluding TL withholds its reveal only when the committed RND_T does
-// not favour the coalition, a colluding SL biases or refuses exactly
-// the attestations worth biasing. AttackHooks exposes those decision
-// points at the same protocol seams the FailureModel uses, on the
-// direct (non-network) execution path:
+// A crashed or lossy node fails indiscriminately; an ACTIVE adversary
+// deviates *selectively* — a colluding TL withholds its reveal only
+// when the committed RND_T does not favour the coalition, a colluding
+// SL biases or refuses exactly the attestations worth biasing.
+// AttackHooks exposes those decision points inside the server-side
+// handlers of the message-level protocols (core/vrand.cc,
+// core/selection.cc), so a deviation is something the driver observes
+// over the transport: a withheld reply times out, is retried up to the
+// retry budget, and then aborts the run. The handlers are the per-call
+// closures of an in-process transport (any net::SimNetwork); over
+// net::TcpTransport the resident core::ProtocolService answers instead,
+// and the hooks do not run there yet.
 //
 //   * TlWithholdsReveal — consulted per TL after every commitment is
 //     fixed and the would-be RND_T is determined. This is the strongest
@@ -23,11 +28,14 @@
 //     the setter assembles, e.g. one stuffed with colluders.
 //
 // The protocols consult a hook only when one is installed; with no
-// hooks (the default everywhere) the executed instruction sequence —
-// RNG draws, trace events, costs — is byte-identical to pre-attack
-// builds. Implementations live in src/attack/ (core cannot depend on
-// them); they must be deterministic functions of the per-trial RNG
-// stream so attacked sweeps stay bit-identical for any thread count.
+// hooks (the default everywhere) every participant answers honestly and
+// the RNG draws, trace events and costs are those of an honest run.
+// Because the transport retries a server that refuses, the protocols
+// cache each decision per engagement: one decision per participant, in
+// commitment order, up to the first defector. Implementations live in
+// src/attack/ and src/strategies/ (core cannot depend on them); they
+// must be deterministic functions of the per-trial RNG stream so
+// attacked sweeps stay bit-identical for any thread count.
 
 #ifndef SEP2P_CORE_ATTACK_HOOKS_H_
 #define SEP2P_CORE_ATTACK_HOOKS_H_
@@ -44,21 +52,24 @@ class AttackHooks {
  public:
   virtual ~AttackHooks() = default;
 
-  // Called once per engagement with the final TL set (before any
-  // commitment); lets a coalition coordinate across its members.
+  // Called once per engagement with the final TL set, after the
+  // commitments and before any reveal; lets a coalition coordinate
+  // across its members.
   virtual void OnTlQuorum(const std::vector<uint32_t>& /*tls*/) {}
 
   // Consulted per TL in commitment order, after all commitments are
   // fixed. `rnd_t` is the XOR the reveal round would produce. Returning
-  // true withholds this TL's reveal: the run aborts (kUnavailable) and
-  // the trigger restarts with a fresh engagement — an attributable
-  // strike, since the TL visibly defected after committing.
+  // true withholds this TL's reveal: its RPC exhausts the retry budget,
+  // the run aborts (kUnavailable) and the trigger restarts with a fresh
+  // engagement — an attributable strike, since the TL visibly defected
+  // after committing.
   virtual bool TlWithholdsReveal(uint32_t /*tl_index*/,
                                  const crypto::Hash256& /*rnd_t*/) {
     return false;
   }
 
-  // Called once per attempt with the engaged SL set.
+  // Called once per attempt with the engaged SL set, once the quorum
+  // is fixed (before the reveal round).
   virtual void OnSlQuorum(const std::vector<uint32_t>& /*sls*/) {}
 
   // True = SL `sl_index` reports only colluding entries in its

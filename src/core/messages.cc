@@ -16,6 +16,8 @@ constexpr uint8_t kMagic1 = '2';
 constexpr uint8_t kMagic2 = 'P';
 constexpr uint16_t kVersion = 1;
 constexpr uint16_t kVersion2 = 2;
+// Magic (3) + tag (1) + version (2).
+constexpr size_t kHeaderBytes = 6;
 
 void WriteHeader(Writer& writer, uint8_t tag, uint16_t version = kVersion) {
   writer.U8(kMagic0);
@@ -166,12 +168,20 @@ Result<SlEngage> DecodeSlEngage(const std::vector<uint8_t>& bytes) {
   return m;
 }
 
+// A candidate list is hundreds of keys, and std::vector<PublicKey> is
+// one contiguous byte array (PublicKey is std::array<uint8_t, 32>), so
+// the list crosses the codec as a single copy each way.
+static_assert(sizeof(crypto::PublicKey) == 32);
+
 std::vector<uint8_t> Encode(const SlReveal& m) {
+  const size_t key_bytes = m.candidates.size() * sizeof(crypto::PublicKey);
   Writer writer;
+  writer.Reserve(kHeaderBytes + sizeof(crypto::Digest) + 4 + key_bytes);
   WriteHeader(writer, kTagSlReveal);
   writer.Hash(m.rnd);
   writer.U32(static_cast<uint32_t>(m.candidates.size()));
-  for (const crypto::PublicKey& key : m.candidates) writer.Key(key);
+  writer.Raw(reinterpret_cast<const uint8_t*>(m.candidates.data()),
+             key_bytes);
   return writer.Take();
 }
 
@@ -186,9 +196,9 @@ Result<SlReveal> DecodeSlReveal(const std::vector<uint8_t>& bytes) {
     return Status::InvalidArgument("msg: bad candidate count");
   }
   m.candidates.resize(count);
-  for (crypto::PublicKey& key : m.candidates) {
-    SEP2P_RETURN_IF_ERROR(reader.Key(&key));
-  }
+  SEP2P_RETURN_IF_ERROR(
+      reader.Raw(reinterpret_cast<uint8_t*>(m.candidates.data()),
+                 count * sizeof(crypto::PublicKey)));
   SEP2P_RETURN_IF_ERROR(reader.ExpectEnd());
   return m;
 }

@@ -1,21 +1,22 @@
 // Server-side protocol behaviour shared between the two transports.
 //
 // The selection protocol's remote participants (TLs, SLs, attestors)
-// answer requests. Under net::SimNetwork those answers come from
-// per-call closures inside vrand.cc/selection.cc, which capture the
-// driver's state (its Rng, its precomputed R3 scan). Under
+// answer requests. In a single-process run — any net::SimNetwork,
+// including the ideal link a protocol object uses when its caller
+// brings no transport — those answers come from per-call closures
+// inside vrand.cc/selection.cc, which capture the driver's state (its
+// Rng, its precomputed R3 scan, its attack hooks). Under
 // net::TcpTransport the participant lives in ANOTHER PROCESS: requests
 // arrive through the registered dispatch table with no driver closure
 // in sight. To run the identical protocol logic on both paths, the
-// closure BODIES live here as free helpers — the sim closures call
-// them with driver-local state (bit-identical to the pre-refactor
-// code), and the resident ProtocolService calls them with per-process
-// state keyed by the engagement nonce carried in v2 messages.
+// closure BODIES live here as free helpers — the closures call them
+// with driver-local state, and the resident ProtocolService calls them
+// with per-process state keyed by the engagement nonce carried in v2
+// messages.
 //
 // Invariant: a helper never draws randomness or advances a clock
-// itself; the caller supplies the Rng and the timestamp, so the sim
-// path's draw order and message bytes are exactly what the closures
-// produced before the refactor.
+// itself; the caller supplies the Rng and the timestamp, so a sim run's
+// draw order and message bytes depend only on the driver.
 
 #ifndef SEP2P_CORE_PROTOCOL_SERVICE_H_
 #define SEP2P_CORE_PROTOCOL_SERVICE_H_
@@ -67,11 +68,13 @@ struct SlState {
 };
 
 // Builds an SL's engagement state: intersect `r3_nodes` with the SL's
-// cache coverage (applying the covert hide deviation when configured),
-// draw RND_j from `rng`, and commit to (RND_j, CL_j).
+// cache coverage, draw RND_j from `rng`, and commit to (RND_j, CL_j).
+// With `hide_honest` a colluding SL applies the covert deviation of
+// §3.5 and reports only colluding entries (AttackHooks::
+// SlBiasesCandidates decides it per SL); honest SLs ignore the flag.
 SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
-                     const std::vector<uint32_t>& r3_nodes,
-                     bool colluding_sls_hide_honest, util::Rng& rng);
+                     const std::vector<uint32_t>& r3_nodes, bool hide_honest,
+                     util::Rng& rng);
 
 // SL steps 6-7: check own commitment is in L1, reveal (RND_j, CL_j).
 std::optional<std::vector<uint8_t>> SlRevealReply(const SlState& state,
@@ -102,9 +105,6 @@ std::optional<std::vector<uint8_t>> AttestReply(
 class ProtocolService {
  public:
   struct Options {
-    // Mirrors SelectionOptions::colluding_sls_hide_honest for the
-    // resident SL path (off for honest cluster runs).
-    bool colluding_sls_hide_honest = false;
     // Seeds the resident participants' contribution draws. Remote RNDs
     // need no global determinism, but distinct processes should draw
     // distinct values.
@@ -130,7 +130,6 @@ class ProtocolService {
 
   const ProtocolContext& ctx_;
   net::Transport& transport_;
-  Options options_;
   util::Rng rng_;
 
   // (engagement nonce, node index) -> per-engagement state.

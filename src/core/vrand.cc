@@ -33,10 +33,18 @@ std::vector<uint8_t> VerifiableRandom::SignedBytes() const {
   return out;
 }
 
+net::Transport& VrandProtocol::ideal_transport() const {
+  if (ideal_ == nullptr) {
+    ideal_ = std::make_unique<net::SimNetwork>(
+        static_cast<uint32_t>(ctx_.directory->size()), net::kIdealLink,
+        net::RetryPolicy{}, /*seed=*/0);
+  }
+  return *ideal_;
+}
+
 Result<VrandProtocol::Outcome> VrandProtocol::Generate(
-    uint32_t trigger_index, util::Rng& rng, net::FailureModel* failures,
-    net::Transport* network, obs::TraceRecorder* trace,
-    obs::MetricsRegistry* metrics, AttackHooks* attack) const {
+    uint32_t trigger_index, util::Rng& rng, net::Transport* network,
+    AttackHooks* attack) const {
   const dht::Directory& dir = *ctx_.directory;
   const dht::RingPos trigger_pos = dir.pos(trigger_index);
 
@@ -62,94 +70,11 @@ Result<VrandProtocol::Outcome> VrandProtocol::Generate(
     return Status::ResourceExhausted("vrand: fewer than k legitimate nodes");
   }
   rng.Shuffle(candidates);
-  if (network != nullptr) {
-    return GenerateOverNetwork(trigger_index, rng, *network, choice,
-                               candidates);
-  }
-  obs::Span vrand_span(trace, metrics, trigger_index, "vrand");
-  candidates.resize(k);
 
-  Outcome outcome;
-  outcome.tl_indices = candidates;
-  VerifiableRandom& vrnd = outcome.vrnd;
-  vrnd.cert_t = dir.cert(trigger_index);
-  vrnd.timestamp = ctx_.now;
-  vrnd.rs1 = rs1;
-
-  // Steps 1-2: contact + commitments. Each TL draws RND_i.
-  if (attack != nullptr) attack->OnTlQuorum(candidates);
-  vrnd.participants.resize(k);
-  for (int i = 0; i < k; ++i) {
-    if (failures != nullptr && failures->ShouldFail()) {
-      return Status::Unavailable("vrand: TL failed during commitment");
-    }
-    VrandParticipant& p = vrnd.participants[i];
-    p.cert = dir.cert(candidates[i]);
-    p.rnd = crypto::Hash256(crypto::Digest(rng.NextBytes32()));
-  }
-
-  // Attack seam (CSAR grinding, core/attack_hooks.h): the commitments
-  // are fixed, so the coalition knows the RND_T the reveal round would
-  // produce and may withhold one reveal to force a re-roll. The defector
-  // committed and then went silent — an attributable strike the caller
-  // can record against it.
-  if (attack != nullptr) {
-    const crypto::Hash256 would_be = vrnd.Value();
-    for (int i = 0; i < k; ++i) {
-      if (attack->TlWithholdsReveal(candidates[i], would_be)) {
-        if (trace != nullptr) {
-          trace->Mark(candidates[i], "attack-tl-withhold", 0);
-        }
-        return Status::Unavailable("vrand: TL withheld reveal");
-      }
-    }
-  }
-
-  // Steps 3-4: T broadcasts L; each TL checks its commitment and signs
-  // (L, ts). Hashing is symmetric crypto and free in the cost model; the
-  // signature is 1 asymmetric op per TL, all k in parallel.
-  const std::vector<uint8_t> signed_bytes = vrnd.SignedBytes();
-  for (int i = 0; i < k; ++i) {
-    if (failures != nullptr && failures->ShouldFail()) {
-      return Status::Unavailable("vrand: TL failed during reveal");
-    }
-    Result<crypto::Signature> sig = ctx_.SignAs(candidates[i], signed_bytes);
-    if (!sig.ok()) return sig.status();
-    if (metrics != nullptr) {
-      metrics->Inc(obs::Counter::kCryptoSign);
-      metrics->IncNode(candidates[i], obs::NodeCounter::kCrypto);
-    }
-    if (trace != nullptr) trace->Signature(candidates[i], "tl-sign");
-    vrnd.participants[i].sig = std::move(sig.value());
-  }
-
-  // Cost model.
-  //   Messages: 4 rounds of k messages each (contact, commitment,
-  //   commitment list, reveal+signature); all TLs act in parallel.
-  //   Crypto: 1 signature per TL (parallel), then T validates the result
-  //   it is about to use (2k+1 ops, see VerifyVrand).
-  net::Cost cost;
-  for (int round = 0; round < 4; ++round) {
-    cost.Then(net::Cost::ParIdentical(net::Cost::Step(0, 1), k));
-  }
-  cost.Then(net::Cost::ParIdentical(net::Cost::Step(1, 0), k));  // TL signs
-  Result<net::Cost> check = VerifyVrand(ctx_, vrnd, metrics);
-  if (!check.ok()) return check.status();
-  cost.Then(check.value());
-  outcome.cost = cost;
-  return outcome;
-}
-
-Result<VrandProtocol::Outcome> VrandProtocol::GenerateOverNetwork(
-    uint32_t trigger_index, util::Rng& rng, net::Transport& network,
-    const KTable::Choice& choice,
-    const std::vector<uint32_t>& candidates) const {
-  const dht::Directory& dir = *ctx_.directory;
-  obs::TraceRecorder* rec = network.trace();
-  obs::MetricsRegistry* met = network.metrics();
+  net::Transport& net = network != nullptr ? *network : ideal_transport();
+  obs::TraceRecorder* rec = net.trace();
+  obs::MetricsRegistry* met = net.metrics();
   obs::Span vrand_span(rec, met, trigger_index, "vrand");
-  const int k = choice.entry.k;
-  const double rs1 = choice.entry.rs;
 
   // Each TL draws RND_i once per engagement; retransmitted invites must
   // reuse it (handlers are idempotent), so draws are cached per node.
@@ -168,13 +93,13 @@ Result<VrandProtocol::Outcome> VrandProtocol::GenerateOverNetwork(
   // exhausts the retry budget is declared failed and replaced by a
   // spare R1 candidate; only a dry candidate list aborts. The nonce
   // scopes resident TL state across processes (0 in sim — v1 bytes).
-  const uint64_t nonce = network.NewEngagementNonce();
+  const uint64_t nonce = net.NewEngagementNonce();
   const std::vector<uint8_t> invite_bytes =
       msg::Encode(msg::VrandInvite{rs1, ctx_.now, nonce});
   net::Transport::QuorumResult quorum;
   {
     obs::Span commit_span(rec, met, trigger_index, "vrand-commit");
-    quorum = network.EngageQuorum(
+    quorum = net.EngageQuorum(
         trigger_index, candidates, k,
         [&](uint32_t) { return invite_bytes; },
         [&](uint32_t server, const std::vector<uint8_t>& request)
@@ -208,6 +133,27 @@ Result<VrandProtocol::Outcome> VrandProtocol::GenerateOverNetwork(
     commit_list.commitments[i] = commit->commitment;
   }
 
+  // Attack seam (CSAR grinding, core/attack_hooks.h): the commitments
+  // are fixed, so the coalition knows the RND_T the reveal round would
+  // produce and a colluding TL may withhold its reveal to force a
+  // re-roll. One decision per TL, in commitment order, up to the first
+  // defector; the transport retries a silent TL, so each decision is
+  // cached for the engagement. The defector committed and then went
+  // silent — an attributable strike the caller can record against it.
+  std::map<uint32_t, bool> withholds;
+  bool defected = false;
+  const crypto::Hash256 would_be = vrnd.Value();
+  if (attack != nullptr) attack->OnTlQuorum(quorum.members);
+  auto withheld = [&](uint32_t tl) {
+    if (attack == nullptr) return false;
+    auto [it, fresh] = withholds.try_emplace(tl, false);
+    if (fresh && !defected) {
+      it->second = defected = attack->TlWithholdsReveal(tl, would_be);
+      if (defected && rec != nullptr) rec->Mark(tl, "attack-tl-withhold", 0);
+    }
+    return it->second;
+  };
+
   // Rounds 3-4: T broadcasts L; each TL checks its commitment is in L,
   // then reveals RND_i and signs (L, ts) — the TL reconstructs the
   // signed bytes from the RECEIVED list (SignedBytesFromList), which
@@ -217,12 +163,12 @@ Result<VrandProtocol::Outcome> VrandProtocol::GenerateOverNetwork(
   // RND_T.
   const std::vector<uint8_t> list_bytes = msg::Encode(commit_list);
   obs::Span reveal_span(rec, met, trigger_index, "vrand-reveal");
-  std::vector<net::Transport::RpcResult> reveals = network.Broadcast(
+  std::vector<net::Transport::RpcResult> reveals = net.Broadcast(
       trigger_index, quorum.members, list_bytes,
       [&](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
         Result<msg::CommitList> list = msg::DecodeCommitList(request);
-        if (!list.ok()) return std::nullopt;
+        if (!list.ok() || withheld(server)) return std::nullopt;
         return TlRevealReply(ctx_, met, server, tl_rnd(server), *list);
       });
   for (int i = 0; i < k; ++i) {
@@ -237,9 +183,11 @@ Result<VrandProtocol::Outcome> VrandProtocol::GenerateOverNetwork(
     vrnd.participants[i].sig = std::move(reveal->sig);
   }
 
-  // Cost model: identical *logical* rounds as the direct path (4 rounds
-  // of k parallel messages, one signature per TL, T's final check);
-  // retransmissions show up in the network's Stats, not here.
+  // Cost model: the paper's *logical* rounds — 4 rounds of k parallel
+  // messages (contact, commitment, commitment list, reveal+signature),
+  // one signature per TL, then T validates the result it is about to
+  // use (2k+1 ops, see VerifyVrand). Retransmissions show up in the
+  // transport's Stats, not here.
   net::Cost cost;
   for (int round = 0; round < 4; ++round) {
     cost.Then(net::Cost::ParIdentical(net::Cost::Step(0, 1), k));

@@ -23,13 +23,14 @@
 #define SEP2P_CORE_VRAND_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/attack_hooks.h"
 #include "core/context.h"
 #include "crypto/hash256.h"
 #include "net/cost.h"
-#include "net/failure.h"
+#include "net/sim_network.h"
 #include "net/transport.h"
 #include "util/rng.h"
 
@@ -68,42 +69,33 @@ class VrandProtocol {
   };
 
   // Runs the protocol with T = `trigger_index`. `rng` drives both the TL
-  // choice and the TLs' random contributions. If `failures` is non-null,
-  // each participant step may fail, aborting the run with kUnavailable
-  // (the caller restarts, as in the paper).
+  // choice and the TLs' random contributions. The T→TL commit/reveal
+  // rounds travel as typed messages (core/messages.h) over `network` —
+  // simulated (net::SimNetwork) or real sockets (net::TcpTransport) —
+  // with per-RPC timeout/retry/backoff: a TL that exhausts the retry
+  // budget during engagement is declared failed and replaced by a spare
+  // R1 candidate; only an unreachable quorum (or a TL lost after its
+  // commitment is fixed) aborts with kUnavailable, and the caller
+  // restarts with a fresh RND_T, as in the paper. A null `network` runs
+  // on ideal_transport(). Observers come from the transport
+  // (set_trace/set_metrics).
   //
-  // If `network` is non-null, the T→TL commit/reveal rounds travel as
-  // typed messages (core/messages.h) over that transport — simulated
-  // (net::SimNetwork) or real sockets (net::TcpTransport) — with
-  // per-RPC timeout/retry/backoff: a TL that exhausts the retry budget
-  // during engagement is declared failed and replaced by a spare R1
-  // candidate; only an unreachable quorum (or a TL lost after its
-  // commitment is fixed) aborts with kUnavailable. `failures` is ignored
-  // in that mode — crash and loss behaviour comes from the network.
-  // `trace`/`metrics` observe the DIRECT (non-network) path; with a
-  // network attached, its own recorder/registry take precedence. Both
-  // are passive.
-  //
-  // A non-null `attack` installs malicious participant behaviour at the
-  // same seams (core/attack_hooks.h): colluding TLs may withhold their
-  // reveal after seeing the committed outcome (CSAR grinding). With the
-  // default nullptr the execution is byte-identical to hook-free builds.
+  // A non-null `attack` installs malicious participant behaviour in the
+  // reveal round (core/attack_hooks.h): colluding TLs may withhold
+  // their reveal after seeing the committed outcome (CSAR grinding).
+  // With the default nullptr every TL behaves honestly.
   Result<Outcome> Generate(uint32_t trigger_index, util::Rng& rng,
-                           net::FailureModel* failures = nullptr,
                            net::Transport* network = nullptr,
-                           obs::TraceRecorder* trace = nullptr,
-                           obs::MetricsRegistry* metrics = nullptr,
                            AttackHooks* attack = nullptr) const;
 
- private:
-  // Message-level path: TL engagement with replacement, then the
-  // commit-list/reveal round, all over `network`.
-  Result<Outcome> GenerateOverNetwork(
-      uint32_t trigger_index, util::Rng& rng, net::Transport& network,
-      const KTable::Choice& choice,
-      const std::vector<uint32_t>& candidates) const;
+  // The in-process ideal link (net::kIdealLink) over every directory
+  // node, created on first use and kept for this object's lifetime.
+  // Not thread-safe: parallel callers need one protocol object each.
+  net::Transport& ideal_transport() const;
 
+ private:
   const ProtocolContext& ctx_;
+  mutable std::unique_ptr<net::SimNetwork> ideal_;
 };
 
 // Checks a VerifiableRandom end to end: T's certificate, each TL's

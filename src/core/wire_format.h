@@ -29,6 +29,7 @@ inline constexpr uint32_t kMaxBlobLen = 1 << 16;
 
 class Writer {
  public:
+  void Reserve(size_t bytes) { out_.reserve(bytes); }
   void U8(uint8_t v) { out_.push_back(v); }
   void U16(uint16_t v) {
     out_.push_back(static_cast<uint8_t>(v >> 8));
@@ -121,6 +122,10 @@ class Reader {
     return Bytes(h->bytes().data(), h->bytes().size());
   }
   Status Key(crypto::PublicKey* k) { return Bytes(k->data(), k->size()); }
+  // Bounds-checked bulk read of `len` raw bytes into `out`.
+  Status Raw(uint8_t* out, size_t len) {
+    return len == 0 ? Status::Ok() : Bytes(out, len);
+  }
   Status Cert(crypto::Certificate* cert) {
     SEP2P_RETURN_IF_ERROR(Key(&cert->subject));
     SEP2P_RETURN_IF_ERROR(U64(&cert->serial));

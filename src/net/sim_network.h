@@ -1,13 +1,11 @@
 // SimNetwork: a deterministic discrete-event message layer — the
 // simulation implementation of net::Transport (alias: SimTransport).
 //
-// The paper's robustness story (§3.6 "Failures and disconnections") was
-// previously modeled by net::FailureModel — an abstract per-step coin
-// flip that aborts the whole selection. SimNetwork replaces that
-// abstraction with actual messages: per-node endpoints with inboxes, a
-// virtual clock in microseconds, a seeded latency distribution
-// (base + exponential jitter per transmission), per-link drop
-// probability, and node-crash schedules. On top of the raw transport it
+// Per-node endpoints with inboxes, a virtual clock in microseconds, a
+// seeded latency distribution (base + exponential jitter per
+// transmission), per-link drop probability, and node-crash schedules
+// (explicit CrashAt, or a per-request crash coin — the paper's §3.6
+// "Failures and disconnections"). On top of the raw transport it
 // provides the synchronous RPC shape the protocol drivers need —
 // per-call timeouts with bounded retries and exponential backoff plus
 // deterministic jitter — so a slow or dropped reply is retried, and a
@@ -18,9 +16,9 @@
 // step-crash, backoff jitter) draws from the single Rng owned by the
 // network, and the protocol drivers issue calls in a fixed order, so a
 // SimNetwork seeded identically replays the exact same trace. Parallel
-// experiment harnesses give each trial its OWN SimNetwork seeded from
-// the trial's SplitMix64 stream (sim/trial_runner.h); a SimNetwork must
-// never be shared across threads.
+// experiment harnesses give each trial (or each TrialRunner shard) its
+// OWN SimNetwork (sim/trial_runner.h); a SimNetwork must never be
+// shared across threads.
 //
 // The cost model (net/cost.h) keeps counting the *logical* protocol
 // messages of the paper's figures; SimNetwork's Stats count transport
@@ -54,6 +52,16 @@ struct LinkModel {
   uint64_t process_us = 1'000;
 };
 
+// The ideal link: no latency, no jitter, no processing delay, no loss.
+// Protocol objects whose caller brings no transport run on a SimNetwork
+// over this link (core/vrand.h, core/selection.h); a server that
+// refuses still times out and is retried, so withheld replies stay
+// visible in its trace.
+inline constexpr LinkModel kIdealLink{.base_latency_us = 0,
+                                      .jitter_mean_us = 0,
+                                      .drop_probability = 0.0,
+                                      .process_us = 0};
+
 class SimNetwork : public Transport {
  public:
   SimNetwork(uint32_t node_count, const LinkModel& link,
@@ -72,10 +80,10 @@ class SimNetwork : public Transport {
   // `at_us` on the virtual clock.
   void CrashAt(uint32_t node, uint64_t at_us) override;
 
-  // Per-step crash probability, subsuming FailureModel: every time a
-  // request reaches a live node, the node crashes with this probability
-  // before acting on it. Crashes are permanent, so unlike the coin-flip
-  // model the failure is observable (timeouts) and attributable.
+  // Per-step crash probability: every time a request reaches a live
+  // node, the node crashes with this probability before acting on it.
+  // Crashes are permanent, so the failure is observable (timeouts) and
+  // attributable, and the quorum engagement replaces the crashed node.
   void set_step_crash_probability(double p) { step_crash_probability_ = p; }
 
   bool IsUp(uint32_t node, uint64_t at_us) const;

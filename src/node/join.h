@@ -43,13 +43,16 @@ struct AttestedCache {
 
 class JoinProtocol {
  public:
-  // With the default null transport the attestor signatures are
-  // collected directly (the historical in-memory path — the churn
-  // driver depends on its exact draw order for digest stability). With
-  // a transport, attestation requests travel as AttestRequest messages
-  // carrying the cache's signed bytes (the preimage a resident attestor
-  // demands), through EngageQuorum: unresponsive attestors are replaced
-  // by spare R1 candidates.
+  // Join still has two bodies; vrand and selection have one. With the
+  // default null transport the attestor signatures are collected in
+  // memory — the churn driver depends on that path's exact draw order
+  // for digest stability, and its crash schedule (net::SimNetwork::
+  // CrashAt is permanent, while the driver re-joins crashed nodes) does
+  // not fit the message path yet. With a transport, attestation
+  // requests travel as AttestRequest messages carrying the cache's
+  // signed bytes (the preimage a resident attestor demands), through
+  // EngageQuorum: unresponsive attestors are replaced by spare R1
+  // candidates.
   explicit JoinProtocol(const core::ProtocolContext& ctx,
                         net::Transport* transport = nullptr)
       : ctx_(ctx), transport_(transport) {}

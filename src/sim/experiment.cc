@@ -25,8 +25,6 @@ constexpr uint64_t kStrategyColluderSalt = 0xc011de05;
 constexpr uint64_t kCacheTrialSalt = 0xcac4e51ce;
 constexpr uint64_t kActorTrialSalt = 0xac1052;
 constexpr uint64_t kExhaustiveTrialSalt = 0xe4a;
-constexpr uint64_t kFailureTrialSalt = 0xfa11;
-constexpr uint64_t kFailureModelSalt = 0xdead;
 constexpr uint64_t kMessageTrialSalt = 0x4e7411a1;
 constexpr uint64_t kMessageNetSalt = 0x4e7411e7;
 constexpr uint64_t kAppTrialSalt = 0xa9905a17;
@@ -93,7 +91,12 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
       const std::string& name = strategy_names[si];
       core::ProtocolContext ctx = net.context();
       strategies::AdversaryConfig adversary;  // full covert adversary
-      if (strategies::MakeStrategy(name, ctx, adversary) == nullptr) {
+      // One strategy per point: its epochs run one after another, each
+      // on a single worker (one epoch = one shard), so the strategy's
+      // protocol object and transport are never shared between threads.
+      std::unique_ptr<strategies::Strategy> strategy =
+          strategies::MakeStrategy(name, ctx, adversary);
+      if (strategy == nullptr) {
         return Status::InvalidArgument("unknown strategy: " + name);
       }
 
@@ -133,8 +136,6 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
         const int end = std::min(begin + TrialRunner::kShardSize, trials);
         Status status = runner.RunTrialRange(
             begin, end, trial_seed, [&](int t, util::Rng& rng) {
-              std::unique_ptr<strategies::Strategy> strategy =
-                  strategies::MakeStrategy(name, ctx, adversary);
               // One epoch = one shard (kShardSize trials on one
               // worker), so indexing by t / kShardSize is race-free.
               obs::MetricsRegistry* met =
@@ -440,7 +441,6 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   }
 
   core::ProtocolContext ctx = net.context();
-  core::SelectionProtocol protocol(ctx);
   const uint64_t trial_seed = MixSeed(base.seed, kExhaustiveTrialSalt);
   const int trials = static_cast<int>(setters.size());
 
@@ -457,6 +457,11 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
         Shard& sh = shards[shard];
         obs::MetricsRegistry* met =
             shard_metrics.empty() ? nullptr : &shard_metrics[shard];
+        // One protocol object (and ideal transport) per shard: shards
+        // run on different workers.
+        core::SelectionProtocol protocol(ctx);
+        net::Transport& transport = protocol.ideal_transport();
+        transport.set_metrics(met);
         for (int t = begin; t < end; ++t) {
           util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
           // Force the setter point onto this node's exact position.
@@ -464,8 +469,7 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
               net.directory().pos(setters[t]));
           core::SelectionOptions options;
           options.forced_point = &point;
-          options.trace = RecorderFor(observers, 0, t);
-          options.metrics = met;
+          transport.set_trace(RecorderFor(observers, 0, t));
           if (met != nullptr) met->Inc(obs::Counter::kTrials);
           uint32_t trigger = static_cast<uint32_t>(
               rng.NextUint64(net.directory().size()));
@@ -515,96 +519,6 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   stats.msg_lat_max = ml.max();
   stats.msg_lat_stddev = ml.stddev();
   return stats;
-}
-
-Result<std::vector<FailurePoint>> RunFailureSweep(
-    const Parameters& base, const std::vector<double>& probabilities,
-    int trials, int max_attempts, const SweepObservers* observers) {
-  Result<std::unique_ptr<Network>> network = Network::Build(base);
-  if (!network.ok()) return network.status();
-  Network& net = *network.value();
-  TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
-
-  std::vector<FailurePoint> points;
-  for (size_t pi = 0; pi < probabilities.size(); ++pi) {
-    const double probability = probabilities[pi];
-    core::ProtocolContext ctx = net.context();
-    core::SelectionProtocol protocol(ctx);
-    const uint64_t trial_seed = MixSeed(base.seed, kFailureTrialSalt, pi);
-    const uint64_t failure_seed = MixSeed(base.seed, kFailureModelSalt, pi);
-
-    struct Shard {
-      OnlineStats attempts;
-      int first_try = 0;
-      int gave_up = 0;
-    };
-    std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            // Failure injection is part of the trial, so it draws from a
-            // per-trial stream too.
-            net::FailureModel failures(
-                probability, StreamSeed(failure_seed,
-                                        static_cast<uint64_t>(t)));
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
-            uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            int attempt = 1;
-            for (; attempt <= max_attempts; ++attempt) {
-              core::SelectionOptions options;
-              options.failures = &failures;
-              options.trace = RecorderFor(observers, pi, t);
-              options.metrics = met;
-              Result<core::SelectionProtocol::Outcome> run =
-                  protocol.Run(trigger, rng, options);
-              if (run.ok()) break;
-              if (run.status().code() != StatusCode::kUnavailable) {
-                return run.status();
-              }
-            }
-            if (attempt > max_attempts) {
-              ++sh.gave_up;
-            } else {
-              sh.attempts.Add(attempt);
-              if (attempt == 1) ++sh.first_try;
-              if (met != nullptr && attempt > 1) {
-                met->Inc(obs::Counter::kRestarts,
-                         static_cast<uint64_t>(attempt - 1));
-              }
-            }
-          }
-          return Status::Ok();
-        });
-    if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
-
-    OnlineStats attempts;
-    int first_try = 0;
-    int gave_up = 0;
-    for (const Shard& sh : shards) {
-      attempts.Merge(sh.attempts);
-      first_try += sh.first_try;
-      gave_up += sh.gave_up;
-    }
-
-    FailurePoint point;
-    point.failure_probability = probability;
-    point.trials = trials;
-    point.first_try_success_rate =
-        static_cast<double>(first_try) / std::max(1, trials);
-    point.avg_attempts = attempts.mean();
-    point.give_up_rate = static_cast<double>(gave_up) / std::max(1, trials);
-    points.push_back(point);
-  }
-  return points;
 }
 
 Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(

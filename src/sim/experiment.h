@@ -138,30 +138,16 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
     const Parameters& base, size_t sample,
     const SweepObservers* observers = nullptr);
 
-// ---------------------------------------------------------- §3.6 ablation
+// ----------------------------------------------------- §3.6 robustness
 // Robustness to participant failures: the paper's remedy for a TL/SL/S
-// failing mid-protocol is restarting with a fresh RND_T. Sweeping the
-// per-step failure probability measures how many restarts that costs.
-struct FailurePoint {
-  double failure_probability = 0;
-  int trials = 0;
-  double first_try_success_rate = 0;
-  double avg_attempts = 0;  // attempts until success (incl. the success)
-  double give_up_rate = 0;  // trials exhausting the attempt budget
-};
-
-Result<std::vector<FailurePoint>> RunFailureSweep(
-    const Parameters& base, const std::vector<double>& probabilities,
-    int trials, int max_attempts = 50,
-    const SweepObservers* observers = nullptr);
-
-// ----------------------------------------------------- §3.6 message level
-// Message-level robustness: every selection executes over a
-// net::SimNetwork (typed messages, seeded latency, link drops, node
-// crashes) with per-RPC timeout/retry/backoff, instead of the abstract
-// per-step coin of RunFailureSweep. Each trial owns its own SimNetwork
-// seeded from the trial's SplitMix64 stream, so every point is
-// bit-identical for any Parameters::threads value.
+// failing mid-protocol is restarting with a fresh RND_T. Every
+// selection executes over a faulty net::SimNetwork (typed messages,
+// seeded latency, link drops, node crashes) with per-RPC
+// timeout/retry/backoff; crashed TLs/SLs are replaced from the spare
+// candidates, and only an unreachable quorum forces a restart. Each
+// trial owns its own SimNetwork seeded from the trial's SplitMix64
+// stream, so every point is bit-identical for any Parameters::threads
+// value.
 struct MessageFailureSetting {
   double drop_probability = 0;       // per-transmission loss
   uint64_t jitter_mean_us = 10'000;  // exponential latency jitter mean

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/vrand.h"
 #include "crypto/sha256.h"
 #include "dht/region.h"
 
@@ -13,8 +12,8 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
   const dht::Directory& dir = *ctx_.directory;
 
   // Shared stage: verifiable random around T.
-  core::VrandProtocol vrand(ctx_);
-  Result<core::VrandProtocol::Outcome> vr = vrand.Generate(trigger_index, rng);
+  Result<core::VrandProtocol::Outcome> vr =
+      vrand_.Generate(trigger_index, rng);
   if (!vr.ok()) return vr.status();
 
   StrategyOutcome outcome;

@@ -17,6 +17,7 @@
 #ifndef SEP2P_STRATEGIES_ES_STRATEGIES_H_
 #define SEP2P_STRATEGIES_ES_STRATEGIES_H_
 
+#include "core/vrand.h"
 #include "strategies/strategy.h"
 
 namespace sep2p::strategies {
@@ -30,6 +31,9 @@ class EsStrategyBase : public Strategy {
  protected:
   // True for ES.AV: actors must be genuine PDMSs.
   virtual bool verifies_actors() const = 0;
+
+ private:
+  core::VrandProtocol vrand_{ctx_};
 };
 
 class EsNavStrategy : public EsStrategyBase {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/vrand.h"
 #include "crypto/sha256.h"
 
 namespace sep2p::strategies {
@@ -11,8 +10,8 @@ Result<StrategyOutcome> MHashStrategy::Run(uint32_t trigger_index,
                                            util::Rng& rng) {
   const dht::Directory& dir = *ctx_.directory;
 
-  core::VrandProtocol vrand(ctx_);
-  Result<core::VrandProtocol::Outcome> vr = vrand.Generate(trigger_index, rng);
+  Result<core::VrandProtocol::Outcome> vr =
+      vrand_.Generate(trigger_index, rng);
   if (!vr.ok()) return vr.status();
 
   StrategyOutcome outcome;

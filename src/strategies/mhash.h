@@ -11,6 +11,7 @@
 #ifndef SEP2P_STRATEGIES_MHASH_H_
 #define SEP2P_STRATEGIES_MHASH_H_
 
+#include "core/vrand.h"
 #include "strategies/strategy.h"
 
 namespace sep2p::strategies {
@@ -21,6 +22,9 @@ class MHashStrategy : public Strategy {
   const char* name() const override { return "M.Hash"; }
   Result<StrategyOutcome> Run(uint32_t trigger_index,
                               util::Rng& rng) override;
+
+ private:
+  core::VrandProtocol vrand_{ctx_};
 };
 
 }  // namespace sep2p::strategies

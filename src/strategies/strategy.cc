@@ -14,15 +14,22 @@ int Strategy::CountCorrupted(const std::vector<uint32_t>& actors) const {
   return corrupted;
 }
 
+Sep2pStrategy::Sep2pStrategy(const core::ProtocolContext& ctx,
+                             const AdversaryConfig& adversary)
+    : Strategy(ctx, adversary), protocol_(ctx) {}
+
+void Sep2pStrategy::set_observers(obs::TraceRecorder* trace,
+                                  obs::MetricsRegistry* metrics) {
+  protocol_.ideal_transport().set_trace(trace);
+  protocol_.ideal_transport().set_metrics(metrics);
+}
+
 Result<StrategyOutcome> Sep2pStrategy::Run(uint32_t trigger_index,
                                            util::Rng& rng) {
-  core::SelectionProtocol protocol(ctx_);
   core::SelectionOptions options;
-  options.colluding_sls_hide_honest = adversary_.hide_honest_cache_entries;
-  options.trace = trace_;
-  options.metrics = metrics_;
+  if (adversary_.hide_honest_cache_entries) options.attack = &hide_;
   Result<core::SelectionProtocol::Outcome> run =
-      protocol.Run(trigger_index, rng, options);
+      protocol_.Run(trigger_index, rng, options);
   if (!run.ok()) return run.status();
 
   StrategyOutcome outcome;

@@ -45,13 +45,10 @@ class Strategy {
                                       util::Rng& rng) = 0;
 
   // Attaches passive observability sinks for subsequent Run calls.
-  // Sep2pStrategy threads them into the selection protocol; baselines
-  // have no protocol phases worth attributing and ignore them.
-  void set_observers(obs::TraceRecorder* trace,
-                     obs::MetricsRegistry* metrics) {
-    trace_ = trace;
-    metrics_ = metrics;
-  }
+  // Sep2pStrategy attaches them to its selection protocol's transport;
+  // baselines have no protocol phases worth attributing and ignore them.
+  virtual void set_observers(obs::TraceRecorder* /*trace*/,
+                             obs::MetricsRegistry* /*metrics*/) {}
 
  protected:
   // Counts colluders among `actors`.
@@ -59,17 +56,31 @@ class Strategy {
 
   const core::ProtocolContext& ctx_;
   AdversaryConfig adversary_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
-// SEP2P itself (wraps core::SelectionProtocol).
+// SEP2P itself (wraps core::SelectionProtocol). Owns one protocol
+// object, so a strategy instance must stay on one thread at a time.
 class Sep2pStrategy : public Strategy {
  public:
-  using Strategy::Strategy;
+  Sep2pStrategy(const core::ProtocolContext& ctx,
+                const AdversaryConfig& adversary);
   const char* name() const override { return "SEP2P"; }
   Result<StrategyOutcome> Run(uint32_t trigger_index,
                               util::Rng& rng) override;
+  void set_observers(obs::TraceRecorder* trace,
+                     obs::MetricsRegistry* metrics) override;
+
+ private:
+  // The covert cache-hiding adversary of §3.5 (AdversaryConfig::
+  // hide_honest_cache_entries): colluding SLs report only colluders in
+  // their candidate lists.
+  class HideHonestEntries final : public core::AttackHooks {
+   public:
+    bool SlBiasesCandidates(uint32_t /*sl_index*/) override { return true; }
+  };
+
+  core::SelectionProtocol protocol_;
+  HideHonestEntries hide_;
 };
 
 std::unique_ptr<Strategy> MakeStrategy(const std::string& name,

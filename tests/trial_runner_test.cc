@@ -10,9 +10,10 @@
 #include <atomic>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
-#include "net/failure.h"
+#include "obs/export.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -241,48 +242,36 @@ TEST(TrialRunnerTest, CacheSweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// net::FailureModel mutates its Rng on every ShouldFail() draw, so the
-// thread contract (failure.h) demands one instance per trial, seeded
-// from the trial's stream. This test exercises exactly that pattern
-// under heavy threading — the TSan build (-DSEP2P_SANITIZE=thread, test
-// filter 'ThreadPool|TrialRunner') would flag any cross-thread sharing
-// — and the serial comparison pins the bit-identical results.
-TEST(TrialRunnerTest, PerTrialFailureModelsAreThreadConfined) {
-  constexpr int kTrials = 512;
-  constexpr uint64_t kModelSalt = 0xdead;
-  auto run = [&](int threads, std::vector<int>& hits) {
-    hits.assign(kTrials, 0);
-    TrialRunner runner(threads);
-    return runner.RunTrials(kTrials, 42, [&](int t, util::Rng& rng) {
-      net::FailureModel failures(
-          0.3, StreamSeed(MixSeed(42, kModelSalt),
-                          static_cast<uint64_t>(t)));
-      (void)rng;
-      for (int step = 0; step < 64; ++step) {
-        if (failures.ShouldFail()) ++hits[t];
-      }
-      return Status::Ok();
-    });
+// Every TrialRunner shard of the exhaustive sweep owns its selection
+// protocol object, whose ideal transport carries the shard's metrics
+// registry and the traced trials' recorders. Under heavy threading (the
+// TSan build runs the 'TrialRunner' filter) the observed sweep must
+// stay race-free, and its metrics snapshot and traces must equal a
+// serial run's byte for byte.
+TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
+  auto run = [](int threads, std::string* metrics_json,
+                std::string* traces) {
+    std::vector<obs::TraceRecorder> recorders;
+    obs::MetricsRegistry metrics;
+    SweepObservers observers;
+    observers.trace_trials = 3;
+    observers.recorders = &recorders;
+    observers.metrics = &metrics;
+    auto stats =
+        RunExhaustiveSetters(SmallNet(threads), /*sample=*/96, &observers);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    *metrics_json = metrics.ToJson();
+    for (const obs::TraceRecorder& rec : recorders) {
+      *traces += obs::ToJsonl(rec.trace());
+    }
   };
-  std::vector<int> serial, parallel;
-  ASSERT_TRUE(run(1, serial).ok());
-  ASSERT_TRUE(run(8, parallel).ok());
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(TrialRunnerTest, FailureSweepBitIdenticalAcrossThreadCounts) {
-  const std::vector<double> probabilities = {0.0, 0.02};
-  auto serial = RunFailureSweep(SmallNet(1), probabilities, /*trials=*/40);
-  auto parallel = RunFailureSweep(SmallNet(8), probabilities, /*trials=*/40);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ((*serial)[i].first_try_success_rate,
-              (*parallel)[i].first_try_success_rate);
-    EXPECT_EQ((*serial)[i].avg_attempts, (*parallel)[i].avg_attempts);
-    EXPECT_EQ((*serial)[i].give_up_rate, (*parallel)[i].give_up_rate);
-  }
+  std::string serial_metrics, serial_traces;
+  std::string parallel_metrics, parallel_traces;
+  run(1, &serial_metrics, &serial_traces);
+  run(8, &parallel_metrics, &parallel_traces);
+  EXPECT_FALSE(serial_traces.empty());
+  EXPECT_EQ(serial_metrics, parallel_metrics);
+  EXPECT_EQ(serial_traces, parallel_traces);
 }
 
 // The message-level acceptance criterion: per-trial SimNetworks seeded

@@ -155,22 +155,30 @@ TEST_F(VrandTest, StaleTimestampRejected) {
 
 TEST_F(VrandTest, FailureInjectionAborts) {
   VrandProtocol protocol(ctx_);
-  net::FailureModel always_fail(1.0, /*seed=*/1);
-  auto outcome = protocol.Generate(10, rng_, &always_fail);
+  // Every TL crashes on its first request, so the R1 candidates run dry.
+  net::SimNetwork crashing = test::MakeSimNet(
+      static_cast<uint32_t>(network_->directory().size()));
+  crashing.set_step_crash_probability(1.0);
+  auto outcome = protocol.Generate(10, rng_, &crashing);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
 }
 
 TEST_F(VrandTest, RestartAfterFailureSucceeds) {
   VrandProtocol protocol(ctx_);
-  net::FailureModel flaky(0.2, /*seed=*/3);
-  // The paper's remedy is simply restarting with a fresh RND_T.
-  for (int attempt = 0; attempt < 100; ++attempt) {
+  // Lossy links and crashing TLs: a TL lost after committing aborts the
+  // run, and the paper's remedy is simply restarting with a fresh RND_T.
+  for (uint64_t attempt = 0; attempt < 100; ++attempt) {
+    net::SimNetwork flaky = test::MakeSimNet(
+        static_cast<uint32_t>(network_->directory().size()), /*drop=*/0.2,
+        /*jitter_mean_us=*/0, /*seed=*/3 + attempt);
+    flaky.set_step_crash_probability(0.2);
     auto outcome = protocol.Generate(10, rng_, &flaky);
     if (outcome.ok()) {
-      SUCCEED();
+      EXPECT_TRUE(VerifyVrand(ctx_, outcome->vrnd).ok());
       return;
     }
+    EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
   }
   FAIL() << "no successful run in 100 attempts";
 }
