@@ -26,15 +26,11 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "bench/bench_common.h"
-#include "crypto/batch_verifier.h"
 #include "net/sim_network.h"
 #include "obs/export.h"
 #include "sim/churn_driver.h"
 #include "sim/network.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -156,99 +152,14 @@ std::string RowJson(const Row& row) {
   return buf;
 }
 
-// Attested-join verification comparison (ROADMAP item 1's last sweep):
-// the same join-heavy churn workload with the §3.6 checks verified
-// per-message (synchronously, inside each join) vs routed through the
-// coalescing crypto::BatchVerifier. The driver's digest folds every
-// event outcome, so the two modes must agree bit-for-bit — batching may
-// only change throughput, never results.
-struct VerifyComparison {
-  uint64_t n = 0;
-  uint64_t events = 0;
-  double sync_s = 0;
-  double batched_s = 0;
-  double sync_events_per_s = 0;
-  double batched_events_per_s = 0;
-  uint64_t sync_digest = 0;
-  uint64_t batched_digest = 0;
-  uint64_t batches = 0;  // batches the coalescing verifier dispatched
-  bool agree() const { return sync_digest == batched_digest; }
-};
-
-VerifyComparison CompareJoinVerification(uint64_t n, int threads,
-                                         uint64_t events) {
-  VerifyComparison cmp;
-  cmp.n = n;
-  cmp.events = events;
-  for (int mode = 0; mode < 2; ++mode) {
-    sim::Parameters params;
-    params.n = n;
-    params.churn_pool = n / 20;  // join-heavy: 5% standby pool
-    params.threads = threads;
-    auto network = sim::Network::Build(params);
-    if (!network.ok()) {
-      std::fprintf(stderr, "network build failed: %s\n",
-                   network.status().ToString().c_str());
-      std::exit(1);
-    }
-    net::LinkModel link;
-    link.jitter_mean_us = 0;
-    link.drop_probability = 0.0;
-    net::SimNetwork simnet(
-        static_cast<uint32_t>(n + params.churn_pool), link,
-        net::RetryPolicy{}, /*seed=*/7);
-
-    sim::ChurnDriver::Options churn_options;
-    churn_options.join_rate_per_s = 4.0;  // joins dominate the mix
-    churn_options.leave_rate_per_s = 1.0;
-    churn_options.crash_rate_per_s = 1.0;
-    churn_options.attested_joins = true;
-    std::optional<crypto::BatchVerifier> verifier;
-    if (mode == 1) {
-      crypto::BatchVerifier::Options vopt;
-      vopt.workers =
-          std::max(1, util::ThreadPool::ResolveThreads(threads));
-      verifier.emplace(&network.value()->provider(), vopt);
-      churn_options.verifier = &*verifier;
-    }
-    sim::ChurnDriver driver(network.value().get(), &simnet,
-                            churn_options);
-    auto t0 = std::chrono::steady_clock::now();
-    driver.Run(events);
-    auto t1 = std::chrono::steady_clock::now();
-    const double secs = Seconds(t0, t1);
-    const uint64_t digest =
-        DirectoryDigest(network.value()->directory()) ^
-        driver.stats().digest;
-    if (mode == 0) {
-      cmp.sync_s = secs;
-      cmp.sync_events_per_s = static_cast<double>(events) / secs;
-      cmp.sync_digest = digest;
-    } else {
-      cmp.batched_s = secs;
-      cmp.batched_events_per_s = static_cast<double>(events) / secs;
-      cmp.batched_digest = digest;
-      cmp.batches = verifier->stats().batches;
-    }
-  }
-  return cmp;
-}
-
-uint64_t NArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      return std::strtoull(argv[i] + 4, nullptr, 10);
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   const int threads = bench::ThreadsArg(argc, argv);
-  const uint64_t n_override = NArg(argc, argv);
+  // --n=X (or --n X) replaces the sweep with a single point.
+  const uint64_t n_override = static_cast<uint64_t>(
+      bench::NonNegativeIntArg(argc, argv, "--n", 0));
 
   std::vector<uint64_t> ns;
   if (n_override != 0) {
@@ -299,30 +210,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "DIGEST MISMATCH across thread counts\n");
   }
 
-  // Attested-join verification: per-message vs batched (same workload,
-  // digests must agree — batching is a throughput knob, not a result
-  // knob).
-  const uint64_t cmp_events = quick ? 2000 : 8000;
-  VerifyComparison cmp =
-      CompareJoinVerification(ns.front(), threads, cmp_events);
-  std::printf("\nattested-join verification (N=%" PRIu64 ", %" PRIu64
-              " events, join-heavy):\n",
-              cmp.n, cmp.events);
-  std::printf("  per-message: %8.0f events/s (%.2fs)\n",
-              cmp.sync_events_per_s, cmp.sync_s);
-  std::printf("  batched:     %8.0f events/s (%.2fs, %" PRIu64
-              " batches, x%.2f)\n",
-              cmp.batched_events_per_s, cmp.batched_s, cmp.batches,
-              cmp.batched_events_per_s / cmp.sync_events_per_s);
-  std::printf("  digests %s (%016" PRIx64 ")\n",
-              cmp.agree() ? "agree" : "MISMATCH", cmp.sync_digest);
-  if (!cmp.agree()) {
-    std::fprintf(stderr,
-                 "BATCHED/SYNC DIGEST MISMATCH: batching changed "
-                 "churn outcomes\n");
-    digests_agree = false;
-  }
-
   std::string json = "{\n  \"bench\": \"scale_churn\",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     json += RowJson(rows[i]);
@@ -342,22 +229,7 @@ int main(int argc, char** argv) {
                    audit.front().digest == audit[1].digest
                ? "true"
                : "false") +
-          "\n  },\n";
-  {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"verify_comparison\": {\n    \"n\": %" PRIu64
-        ", \"events\": %" PRIu64
-        ", \"sync_events_per_s\": %.0f, \"batched_events_per_s\": %.0f"
-        ", \"speedup\": %.3f, \"batches\": %" PRIu64
-        ", \"digests_agree\": %s\n  }\n}\n",
-        cmp.n, cmp.events, cmp.sync_events_per_s,
-        cmp.batched_events_per_s,
-        cmp.batched_events_per_s / cmp.sync_events_per_s, cmp.batches,
-        cmp.agree() ? "true" : "false");
-    json += buf;
-  }
+          "\n  }\n}\n";
 
   Status st = obs::WriteFile("BENCH_scale.json", json);
   if (!st.ok()) {

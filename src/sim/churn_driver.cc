@@ -106,21 +106,9 @@ void ChurnDriver::DoJoin() {
   if (options_.attested_joins) {
     core::ProtocolContext ctx = network_->context();
     ctx.now = now_us_ / 1000000 + 1000;  // virtual seconds on the §3.6 clock
-    // Batched verification: the join's signature/certificate checks are
-    // deferred into one task per event and drained before the outcome
-    // folds, so the digest stays bit-identical for any worker count.
-    const uint64_t task_id = stats_.events;
-    if (options_.verifier != nullptr) {
-      ctx.verify_sink = options_.verifier;
-      options_.verifier->BeginTask(task_id);
-    }
     node::JoinProtocol join(ctx);
     Result<node::JoinProtocol::Outcome> outcome = join.Join(idx, rng_);
     ok = outcome.ok() ? 1 : 0;
-    if (options_.verifier != nullptr) {
-      options_.verifier->Drain();
-      if (ok != 0 && options_.verifier->TaskFailed(task_id)) ok = 0;
-    }
   }
   if (ok != 0) {
     ++stats_.joins;

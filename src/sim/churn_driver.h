@@ -18,9 +18,7 @@
 // Determinism: the driver is strictly sequential on the virtual clock
 // and owns a single SplitMix64 stream, so a run is a pure function of
 // (network, options) — the digest is bit-identical for any thread count
-// used to build the network or drain deferred verification (including
-// Options::verifier workers: the attestation signatures a join defers
-// are all valid, so batched verdicts change nothing the digest folds).
+// used to build the network.
 
 #ifndef SEP2P_SIM_CHURN_DRIVER_H_
 #define SEP2P_SIM_CHURN_DRIVER_H_
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 
-#include "crypto/batch_verifier.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
@@ -51,12 +48,6 @@ class ChurnDriver {
     double ktable_refresh_factor = 1.25;
     uint64_t seed = 0x636875726eULL;  // "churn"
     obs::MetricsRegistry* metrics = nullptr;
-    // When set, each attested join routes its signature/certificate
-    // checks through this batched verifier (one task per churn event,
-    // drained before the event's outcome folds into the digest) instead
-    // of verifying synchronously. Joins whose deferred checks fail are
-    // counted rejected, exactly as the synchronous path would.
-    crypto::BatchVerifier* verifier = nullptr;
   };
 
   struct Stats {

@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/batch_verifier.h"
 #include "crypto/sim_provider.h"
 #include "dht/can.h"
 #include "dht/chord.h"
@@ -458,46 +457,6 @@ TEST(ChurnDriverTest, DigestIsIdenticalForAnyBuildThreadCount) {
       EXPECT_EQ(driver.stats().final_alive, *reference_alive);
     }
   }
-}
-
-TEST(ChurnDriverTest, BatchVerifierPathKeepsDigestBitIdentical) {
-  // Satellite: routing the attested-join signature checks through the
-  // shared crypto::BatchVerifier (inline drain or worker threads) must
-  // not change a single churn outcome — the FNV event digest is pinned
-  // against the unbatched reference for every verifier shape.
-  sim::ChurnDriver::Options options;
-  options.join_rate_per_s = 2.0;
-  options.leave_rate_per_s = 1.0;
-  options.crash_rate_per_s = 1.0;
-
-  auto run = [&options](crypto::BatchVerifier::Options* batch) {
-    auto network = sim::Network::Build(PoolParams(1));
-    EXPECT_TRUE(network.ok());
-    std::unique_ptr<crypto::BatchVerifier> verifier;
-    sim::ChurnDriver::Options run_options = options;
-    if (batch != nullptr) {
-      verifier = std::make_unique<crypto::BatchVerifier>(
-          &network.value()->provider(), *batch);
-      run_options.verifier = verifier.get();
-    }
-    sim::ChurnDriver driver(network.value().get(), nullptr, run_options);
-    driver.Run(400);
-    return std::make_pair(driver.stats().digest, driver.stats().joins);
-  };
-
-  auto [reference, reference_joins] = run(nullptr);
-  EXPECT_GT(reference_joins, 0u);
-
-  crypto::BatchVerifier::Options inline_drain;
-  inline_drain.workers = 0;
-  EXPECT_EQ(run(&inline_drain).first, reference) << "inline drain";
-
-  crypto::BatchVerifier::Options threaded;
-  threaded.workers = 3;
-  threaded.batch_size = 8;  // force multiple flushes per drain
-  auto [threaded_digest, threaded_joins] = run(&threaded);
-  EXPECT_EQ(threaded_digest, reference) << "3 workers";
-  EXPECT_EQ(threaded_joins, reference_joins);
 }
 
 TEST(ChurnDriverTest, ConcurrentDriversDoNotInterfere) {
