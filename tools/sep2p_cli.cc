@@ -71,13 +71,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "apps/concept_index.h"
 #include "apps/diffusion.h"
@@ -121,6 +125,64 @@ std::vector<node::PdmsNode> BuildDemoPdms(size_t n) {
   return pdms;
 }
 
+// Numeric flag values are parsed whole with std::from_chars. Every
+// numeric flag is non-negative; a value that is empty, negative, not a
+// whole number of type T ("7x", "abc", "1.5" for an integer), out of
+// range for T, or not finite is named on stderr and exits 2, like an
+// unknown flag.
+template <typename T>
+T NumberArg(const std::string& flag, const char* value) {
+  T parsed{};
+  const char* end = value + std::strlen(value);
+  auto [ptr, ec] = std::from_chars(value, end, parsed);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(parsed);
+  if constexpr (std::is_signed_v<T>) ok = ok && parsed >= 0;
+  if (!ok) {
+    const char* want = ec == std::errc::result_out_of_range
+                           ? "a value in range"
+                       : std::is_floating_point_v<T>
+                           ? "a non-negative number"
+                           : "a non-negative integer";
+    std::fprintf(stderr, "%s: expected %s, got '%s'\n", flag.c_str(), want,
+                 value);
+    std::exit(2);
+  }
+  return parsed;
+}
+
+// A probability or fraction: a number in [0, 1].
+double ProbabilityArg(const std::string& flag, const char* value) {
+  const double p = NumberArg<double>(flag, value);
+  if (p > 1) {
+    std::fprintf(stderr, "%s: expected a probability in [0, 1], got '%s'\n",
+                 flag.c_str(), value);
+    std::exit(2);
+  }
+  return p;
+}
+
+// The value after flag argv[*i], consumed; a missing value is named on
+// stderr and exits 2.
+const char* TakeValue(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) {
+    std::fprintf(stderr, "%s: missing value\n", argv[*i]);
+    std::exit(2);
+  }
+  return argv[++*i];
+}
+
+template <typename T>
+void TakeNumber(int argc, char** argv, int* i, T* out) {
+  const char* flag = argv[*i];
+  *out = NumberArg<T>(flag, TakeValue(argc, argv, i));
+}
+
+void TakeProbability(int argc, char** argv, int* i, double* out) {
+  const char* flag = argv[*i];
+  *out = ProbabilityArg(flag, TakeValue(argc, argv, i));
+}
+
 struct Flags {
   sim::Parameters params;
   double alpha = 1e-6;
@@ -137,38 +199,33 @@ struct Flags {
 bool ParseFlags(int argc, char** argv, int first, Flags* flags) {
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_value = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
-    };
-    double value = 0;
-    if (arg == "--n" && next_value(&value)) {
-      flags->params.n = static_cast<uint64_t>(value);
-    } else if (arg == "--c" && next_value(&value)) {
-      flags->params.colluding_fraction = value;
-    } else if (arg == "--a" && next_value(&value)) {
-      flags->params.actor_count = static_cast<int>(value);
-    } else if (arg == "--seed" && next_value(&value)) {
-      flags->params.seed = static_cast<uint64_t>(value);
-    } else if (arg == "--cache" && next_value(&value)) {
-      flags->params.cache_size = static_cast<size_t>(value);
-    } else if (arg == "--alpha" && next_value(&value)) {
-      flags->alpha = value;
-      flags->params.alpha = value;
-    } else if (arg == "--rounds" && next_value(&value)) {
-      flags->rounds = static_cast<int>(value);
-    } else if (arg == "--drop" && next_value(&value)) {
-      flags->drop = value;
-    } else if (arg == "--jitter-ms" && next_value(&value)) {
-      flags->jitter_ms = value;
-    } else if (arg == "--crash" && next_value(&value)) {
-      flags->crash = value;
+    sim::Parameters& params = flags->params;
+    if (arg == "--n") {
+      TakeNumber(argc, argv, &i, &params.n);
+    } else if (arg == "--c") {
+      TakeProbability(argc, argv, &i, &params.colluding_fraction);
+    } else if (arg == "--a") {
+      TakeNumber(argc, argv, &i, &params.actor_count);
+    } else if (arg == "--seed") {
+      TakeNumber(argc, argv, &i, &params.seed);
+    } else if (arg == "--cache") {
+      TakeNumber(argc, argv, &i, &params.cache_size);
+    } else if (arg == "--alpha") {
+      TakeProbability(argc, argv, &i, &flags->alpha);
+      params.alpha = flags->alpha;
+    } else if (arg == "--rounds") {
+      TakeNumber(argc, argv, &i, &flags->rounds);
+    } else if (arg == "--drop") {
+      TakeProbability(argc, argv, &i, &flags->drop);
+    } else if (arg == "--jitter-ms") {
+      TakeNumber(argc, argv, &i, &flags->jitter_ms);
+    } else if (arg == "--crash") {
+      TakeProbability(argc, argv, &i, &flags->crash);
     } else if (arg == "--scenario") {
       if (i + 1 >= argc) return false;
       flags->scenario = argv[++i];
-    } else if (arg == "--threads" && next_value(&value)) {
-      flags->params.threads = static_cast<int>(value);
+    } else if (arg == "--threads") {
+      TakeNumber(argc, argv, &i, &params.threads);
     } else if (arg == "--trace") {
       if (i + 1 >= argc) return false;
       flags->trace_path = argv[++i];
@@ -432,8 +489,8 @@ int CmdReport(int argc, char** argv) {
       csv_path = argv[++i];
     } else if (arg == "--folded" && i + 1 < argc) {
       folded_path = argv[++i];
-    } else if (arg == "--top" && i + 1 < argc) {
-      options.top_n = static_cast<size_t>(std::atoi(argv[++i]));
+    } else if (arg == "--top") {
+      TakeNumber(argc, argv, &i, &options.top_n);
     } else if (arg.rfind("--", 0) != 0 && path.empty()) {
       path = arg;
     } else {
@@ -595,7 +652,7 @@ struct ServeFlags {
   sim::Parameters params;
   uint32_t cluster_index = 0;
   uint32_t cluster_size = 1;
-  int port_base = 0;
+  uint16_t port_base = 0;
   bool drive = false;
   // Soak mode: after the protocol pass, the driver keeps issuing live
   // queries until this much wall clock elapsed (0 = single pass).
@@ -607,32 +664,27 @@ struct ServeFlags {
 bool ParseServeFlags(int argc, char** argv, int first, ServeFlags* flags) {
   for (int i = first; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_value = [&](double* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::atof(argv[++i]);
-      return true;
-    };
-    double value = 0;
-    if (arg == "--n" && next_value(&value)) {
-      flags->params.n = static_cast<uint64_t>(value);
-    } else if (arg == "--seed" && next_value(&value)) {
-      flags->params.seed = static_cast<uint64_t>(value);
-    } else if (arg == "--cache" && next_value(&value)) {
-      flags->params.cache_size = static_cast<size_t>(value);
-    } else if (arg == "--a" && next_value(&value)) {
-      flags->params.actor_count = static_cast<int>(value);
+    sim::Parameters& params = flags->params;
+    if (arg == "--n") {
+      TakeNumber(argc, argv, &i, &params.n);
+    } else if (arg == "--seed") {
+      TakeNumber(argc, argv, &i, &params.seed);
+    } else if (arg == "--cache") {
+      TakeNumber(argc, argv, &i, &params.cache_size);
+    } else if (arg == "--a") {
+      TakeNumber(argc, argv, &i, &params.actor_count);
     } else if (arg == "--ed25519") {
-      flags->params.provider = sim::Parameters::ProviderKind::kEd25519;
-    } else if (arg == "--cluster-index" && next_value(&value)) {
-      flags->cluster_index = static_cast<uint32_t>(value);
-    } else if (arg == "--cluster-size" && next_value(&value)) {
-      flags->cluster_size = static_cast<uint32_t>(value);
-    } else if (arg == "--port-base" && next_value(&value)) {
-      flags->port_base = static_cast<int>(value);
+      params.provider = sim::Parameters::ProviderKind::kEd25519;
+    } else if (arg == "--cluster-index") {
+      TakeNumber(argc, argv, &i, &flags->cluster_index);
+    } else if (arg == "--cluster-size") {
+      TakeNumber(argc, argv, &i, &flags->cluster_size);
+    } else if (arg == "--port-base") {
+      TakeNumber(argc, argv, &i, &flags->port_base);
     } else if (arg == "--drive") {
       flags->drive = true;
-    } else if (arg == "--drive-seconds" && next_value(&value)) {
-      flags->drive_seconds = value;
+    } else if (arg == "--drive-seconds") {
+      TakeNumber(argc, argv, &i, &flags->drive_seconds);
     } else if (arg == "--metrics") {
       if (i + 1 >= argc) return false;
       flags->metrics_path = argv[++i];
@@ -916,27 +968,32 @@ int CmdServe(int argc, char** argv) {
 
 int CmdCluster(int argc, char** argv) {
   int processes = 5;
-  int port_base = 0;
+  uint16_t port_base = 0;
   bool trace_shards = true;
   std::string log_dir = "cluster-logs";
   std::vector<std::string> passthrough;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--nodes" && i + 1 < argc) {
-      processes = std::atoi(argv[++i]);
-    } else if (arg == "--port-base" && i + 1 < argc) {
-      port_base = std::atoi(argv[++i]);
+    if (arg == "--nodes") {
+      TakeNumber(argc, argv, &i, &processes);
+    } else if (arg == "--port-base") {
+      TakeNumber(argc, argv, &i, &port_base);
     } else if (arg == "--log-dir" && i + 1 < argc) {
       log_dir = argv[++i];
     } else if (arg == "--no-trace") {
       trace_shards = false;
     } else if (arg == "--ed25519") {
       passthrough.push_back(arg);
-    } else if ((arg == "--n" || arg == "--seed" || arg == "--cache" ||
-                arg == "--a" || arg == "--drive-seconds") &&
-               i + 1 < argc) {
-      passthrough.push_back(arg);
-      passthrough.push_back(argv[++i]);
+    } else if (arg == "--n" || arg == "--seed" || arg == "--cache" ||
+               arg == "--a" || arg == "--drive-seconds") {
+      // Checked once here rather than by every daemon.
+      const char* value = TakeValue(argc, argv, &i);
+      if (arg == "--drive-seconds") {
+        NumberArg<double>(arg, value);
+      } else {
+        NumberArg<uint64_t>(arg, value);
+      }
+      passthrough.insert(passthrough.end(), {arg, value});
     } else {
       std::fprintf(stderr, "cluster: unknown flag: %s\n", arg.c_str());
       return 2;
@@ -949,7 +1006,7 @@ int CmdCluster(int argc, char** argv) {
   if (port_base == 0) {
     // Deterministic per launcher instance, unlikely to collide across
     // concurrent CI jobs.
-    port_base = 18000 + static_cast<int>(getpid() % 10000);
+    port_base = static_cast<uint16_t>(18000 + getpid() % 10000);
   }
   if (mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "cluster: mkdir %s: %s\n", log_dir.c_str(),
@@ -1037,24 +1094,24 @@ int CmdCluster(int argc, char** argv) {
 int CmdScrape(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::string out_path;
-  int port = 0;
-  int port_base = 0;
+  uint16_t port = 0;
+  uint16_t port_base = 0;
   int cluster_size = 0;
   uint64_t timeout_ms = 3000;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "--port-base" && i + 1 < argc) {
-      port_base = std::atoi(argv[++i]);
-    } else if (arg == "--cluster-size" && i + 1 < argc) {
-      cluster_size = std::atoi(argv[++i]);
+    } else if (arg == "--port") {
+      TakeNumber(argc, argv, &i, &port);
+    } else if (arg == "--port-base") {
+      TakeNumber(argc, argv, &i, &port_base);
+    } else if (arg == "--cluster-size") {
+      TakeNumber(argc, argv, &i, &cluster_size);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      timeout_ms = static_cast<uint64_t>(std::atoll(argv[++i]));
+    } else if (arg == "--timeout-ms") {
+      TakeNumber(argc, argv, &i, &timeout_ms);
     } else {
       std::fprintf(stderr, "scrape: unknown flag: %s\n", arg.c_str());
       return 2;
@@ -1103,26 +1160,27 @@ int CmdScrape(int argc, char** argv) {
 int CmdSoak(int argc, char** argv) {
   int processes = 3;
   double seconds = 5;
-  int port_base = 0;
+  uint16_t port_base = 0;
   std::string log_dir = "soak-logs";
   std::vector<std::string> passthrough;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--nodes" && i + 1 < argc) {
-      processes = std::atoi(argv[++i]);
-    } else if (arg == "--seconds" && i + 1 < argc) {
-      seconds = std::atof(argv[++i]);
-    } else if (arg == "--port-base" && i + 1 < argc) {
-      port_base = std::atoi(argv[++i]);
+    if (arg == "--nodes") {
+      TakeNumber(argc, argv, &i, &processes);
+    } else if (arg == "--seconds") {
+      TakeNumber(argc, argv, &i, &seconds);
+    } else if (arg == "--port-base") {
+      TakeNumber(argc, argv, &i, &port_base);
     } else if (arg == "--log-dir" && i + 1 < argc) {
       log_dir = argv[++i];
     } else if (arg == "--ed25519") {
       passthrough.push_back(arg);
-    } else if ((arg == "--n" || arg == "--seed" || arg == "--cache" ||
-                arg == "--a") &&
-               i + 1 < argc) {
-      passthrough.push_back(arg);
-      passthrough.push_back(argv[++i]);
+    } else if (arg == "--n" || arg == "--seed" || arg == "--cache" ||
+               arg == "--a") {
+      // Checked once here rather than by every daemon.
+      const char* value = TakeValue(argc, argv, &i);
+      NumberArg<uint64_t>(arg, value);
+      passthrough.insert(passthrough.end(), {arg, value});
     } else {
       std::fprintf(stderr, "soak: unknown flag: %s\n", arg.c_str());
       return 2;
@@ -1133,7 +1191,7 @@ int CmdSoak(int argc, char** argv) {
     return 2;
   }
   if (port_base == 0) {
-    port_base = 18000 + static_cast<int>(getpid() % 10000);
+    port_base = static_cast<uint16_t>(18000 + getpid() % 10000);
   }
   if (mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "soak: mkdir %s: %s\n", log_dir.c_str(),
