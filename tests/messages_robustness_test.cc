@@ -327,5 +327,38 @@ TEST(MessagesVersioningTest, VersionedPrefixesStillRejected) {
   }
 }
 
+// SlReveal carries an SL's whole candidate list (hundreds of keys) and
+// crosses the codec as one bulk copy each way: the layout stays header,
+// RND_j, u32 count, then the keys back to back, and every truncation or
+// trailing byte is still rejected.
+TEST(SelectionMessagesTest, SlRevealKeysTravelBackToBack) {
+  util::Rng rng(5);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{37}}) {
+    msg::SlReveal reveal;
+    reveal.rnd = crypto::Hash256(crypto::Digest(rng.NextBytes32()));
+    for (size_t i = 0; i < count; ++i) {
+      reveal.candidates.push_back(rng.NextBytes32());
+    }
+    std::vector<uint8_t> bytes = msg::Encode(reveal);
+    constexpr size_t kFixed = 6 + 32 + 4;  // header, RND_j, count
+    ASSERT_EQ(bytes.size(), kFixed + 32 * count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_TRUE(std::equal(reveal.candidates[i].begin(),
+                             reveal.candidates[i].end(),
+                             bytes.begin() + kFixed + 32 * i));
+    }
+    auto decoded = msg::DecodeSlReveal(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->rnd, reveal.rnd);
+    EXPECT_EQ(decoded->candidates, reveal.candidates);
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
+      EXPECT_FALSE(msg::DecodeSlReveal(prefix).ok()) << count << "/" << len;
+    }
+    bytes.push_back(0);
+    EXPECT_FALSE(msg::DecodeSlReveal(bytes).ok()) << count;
+  }
+}
+
 }  // namespace
 }  // namespace sep2p::core
