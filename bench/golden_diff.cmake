@@ -1,5 +1,5 @@
-# Reruns one paper harness and compares its stdout with the checked-in
-# golden text, byte for byte:
+# Reruns one paper harness (or example) and compares its stdout with the
+# checked-in golden text, byte for byte:
 #
 #   cmake -DHARNESS=<binary> -DGOLDEN=<file> -P golden_diff.cmake
 #
