@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "net/sim_network.h"
 #include "node/churn.h"
 #include "node/join.h"
 #include "node/node_cache.h"
@@ -34,9 +35,13 @@ int main() {
   core::ProtocolContext ctx = net.context();
   util::Rng rng(7);
 
-  // --- A node joins and bootstraps its cache.
+  // --- A node joins and bootstraps its cache. The attestation requests
+  // travel as messages over an in-process network with ideal links.
+  net::SimNetwork simnet(
+      static_cast<uint32_t>(net.directory().size()), net::kIdealLink,
+      net::RetryPolicy{}, /*seed=*/0);
   const uint32_t newcomer = 321;
-  node::JoinProtocol join(ctx);
+  node::JoinProtocol join(ctx, simnet);
   auto outcome = join.Join(newcomer, rng);
   if (!outcome.ok()) {
     std::fprintf(stderr, "join failed: %s\n",

@@ -17,11 +17,16 @@ constexpr uint32_t kNoNode = UINT32_MAX;
 ChurnDriver::ChurnDriver(Network* network, net::Transport* transport,
                          Options options)
     : network_(network),
-      transport_(transport),
+      ideal_(transport != nullptr
+                 ? nullptr
+                 : std::make_unique<net::SimNetwork>(
+                       static_cast<uint32_t>(network->directory().size()),
+                       net::kIdealLink, net::RetryPolicy{}, /*seed=*/0)),
+      transport_(transport != nullptr ? transport : ideal_.get()),
       options_(options),
       rng_(MixSeed(network->params().seed, options.seed)),
+      now_us_(transport_->now_us()),
       ktable_population_(network->params().n) {
-  if (transport_ != nullptr) now_us_ = transport_->now_us();
   // Pool nodes were provisioned dead, but their handles are scattered
   // across [0, size) — the directory sorts by ring position, so pool
   // membership does NOT mean "handle >= n". Scan everything; ascending
@@ -63,7 +68,7 @@ void ChurnDriver::Step() {
   uint64_t dt_us = static_cast<uint64_t>(dt_s * 1e6);
   if (dt_us == 0) dt_us = 1;
   now_us_ += dt_us;
-  if (transport_ != nullptr) transport_->SetVirtualTime(now_us_);
+  transport_->SetVirtualTime(now_us_);
 
   ++stats_.events;
   const double pick = rng_.NextDouble() * total_rate;
@@ -106,7 +111,7 @@ void ChurnDriver::DoJoin() {
   if (options_.attested_joins) {
     core::ProtocolContext ctx = network_->context();
     ctx.now = now_us_ / 1000000 + 1000;  // virtual seconds on the §3.6 clock
-    node::JoinProtocol join(ctx);
+    node::JoinProtocol join(ctx, *transport_);
     Result<node::JoinProtocol::Outcome> outcome = join.Join(idx, rng_);
     ok = outcome.ok() ? 1 : 0;
   }
@@ -149,9 +154,6 @@ void ChurnDriver::DoLeave(bool crash) {
   const uint32_t idx = *dir.NthAlive(k);
   if (crash) {
     dir.MarkCrashed(idx);
-    if (transport_ != nullptr && idx < transport_->node_count()) {
-      transport_->CrashAt(idx, now_us_);
-    }
     ++stats_.crashes;
   } else {
     dir.RemoveNode(idx);

@@ -504,10 +504,50 @@ TEST(ChurnDriverTest, VirtualClockAdvancesOnSimNetwork) {
   options.leave_rate_per_s = 1.0;
   options.crash_rate_per_s = 1.0;
   sim::ChurnDriver driver(network.value().get(), &simnet, options);
-  driver.Run(50);
-  EXPECT_EQ(simnet.now_us(), driver.now_us());
+  // The clock contract (churn_driver.h): every event moves the
+  // transport's clock to the event's time, and a join's RPCs then carry
+  // it past the driver's clock by their latency.
+  uint64_t joins_seen = 0;
+  for (int event = 0; event < 50; ++event) {
+    driver.Run(1);
+    const sim::ChurnDriver::Stats& stats = driver.stats();
+    const uint64_t joins = stats.joins + stats.joins_rejected;
+    if (joins != joins_seen) {
+      EXPECT_GT(simnet.now_us(), driver.now_us()) << "event " << event;
+    } else {
+      EXPECT_EQ(simnet.now_us(), driver.now_us()) << "event " << event;
+    }
+    joins_seen = joins;
+  }
+  EXPECT_GT(joins_seen, 0u);
   EXPECT_GT(driver.now_us(), 0u);
   EXPECT_EQ(driver.stats().virtual_us, driver.now_us());
+}
+
+TEST(ChurnDriverTest, CrashedNodesRejoinOverTheTransport) {
+  // Crashes stay in the directory, so a crashed node that re-joins is
+  // reachable again: every join's attestation quorum answers at once.
+  auto network = sim::Network::Build(PoolParams(1));
+  ASSERT_TRUE(network.ok());
+  net::LinkModel link;
+  link.jitter_mean_us = 0;
+  net::SimNetwork simnet(660, link, net::RetryPolicy{}, /*seed=*/5);
+
+  sim::ChurnDriver::Options options;
+  options.join_rate_per_s = 2.0;
+  options.leave_rate_per_s = 1.0;
+  options.crash_rate_per_s = 1.0;
+  sim::ChurnDriver driver(network.value().get(), &simnet, options);
+  driver.Run(2000);
+  const sim::ChurnDriver::Stats& stats = driver.stats();
+  // More joins than the pool and every graceful leaver could supply:
+  // crashed nodes came back.
+  EXPECT_GT(stats.crashes, 0u);
+  EXPECT_GT(stats.joins, 60u + stats.leaves);
+  EXPECT_EQ(stats.joins_rejected, 0u);
+  EXPECT_GT(simnet.stats().messages_sent, 0u);
+  EXPECT_EQ(simnet.stats().timeouts, 0u);
+  EXPECT_EQ(simnet.stats().quorum_replacements, 0u);
 }
 
 }  // namespace

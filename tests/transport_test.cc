@@ -254,7 +254,7 @@ TEST(TcpTransportTest, CrossProcessProtocolStack) {
 
   // Attested join (§3.6): cache validators answer from the resident
   // ProtocolService in whichever process hosts them.
-  node::JoinProtocol join(driver.ctx, driver.transport.get());
+  node::JoinProtocol join(driver.ctx, *driver.transport);
   auto joined = join.Join(1, rng);
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
   EXPECT_GT(joined->cache.size(), 0u);

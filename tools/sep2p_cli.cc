@@ -842,7 +842,7 @@ int CmdServe(int argc, char** argv) {
   }
 
   std::printf("== attested join (§3.6) ==\n");
-  node::JoinProtocol join(ctx, &transport);
+  node::JoinProtocol join(ctx, transport);
   auto joined = join.Join(1, rng);
   if (!joined.ok()) {
     std::fprintf(stderr, "join failed: %s\n",
