@@ -585,6 +585,9 @@ Result<net::Cost> VerifyActorList(const ProtocolContext& ctx,
   if (val.attestations.empty()) {
     return Status::SecurityViolation("val: no attestations");
   }
+  if (crypto::RepeatsSubject(val.attestations)) {
+    return Status::SecurityViolation("val: repeated SL");
+  }
   if (val.timestamp + ctx.max_timestamp_age < ctx.now) {
     return Status::SecurityViolation("val: stale timestamp");
   }

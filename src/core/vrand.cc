@@ -223,6 +223,9 @@ Result<net::Cost> VerifyVrand(const ProtocolContext& ctx,
   if (vrnd.participants.empty()) {
     return Status::SecurityViolation("vrand: no participants");
   }
+  if (crypto::RepeatsSubject(vrnd.participants)) {
+    return Status::SecurityViolation("vrand: repeated TL");
+  }
 
   // The claimed R1 size must honor the alpha constraint for this k: an
   // inflated region would admit TLs from anywhere.

@@ -87,6 +87,19 @@ TEST_F(VerificationTest, BrokenSignatureRejected) {
   EXPECT_FALSE(decision.accepted);
 }
 
+TEST_F(VerificationTest, RepeatedSlRejected) {
+  // One legitimate SL's valid attestation, presented k times.
+  ASSERT_GE(val_.k(), 2);
+  VerifiableActorList repeated = val_;
+  for (VerifiableActorList::Attestation& att : repeated.attestations) {
+    att = val_.attestations[0];
+  }
+  VerifierDecision decision =
+      VerifyBeforeDisclosure(ctx_, repeated, nullptr, nullptr);
+  EXPECT_FALSE(decision.accepted);
+  EXPECT_EQ(decision.reason.code(), StatusCode::kSecurityViolation);
+}
+
 TEST_F(VerificationTest, EmptyAttestationsRejected) {
   VerifiableActorList empty = val_;
   empty.attestations.clear();

@@ -144,6 +144,29 @@ TEST_F(VrandTest, NonLegitimateParticipantDetected) {
   EXPECT_FALSE(verified.ok());
 }
 
+TEST_F(VrandTest, RepeatedTlRejected) {
+  VrandProtocol protocol(ctx_);
+  auto outcome = protocol.Generate(10, rng_);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_GE(outcome->vrnd.k(), 2);
+  // One legitimate TL fills every slot and signs the repeated list: each
+  // participant checks out on its own, but k copies of one signer are
+  // not k signers.
+  const dht::Directory& dir = network_->directory();
+  VerifiableRandom forged = outcome->vrnd;
+  for (VrandParticipant& p : forged.participants) {
+    p = outcome->vrnd.participants[0];
+  }
+  const uint32_t tl =
+      *dir.IndexOf(forged.participants[0].cert.NodeIdFromSubject());
+  auto sig = ctx_.SignAs(tl, forged.SignedBytes());
+  ASSERT_TRUE(sig.ok());
+  for (VrandParticipant& p : forged.participants) p.sig = *sig;
+  auto verified = VerifyVrand(ctx_, forged);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kSecurityViolation);
+}
+
 TEST_F(VrandTest, StaleTimestampRejected) {
   VrandProtocol protocol(ctx_);
   auto outcome = protocol.Generate(10, rng_);
