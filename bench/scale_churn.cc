@@ -102,9 +102,9 @@ Row RunOnce(uint64_t n, int threads, uint64_t events) {
   row.nodes_per_s =
       static_cast<double>(n + params.churn_pool) / row.build_s;
 
-  // The SimNetwork exists to give the driver a shared virtual clock and
-  // a crash schedule; with vector inboxes a million endpoints cost tens
-  // of MB, so it scales with the directory.
+  // The SimNetwork gives the driver its virtual clock and carries the
+  // joins' attestation RPCs; with vector inboxes a million endpoints
+  // cost tens of MB, so it scales with the directory.
   net::LinkModel link;
   link.jitter_mean_us = 0;
   link.drop_probability = 0.0;

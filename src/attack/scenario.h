@@ -2,14 +2,14 @@
 //
 // Each Scenario runs ONE attacked protocol execution end to end —
 // restart loop included — with the coalition's malicious behaviour
-// plugged into the message-level protocols through core::AttackHooks
-// (a withheld reveal or attestation is a server that stops answering,
-// so the transport times out and retries it before the run aborts) or
-// staged at the node layer (poisoned join caches, equivocating
-// distribution). The scenario then
-// reports what an omniscient observer saw: whether the coalition had an
-// opportunity and deviated, whether any honest-observable signal fired,
-// what the verifiers accepted, and what the attack cost.
+// plugged into the message-level protocols (selection, the §3.6 join)
+// through core::AttackHooks (a withheld reveal or attestation is a
+// server that stops answering, so the transport times out and retries
+// it before the run aborts) or handed to the verifiers as data (forged
+// cache quorums, ground keys, equivocating distribution). The scenario
+// then reports what an omniscient observer saw: whether the coalition
+// had an opportunity and deviated, whether any honest-observable signal
+// fired, what the verifiers accepted, and what the attack cost.
 //
 // Detection model (covert adversary, paper §2.3-§2.4): a deviation is
 // DETECTED when an honest participant could attribute it — a
@@ -90,8 +90,8 @@ class Scenario {
 
   const core::ProtocolContext& ctx_;
   const std::vector<uint32_t>& colluders_;
-  // Selections run on its ideal transport, which carries the trial's
-  // trace and metrics.
+  // Selections and eclipse's join run on its ideal transport, which
+  // carries the trial's trace and metrics.
   core::SelectionProtocol protocol_;
 };
 
@@ -109,8 +109,8 @@ class Scenario {
 //   sybil-join  — identity grinding against imposed node location plus
 //                 spoofed-location and certless join announces.
 //   eclipse     — a colluding join neighbor serves the victim a
-//                 poisoned attested cache (forged quorum + covert
-//                 omission variants).
+//                 poisoned attested cache (forged quorum, and a covert
+//                 omission during the victim's real join).
 //   equivocate  — a colluding distributor hands doctored VAL copies to
 //                 some verifiers and genuine ones to the rest.
 std::unique_ptr<Scenario> MakeScenario(

@@ -128,7 +128,6 @@ class TcpTransport : public Transport {
            (next_nonce_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
   uint64_t now_us() const override;
-  uint32_t node_count() const override { return node_count_; }
   void set_trace(obs::TraceRecorder* trace) override;
   void FinalizeTrace() override;
   RpcResult Call(uint32_t client, uint32_t server,
