@@ -252,9 +252,7 @@ std::optional<uint32_t> Directory::PredecessorIndex(RingPos pos) const {
     return order_[SelectAlive(alive_count_ - 1)];
   }
   // Degenerate single-position ring: every alive node sits at `pos`.
-  const uint32_t handle = order_[r < size() ? r : 0];
-  if (alive(handle)) return handle;
-  return std::nullopt;
+  return order_[SelectAlive(0)];
 }
 
 std::optional<uint32_t> Directory::NearestIndex(RingPos pos) const {

@@ -78,6 +78,23 @@ TEST(DirectoryTest, PredecessorSkipsDeadNodes) {
   dir->SetAlive(9, true);
 }
 
+TEST(DirectoryTest, PredecessorFindsAliveNodeSharingPositionWithDeadOne) {
+  // Every alive node sits exactly at the probed position and the
+  // first-ranked node there is dead: the predecessor wraps to the alive
+  // one rather than reporting an empty ring.
+  const RingPos pos = static_cast<RingPos>(1) << 90;
+  std::vector<NodeRecord> records(2);
+  records[0].id = NodeId::Of("first");
+  records[1].id = NodeId::Of("second");
+  for (NodeRecord& record : records) record.pos = pos;
+  Directory dir(std::move(records));
+  dir.SetAlive(0, false);
+  ASSERT_EQ(dir.alive_count(), 1u);
+  EXPECT_EQ(dir.SuccessorIndex(pos), std::optional<uint32_t>(1));
+  EXPECT_EQ(dir.PredecessorIndex(pos), std::optional<uint32_t>(1));
+  EXPECT_EQ(dir.PredecessorIndex(pos + 1), std::optional<uint32_t>(1));
+}
+
 TEST(DirectoryTest, SuccessorAndPredecessorAreInverse) {
   auto dir = test::MakeDirectory(300);
   util::Rng rng(3);
