@@ -12,31 +12,36 @@ Result<RouteResult> ChordOverlay::Route(uint32_t from_index,
     return Status::Unavailable("chord: no alive node");
   }
   const uint32_t owner = *owner_opt;
+  const RingPos owner_pos = directory_->pos(owner);
+  // The last alive node before the target (one exists whenever the
+  // owner does). A finger successor(cur + 2^j) with 2^j < dist(cur,
+  // target) lands strictly inside (cur, target) exactly when its start
+  // does not pass this node.
+  const RingPos last_pos =
+      directory_->pos(*directory_->PredecessorIndex(target));
 
   RouteResult result;
   result.dest_index = owner;
 
   uint32_t current = from_index;
   while (current != owner && result.hops < max_hops_) {
-    RingPos cur_pos = directory_->pos(current);
-    RingPos dist_to_target = ClockwiseDistance(cur_pos, target);
+    const RingPos cur_pos = directory_->pos(current);
+    const RingPos dist_to_target = ClockwiseDistance(cur_pos, target);
 
-    // Closest preceding finger: the largest 2^j jump that stays strictly
-    // inside (current, target).
+    // Closest preceding finger: the largest 2^j <= span, where span is
+    // the distance to the last node still strictly inside (cur, target).
+    RingPos span = ClockwiseDistance(cur_pos, last_pos);
+    if (span >= dist_to_target) span = 0;
+    // A walk that starts at a dead node in [target, owner) sees the
+    // owner itself inside (cur, target); every finger's successor then
+    // stays inside, so the largest jump below the target wins.
+    const RingPos to_owner = ClockwiseDistance(cur_pos, owner_pos);
+    if (to_owner > 0 && to_owner < dist_to_target) span = dist_to_target - 1;
+
     uint32_t next = owner;  // fallback: target owner is our successor
-    for (int j = 127; j >= 0; --j) {
-      RingPos jump = static_cast<RingPos>(1) << j;
-      if (jump >= dist_to_target) continue;
-      std::optional<uint32_t> finger =
-          directory_->SuccessorIndex(cur_pos + jump);
-      if (!finger.has_value()) break;
-      RingPos finger_dist =
-          ClockwiseDistance(cur_pos, directory_->pos(*finger));
-      // The finger must make progress but not overshoot the target.
-      if (finger_dist > 0 && finger_dist < dist_to_target) {
-        next = *finger;
-        break;
-      }
+    if (span > 0) {
+      next = *directory_->SuccessorIndex(
+          cur_pos + (static_cast<RingPos>(1) << MsbIndex(span)));
     }
     ++result.hops;
     if (next == current) break;  // no progress possible; owner adjacent

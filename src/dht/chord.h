@@ -8,7 +8,9 @@
 // Finger semantics: node u's j-th finger is successor(u + 2^j) on the
 // 2^128 ring. Fingers are resolved against the Directory on demand rather
 // than materialized (equivalent to perfectly maintained finger tables,
-// which is the standard simulation assumption).
+// which is the standard simulation assumption). A hop resolves only the
+// finger it takes, picked arithmetically from the target's alive
+// predecessor: one successor query per hop plus two per route.
 
 #ifndef SEP2P_DHT_CHORD_H_
 #define SEP2P_DHT_CHORD_H_

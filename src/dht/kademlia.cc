@@ -2,18 +2,6 @@
 
 namespace sep2p::dht {
 
-namespace {
-
-// Index of the most significant set bit of a 128-bit value (0..127);
-// `value` must be non-zero.
-int MsbIndex(RingPos value) {
-  uint64_t high = static_cast<uint64_t>(value >> 64);
-  if (high != 0) return 127 - __builtin_clzll(high);
-  return 63 - __builtin_clzll(static_cast<uint64_t>(value));
-}
-
-}  // namespace
-
 KademliaOverlay::KademliaOverlay(const Directory* directory)
     : directory_(directory) {}
 

@@ -7,6 +7,8 @@
 #ifndef SEP2P_DHT_NODE_ID_H_
 #define SEP2P_DHT_NODE_ID_H_
 
+#include <cstdint>
+
 #include "crypto/hash256.h"
 #include "crypto/signature_provider.h"
 
@@ -28,6 +30,14 @@ RingPos WidthFromFraction(double rs);
 
 // Inverse of WidthFromFraction.
 double FractionFromWidth(RingPos width);
+
+// Index of the most significant set bit of a ring distance (0..127);
+// `value` must be non-zero.
+inline int MsbIndex(RingPos value) {
+  const uint64_t high = static_cast<uint64_t>(value >> 64);
+  if (high != 0) return 127 - __builtin_clzll(high);
+  return 63 - __builtin_clzll(static_cast<uint64_t>(value));
+}
 
 }  // namespace sep2p::dht
 
