@@ -3,21 +3,22 @@
 #include <openssl/evp.h>
 
 #include <algorithm>
-#include <memory>
+#include <functional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sep2p::crypto {
 
+void EvpPkeyFree::operator()(EVP_PKEY* pkey) const { EVP_PKEY_free(pkey); }
+
 namespace {
 
-struct PkeyDeleter {
-  void operator()(EVP_PKEY* p) const { EVP_PKEY_free(p); }
-};
 struct MdCtxDeleter {
   void operator()(EVP_MD_CTX* p) const { EVP_MD_CTX_free(p); }
 };
 
-using PkeyPtr = std::unique_ptr<EVP_PKEY, PkeyDeleter>;
+using PkeyPtr = std::unique_ptr<EVP_PKEY, EvpPkeyFree>;
 using MdCtxPtr = std::unique_ptr<EVP_MD_CTX, MdCtxDeleter>;
 
 PkeyPtr LoadPrivate(const PrivateKey& key) {
@@ -32,47 +33,75 @@ PkeyPtr LoadPublic(const PublicKey& key) {
                                              key.data(), key.size()));
 }
 
+bool GetPublic(EVP_PKEY* pkey, PublicKey& pub) {
+  size_t pub_len = pub.size();
+  return EVP_PKEY_get_raw_public_key(pkey, pub.data(), &pub_len) == 1 &&
+         pub_len == pub.size();
+}
+
 }  // namespace
+
+size_t Ed25519Provider::SeedHash::operator()(const Seed& seed) const {
+  return std::hash<std::string_view>{}(std::string_view(
+      reinterpret_cast<const char*>(seed.data()), seed.size()));
+}
+
+const Ed25519Provider::SigningKey* Ed25519Provider::FindOrImport(
+    const PrivateKey& key) {
+  if (key.data.size() != 32) return nullptr;
+  Seed seed{};
+  std::copy(key.data.begin(), key.data.end(), seed.begin());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = keys_.find(seed);
+    if (it != keys_.end()) return &it->second;
+  }
+  // Import outside the lock, so first uses of different keys (parallel
+  // CA issuance) do not queue behind each other. When two threads import
+  // the same key, the first insert wins and the other copy is freed.
+  SigningKey imported;
+  imported.pkey = LoadPrivate(key);
+  if (!imported.pkey || !GetPublic(imported.pkey.get(), imported.pub)) {
+    return nullptr;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return &keys_.try_emplace(seed, std::move(imported)).first->second;
+}
 
 Result<KeyPair> Ed25519Provider::DoGenerateKeyPair(util::Rng& rng) {
   KeyPair pair;
   auto seed = rng.NextBytes32();
   pair.priv.data.assign(seed.begin(), seed.end());
 
+  // Not cached: most generated keys never sign.
   PkeyPtr pkey = LoadPrivate(pair.priv);
   if (!pkey) return Status::Internal("ed25519: failed to load private key");
-
-  size_t pub_len = pair.pub.size();
-  if (EVP_PKEY_get_raw_public_key(pkey.get(), pair.pub.data(), &pub_len) !=
-          1 ||
-      pub_len != pair.pub.size()) {
+  if (!GetPublic(pkey.get(), pair.pub)) {
     return Status::Internal("ed25519: failed to derive public key");
   }
   return pair;
 }
 
 Result<PublicKey> Ed25519Provider::DerivePublicKey(const PrivateKey& key) {
-  PkeyPtr pkey = LoadPrivate(key);
-  if (!pkey) return Status::InvalidArgument("ed25519: bad private key");
-  PublicKey pub;
-  size_t pub_len = pub.size();
-  if (EVP_PKEY_get_raw_public_key(pkey.get(), pub.data(), &pub_len) != 1 ||
-      pub_len != pub.size()) {
-    return Status::Internal("ed25519: failed to derive public key");
+  const SigningKey* signing = FindOrImport(key);
+  if (signing == nullptr) {
+    return Status::InvalidArgument("ed25519: bad private key");
   }
-  return pub;
+  return signing->pub;
 }
 
 Result<Signature> Ed25519Provider::DoSign(const PrivateKey& key,
                                           const uint8_t* msg, size_t len) {
-  PkeyPtr pkey = LoadPrivate(key);
-  if (!pkey) return Status::InvalidArgument("ed25519: bad private key");
+  const SigningKey* signing = FindOrImport(key);
+  if (signing == nullptr) {
+    return Status::InvalidArgument("ed25519: bad private key");
+  }
 
   MdCtxPtr ctx(EVP_MD_CTX_new());
   if (!ctx) return Status::Internal("ed25519: EVP_MD_CTX_new failed");
 
-  if (EVP_DigestSignInit(ctx.get(), nullptr, nullptr, nullptr, pkey.get()) !=
-      1) {
+  if (EVP_DigestSignInit(ctx.get(), nullptr, nullptr, nullptr,
+                         signing->pkey.get()) != 1) {
     return Status::Internal("ed25519: DigestSignInit failed");
   }
 

@@ -133,12 +133,15 @@ class SignatureProvider {
   // interchangeable for the paper's operation counts. Providers may
   // amortize per-key setup across the batch (DoVerifyBatch); the default
   // implementation is a plain loop. Thread-safe: worker pools call this
-  // concurrently on disjoint batches (the meter is atomic, providers are
-  // stateless).
+  // concurrently on disjoint batches (the meter is atomic and
+  // verification keeps no state; the only provider state is
+  // Ed25519Provider's signing-key cache, which a mutex guards).
   void VerifyBatch(const VerifyItem* items, size_t count, uint8_t* ok_out);
 
   // Recomputes the public key matching `key`. Used by the sealed-message
   // layer to enforce that only the intended recipient opens a message.
+  // Ed25519Provider answers from its signing-key cache after the key's
+  // first use.
   virtual Result<PublicKey> DerivePublicKey(const PrivateKey& key) = 0;
 
   virtual const char* name() const = 0;
