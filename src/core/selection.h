@@ -9,10 +9,18 @@
 //   4-7. Commit/reveal between S and the SLs over (RND_j, CL_j), where
 //      CL_j is the part of SL_j's node cache legitimate w.r.t. R3
 //      (centered on p).
-//   8. Every SL independently: verifies VRND_T; merges the candidate
-//      lists CL = union CL_j; computes RND_S = xor RND_j; sorts CL by
+//   8. Every SL independently: checks each reveal against its
+//      commitment; verifies VRND_T; merges the candidate lists
+//      CL = union CL_j; computes RND_S = xor RND_j; sorts CL by
 //      kpub_n xor RND_S; takes the first A as the actor list AL; checks
 //      legitimacy of actors not present in every CL_j; signs (RND_T, AL).
+//      The setter models those checks once: it recomputes every
+//      commitment and maps each CL_j onto the R3 scan in one forward
+//      walk (an honest CL_j is a subsequence of the scan), counting per
+//      scan slot how many lists name it. CL is the slots named at least
+//      once, and an actor named by all k skips the certificate check. A
+//      reveal that breaks its commitment, or names a key outside R3, out
+//      of scan order or twice, is a SecurityViolation.
 //   9. S assembles the verifiable actor list VAL.
 //
 // Any verifier then accepts VAL after k certificate checks + k signature
@@ -25,7 +33,6 @@
 #define SEP2P_CORE_SELECTION_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/attack_hooks.h"
@@ -131,16 +138,13 @@ std::vector<crypto::PublicKey> BuildActorList(
     const std::vector<std::vector<crypto::PublicKey>>& candidate_lists,
     const crypto::Hash256& rnd_s, int actor_count);
 
-// Indexed form of BuildActorList used by the protocol driver: each
-// candidate list arrives with the directory indices of its keys
-// (`index_lists[l][i]` belongs to `candidate_lists[l][i]`), and the
-// selected actors come back as (key, index) pairs. The key sequence is
-// exactly BuildActorList's; the index is payload, never part of the
-// ordering. Requires every key to occur at most once per list (a node
-// cache holds each node once).
-std::vector<std::pair<crypto::PublicKey, uint32_t>> BuildActorListIndexed(
-    const std::vector<std::vector<crypto::PublicKey>>& candidate_lists,
-    const std::vector<std::vector<uint32_t>>& index_lists,
+// Indexed form of BuildActorList used by the protocol driver: takes the
+// pool CL (the union of the candidate lists, each key once, in any
+// order) and returns the positions in `candidates` of the first A keys
+// in kpub xor RND_S order. The key sequence is exactly BuildActorList's
+// over any lists whose union is `candidates`.
+std::vector<uint32_t> BuildActorListIndexed(
+    const std::vector<crypto::PublicKey>& candidates,
     const crypto::Hash256& rnd_s, int actor_count);
 
 // Verifies a VAL as a data source would before releasing data: for each
