@@ -31,40 +31,6 @@ uint64_t FnvFold(uint64_t h, uint64_t v) {
   return h;
 }
 
-// The observer plumbing below replicates the file-static helpers of
-// sim/experiment.cc (same contract, same slot discipline).
-void PrepareRecorders(const sim::SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->recorders == nullptr) return;
-  const int count = std::clamp(observers->trace_trials, 0, trials);
-  observers->recorders->clear();
-  observers->recorders->resize(static_cast<size_t>(count));
-}
-
-obs::TraceRecorder* RecorderFor(const sim::SweepObservers* observers,
-                                size_t point, int t) {
-  if (observers == nullptr || observers->recorders == nullptr ||
-      point != 0 || t < 0 ||
-      static_cast<size_t>(t) >= observers->recorders->size()) {
-    return nullptr;
-  }
-  return &(*observers->recorders)[static_cast<size_t>(t)];
-}
-
-std::vector<obs::MetricsRegistry> MakeShardMetrics(
-    const sim::SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->metrics == nullptr) return {};
-  return std::vector<obs::MetricsRegistry>(
-      static_cast<size_t>(sim::TrialRunner::ShardCount(trials)));
-}
-
-void FoldShardMetrics(const sim::SweepObservers* observers,
-                      const std::vector<obs::MetricsRegistry>& shards) {
-  if (observers == nullptr || observers->metrics == nullptr) return;
-  for (const obs::MetricsRegistry& shard : shards) {
-    observers->metrics->Merge(shard);
-  }
-}
-
 }  // namespace
 
 Result<std::vector<AdversaryPoint>> RunAdversarySweep(
@@ -73,7 +39,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const sim::SweepObservers* observers) {
   std::vector<AdversaryPoint> points;
   sim::TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
+  sim::PrepareRecorders(observers, trials);
 
   sim::Parameters params = base;
   Result<std::unique_ptr<sim::Network>> network = sim::Network::Build(params);
@@ -114,7 +80,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const uint64_t colluder_seed =
         sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
     std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
+        sim::MakeShardMetrics(observers, trials);
 
     // Colluder placement refreshes every kShardSize trials at epoch
     // barriers (the shared Directory mutates only here); within an
@@ -147,7 +113,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
             // the checker invariants; the observers' slot (when this
             // trial owns one) doubles as that recorder.
             obs::TraceRecorder local;
-            obs::TraceRecorder* slot_rec = RecorderFor(observers, si, t);
+            obs::TraceRecorder* slot_rec = sim::RecorderFor(observers, si, t);
             obs::TraceRecorder& rec =
                 slot_rec != nullptr ? *slot_rec : local;
             rec.meta().node_count =
@@ -179,7 +145,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
           });
       if (!status.ok()) return status;
     }
-    FoldShardMetrics(observers, shard_metrics);
+    sim::FoldShardMetrics(observers, shard_metrics);
 
     AdversaryPoint point;
     point.scenario = name;

@@ -30,9 +30,8 @@ constexpr uint64_t kMessageNetSalt = 0x4e7411e7;
 constexpr uint64_t kAppTrialSalt = 0xa9905a17;
 constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 
-// Sizes observers->recorders so that trial t of the first sweep point
-// owns slot t; called before any parallel section (the resize is the
-// only operation that touches more than one slot).
+}  // namespace
+
 void PrepareRecorders(const SweepObservers* observers, int trials) {
   if (observers == nullptr || observers->recorders == nullptr) return;
   const int count = std::clamp(observers->trace_trials, 0, trials);
@@ -40,9 +39,6 @@ void PrepareRecorders(const SweepObservers* observers, int trials) {
   observers->recorders->resize(static_cast<size_t>(count));
 }
 
-// The recorder trial `t` of point `point` gets (nullptr = untraced):
-// only the first point's first trace_trials trials record, and each
-// traced trial is the sole writer of its slot.
 obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
                                 size_t point, int t) {
   if (observers == nullptr || observers->recorders == nullptr ||
@@ -53,8 +49,6 @@ obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
   return &(*observers->recorders)[static_cast<size_t>(t)];
 }
 
-// Shard-local registries for one parallel section (empty = metering
-// off); merged into observers->metrics in shard order afterwards.
 std::vector<obs::MetricsRegistry> MakeShardMetrics(
     const SweepObservers* observers, int trials) {
   if (observers == nullptr || observers->metrics == nullptr) return {};
@@ -69,8 +63,6 @@ void FoldShardMetrics(const SweepObservers* observers,
     observers->metrics->Merge(shard);
   }
 }
-
-}  // namespace
 
 Result<std::vector<StrategyPoint>> RunStrategyComparison(
     const Parameters& base, const std::vector<double>& c_fractions,

@@ -38,6 +38,28 @@ struct SweepObservers {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+// Observer plumbing shared by every sweep harness (here and
+// attack/sweep.h). Each accepts a null `observers`.
+//
+// Sizes observers->recorders so that trial t of the first sweep point
+// owns slot t; called before any parallel section (the resize is the
+// only operation that touches more than one slot).
+void PrepareRecorders(const SweepObservers* observers, int trials);
+
+// The recorder trial `t` of point `point` gets (nullptr = untraced):
+// only the first point's first trace_trials trials record, and each
+// traced trial is the sole writer of its slot.
+obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
+                                size_t point, int t);
+
+// Shard-local registries for one parallel section of `trials` trials
+// (empty = metering off); FoldShardMetrics merges them into
+// observers->metrics in shard order afterwards.
+std::vector<obs::MetricsRegistry> MakeShardMetrics(
+    const SweepObservers* observers, int trials);
+void FoldShardMetrics(const SweepObservers* observers,
+                      const std::vector<obs::MetricsRegistry>& shards);
+
 // ---------------------------------------------------------------- Fig 3-5
 // One point per (strategy, C%): security effectiveness, verification cost
 // and setup costs, averaged over `trials` protocol executions with random
