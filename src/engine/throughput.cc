@@ -14,6 +14,9 @@ namespace sep2p::engine {
 
 namespace {
 
+// Restart budget per selection task (fresh RND_T on kUnavailable).
+constexpr int kMaxSelectionAttempts = 8;
+
 // SplitMix64 finalizer (same mixer as the mempool's digest fold).
 uint64_t Mix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -61,9 +64,10 @@ ThroughputEngine::ThroughputEngine(sim::Network* world,
   // built from the same Parameters::seed.
   task_seed_base_ = sim::MixSeed(options_.seed, 0x746872707464ULL);
   if (options_.verify_mode == VerifyMode::kBatched) {
+    // The verifier's fixed shard fan-out and batch size keep batch
+    // composition, and every stat derived from it, independent of
+    // `workers`.
     crypto::BatchVerifier::Options vo;
-    vo.shard_count = options_.shard_count;
-    vo.batch_size = options_.batch_size;
     vo.workers = options_.workers;
     verifier_ =
         std::make_unique<crypto::BatchVerifier>(&world_->provider(), vo);
@@ -113,7 +117,7 @@ Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
       core::ProtocolContext ctx = world_->context();
       Result<core::SelectionProtocol::Outcome> outcome =
           runtime_->RunSelection(ctx, task.trigger, rng,
-                                 options_.max_selection_attempts, restarts);
+                                 kMaxSelectionAttempts, restarts);
       if (!outcome.ok()) return outcome.status();
       for (const crypto::PublicKey& key : outcome->val.actor_keys) {
         d = FoldBytes(d, key.data(), key.size());

@@ -71,11 +71,6 @@ class ThroughputEngine {
     // dispatch (single-threaded batched mode: still amortizes per-key
     // setup, no pipelining).
     int workers = 1;
-    // Shard fan-out and batch size of the BatchVerifier. Fixed per run
-    // and independent of `workers`, so batch composition — and every
-    // stat derived from it — is thread-count invariant.
-    int shard_count = 16;
-    size_t batch_size = 64;
     // Admission window: max tasks in flight on the virtual timeline.
     int window = 64;
     // Virtual inter-arrival gap of the offered load (us). Smaller gap =
@@ -84,8 +79,6 @@ class ThroughputEngine {
     // Tasks between verdict drains (kBatched). Also the upper bound on
     // how long a wrong optimistic completion can survive.
     int resolve_every = 32;
-    // Restart budget per selection (fresh RND_T on kUnavailable).
-    int max_selection_attempts = 8;
     // Base seed; task t draws from Rng(StreamSeed(mix(seed), t)).
     uint64_t seed = 42;
   };

@@ -11,6 +11,9 @@ namespace {
 
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 constexpr uint32_t kNoNode = UINT32_MAX;
+// The k-table is rebuilt when the alive population drifts beyond this
+// factor from the population it was built for.
+constexpr double kKTableRefreshFactor = 1.25;
 
 }  // namespace
 
@@ -129,15 +132,13 @@ void ChurnDriver::DoJoin() {
 
   // Population drifted upward: refresh the k-table when it leaves the
   // band the current table was built for.
-  const double factor = options_.ktable_refresh_factor;
-  if (factor > 1.0) {
-    const double alive = static_cast<double>(dir.alive_count());
-    const double built = static_cast<double>(ktable_population_);
-    if (alive > built * factor || alive < built / factor) {
-      network_->RefreshKTable(dir.alive_count());
-      ktable_population_ = dir.alive_count();
-      ++stats_.ktable_refreshes;
-    }
+  const double alive = static_cast<double>(dir.alive_count());
+  const double built = static_cast<double>(ktable_population_);
+  if (alive > built * kKTableRefreshFactor ||
+      alive < built / kKTableRefreshFactor) {
+    network_->RefreshKTable(dir.alive_count());
+    ktable_population_ = dir.alive_count();
+    ++stats_.ktable_refreshes;
   }
   Fold(Kind::kJoin, idx, ok);
 }

@@ -50,9 +50,6 @@ class ChurnDriver {
     // Run the §3.6 attested-join protocol for every join (CA issuance
     // still happens regardless; this gates the attestation rounds).
     bool attested_joins = true;
-    // Rebuild the k-table when the alive population drifts beyond this
-    // factor from the population it was built for (0 disables).
-    double ktable_refresh_factor = 1.25;
     uint64_t seed = 0x636875726eULL;  // "churn"
     obs::MetricsRegistry* metrics = nullptr;
   };
