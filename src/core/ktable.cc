@@ -24,11 +24,11 @@ KTable KTable::Build(uint64_t n, uint64_t c, double alpha) {
   return KTable(n, c, alpha, std::move(entries));
 }
 
-Result<double> KTable::RegionSizeForK(int k) const {
+bool KTable::AdmitsRegion(int k, double rs) const {
   for (const Entry& entry : entries_) {
-    if (entry.k == k) return entry.rs;
+    if (entry.k == k) return rs > 0 && rs <= entry.rs * (1 + 1e-9);
   }
-  return Status::NotFound("ktable: no entry for requested k");
+  return false;
 }
 
 KTable::Choice KTable::ChooseForPoint(const dht::Directory& directory,

@@ -9,7 +9,7 @@ NodeId NodeIdForKey(const crypto::PublicKey& pub) {
 }
 
 RingPos WidthFromFraction(double rs) {
-  if (rs <= 0) return 0;
+  if (!(rs > 0)) return 0;  // also NaN, which no integer cast may see
   if (rs >= 1.0) return ~static_cast<RingPos>(0);  // saturate: full ring
   // Split rs * 2^128 into (high, low) 64-bit halves to stay within double
   // precision: high = floor(rs * 2^64), low = frac(rs * 2^64) * 2^64.

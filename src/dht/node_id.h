@@ -25,7 +25,8 @@ using crypto::RingDistance;
 NodeId NodeIdForKey(const crypto::PublicKey& pub);
 
 // Converts a normalized region size rs in (0, 1] to a ring width
-// (rs * 2^128), saturating at full ring. Precise to ~2^-53 relative error.
+// (rs * 2^128), saturating at full ring; a size that is not positive,
+// NaN included, gives 0. Precise to ~2^-53 relative error.
 RingPos WidthFromFraction(double rs);
 
 // Inverse of WidthFromFraction.

@@ -103,6 +103,24 @@ TEST_F(JoinTest, RepeatedAttestorRejected) {
   EXPECT_EQ(verdict.status().code(), StatusCode::kSecurityViolation);
 }
 
+TEST_F(JoinTest, RegionSizeOutsideAlphaBoundRejected) {
+  JoinProtocol join(ctx_, *transport_);
+  auto cache = join.AttestCache(15, rng_);
+  ASSERT_TRUE(cache.ok());
+  for (double rs :
+       test::RegionSizesOutsideAlphaBound(*ctx_.ktable, cache->k())) {
+    SCOPED_TRACE(rs);
+    AttestedCache forged = *cache;
+    forged.rs1 = rs;
+    auto verdict = VerifyAttestedCache(ctx_, forged);
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.status().code(), StatusCode::kSecurityViolation);
+    EXPECT_NE(verdict.status().message().find("alpha bound"),
+              std::string::npos)
+        << verdict.status().ToString();
+  }
+}
+
 TEST_F(JoinTest, CrashedAttestorIsReplacedBySpareCandidate) {
   const dht::Directory& dir = network_->directory();
   // The shuffle is AttestCache's only draw, so the same rng state plans

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/probability.h"
 #include "tests/test_util.h"
 
@@ -68,15 +70,20 @@ TEST(KTableTest, KMaxStaysSmallAtPaperScale) {
   EXPECT_LE(table.k_max(), 6);
 }
 
-TEST(KTableTest, RegionSizeForKLookups) {
+TEST(KTableTest, AdmitsRegionBoundsEveryEntry) {
   KTable table = KTable::Build(100000, 1000, 1e-6);
   for (const KTable::Entry& entry : table.entries()) {
-    auto rs = table.RegionSizeForK(entry.k);
-    ASSERT_TRUE(rs.ok());
-    EXPECT_DOUBLE_EQ(*rs, entry.rs);
+    SCOPED_TRACE(entry.k);
+    EXPECT_TRUE(table.AdmitsRegion(entry.k, entry.rs));
+    EXPECT_TRUE(table.AdmitsRegion(entry.k, entry.rs / 2));
+    EXPECT_FALSE(table.AdmitsRegion(entry.k, entry.rs * 1.001));
+    EXPECT_FALSE(table.AdmitsRegion(entry.k, std::nan("")));
+    EXPECT_FALSE(table.AdmitsRegion(entry.k, 0.0));
+    EXPECT_FALSE(table.AdmitsRegion(entry.k, -entry.rs));
   }
-  EXPECT_FALSE(table.RegionSizeForK(1).ok());
-  EXPECT_FALSE(table.RegionSizeForK(999).ok());
+  const double widest = table.entries().back().rs;
+  EXPECT_FALSE(table.AdmitsRegion(1, widest));
+  EXPECT_FALSE(table.AdmitsRegion(999, widest));
 }
 
 TEST(KTableTest, ChooseForPointFindsUsableEntry) {

@@ -26,6 +26,18 @@ TEST(WidthFromFractionTest, RoundTripsThroughFraction) {
   }
 }
 
+// A region size no one signs can arrive as NaN; it must not reach the
+// integer cast, where it is undefined (x86 gives half the ring).
+TEST(RegionTest, NanSizeIsEmpty) {
+  const RingPos p = 12345;
+  EXPECT_EQ(WidthFromFraction(std::nan("")), static_cast<RingPos>(0));
+  Region r = Region::Centered(p, std::nan(""));
+  EXPECT_EQ(r, Region::Centered(p, 0.0));
+  EXPECT_EQ(r.half_width(), static_cast<RingPos>(0));
+  EXPECT_FALSE(r.Contains(p + 1));
+  EXPECT_FALSE(r.Contains(p - 1));
+}
+
 TEST(RegionTest, ContainsCenter) {
   Region r = Region::Centered(12345, 0.001);
   EXPECT_TRUE(r.Contains(static_cast<RingPos>(12345)));

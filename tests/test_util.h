@@ -3,9 +3,11 @@
 #ifndef SEP2P_TESTS_TEST_UTIL_H_
 #define SEP2P_TESTS_TEST_UTIL_H_
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "core/ktable.h"
 #include "crypto/sim_provider.h"
 #include "dht/directory.h"
 #include "dht/node_id.h"
@@ -71,6 +73,18 @@ inline net::SimNetwork MakeSimNet(uint32_t node_count, double drop = 0.0,
 inline net::SimNetwork MakeZeroFaultSimNet(uint32_t node_count,
                                            uint64_t seed = 7) {
   return MakeSimNet(node_count, 0.0, 0, seed);
+}
+
+// Region sizes a verifier must refuse for security degree `k`: just past
+// the alpha bound, NaN, zero and negative. Region sizes are in no signed
+// bytes, so whoever relays an artifact can set them.
+inline std::vector<double> RegionSizesOutsideAlphaBound(
+    const core::KTable& table, int k) {
+  double bound = 0;
+  for (const core::KTable::Entry& entry : table.entries()) {
+    if (entry.k == k) bound = entry.rs;
+  }
+  return {bound * 1.001, std::nan(""), 0.0, -bound};
 }
 
 }  // namespace sep2p::test

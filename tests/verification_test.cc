@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "core/wire.h"
 #include "tests/test_util.h"
 
 namespace sep2p::core {
@@ -98,6 +101,32 @@ TEST_F(VerificationTest, RepeatedSlRejected) {
       VerifyBeforeDisclosure(ctx_, repeated, nullptr, nullptr);
   EXPECT_FALSE(decision.accepted);
   EXPECT_EQ(decision.reason.code(), StatusCode::kSecurityViolation);
+}
+
+TEST_F(VerificationTest, RegionSizeOutsideAlphaBoundRejected) {
+  auto expect_rejected = [&](const VerifiableActorList& val) {
+    Result<net::Cost> verified = VerifyActorList(ctx_, val);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_EQ(verified.status().code(), StatusCode::kSecurityViolation);
+    EXPECT_NE(verified.status().message().find("alpha bound"),
+              std::string::npos)
+        << verified.status().ToString();
+  };
+  for (double rs : test::RegionSizesOutsideAlphaBound(*ctx_.ktable,
+                                                      val_.k())) {
+    SCOPED_TRACE(rs);
+    VerifiableActorList forged = val_;
+    forged.rs2 = rs;
+    expect_rejected(forged);
+  }
+  // A relayed VAL carries its NaN through the codec unchanged.
+  VerifiableActorList nan_val = val_;
+  nan_val.rs2 = std::nan("");
+  Result<VerifiableActorList> relayed =
+      wire::DecodeActorList(wire::EncodeActorList(nan_val));
+  ASSERT_TRUE(relayed.ok()) << relayed.status().ToString();
+  EXPECT_TRUE(std::isnan(relayed->rs2));
+  expect_rejected(*relayed);
 }
 
 TEST_F(VerificationTest, EmptyAttestationsRejected) {

@@ -167,6 +167,24 @@ TEST_F(VrandTest, RepeatedTlRejected) {
   EXPECT_EQ(verified.status().code(), StatusCode::kSecurityViolation);
 }
 
+TEST_F(VrandTest, RegionSizeOutsideAlphaBoundRejected) {
+  VrandProtocol protocol(ctx_);
+  auto outcome = protocol.Generate(10, rng_);
+  ASSERT_TRUE(outcome.ok());
+  for (double rs :
+       test::RegionSizesOutsideAlphaBound(*ctx_.ktable, outcome->vrnd.k())) {
+    SCOPED_TRACE(rs);
+    VerifiableRandom forged = outcome->vrnd;
+    forged.rs1 = rs;
+    auto verified = VerifyVrand(ctx_, forged);
+    ASSERT_FALSE(verified.ok());
+    EXPECT_EQ(verified.status().code(), StatusCode::kSecurityViolation);
+    EXPECT_NE(verified.status().message().find("alpha bound"),
+              std::string::npos)
+        << verified.status().ToString();
+  }
+}
+
 TEST_F(VrandTest, StaleTimestampRejected) {
   VrandProtocol protocol(ctx_);
   auto outcome = protocol.Generate(10, rng_);
