@@ -19,7 +19,7 @@
 //    admitted tasks serially in admission order (a transport is
 //    single-threaded by contract), but each task's execution is placed
 //    at its own admission instant via Transport::SetVirtualTime — the same
-//    virtual-parallel shape CallMany gives branches of one RPC round;
+//    virtual-parallel shape CallBatch gives the calls of one wave;
 //  * batched deferred verification: in kBatched mode the engine
 //    installs a crypto::BatchVerifier as the world's verify sink, so
 //    every certificate/signature check any task performs is coalesced

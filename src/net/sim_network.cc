@@ -319,39 +319,6 @@ SimNetwork::RpcResult SimNetwork::Call(uint32_t client, uint32_t server,
   return result;
 }
 
-std::vector<SimNetwork::RpcResult> SimNetwork::CallMany(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<std::vector<uint8_t>>& requests,
-    const Handler& handler) {
-  const uint64_t start = now_us_;
-  uint64_t end = start;
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (size_t i = 0; i < servers.size(); ++i) {
-    now_us_ = start;  // branches run in parallel from the same instant
-    results.push_back(Call(client, servers[i], requests[i], handler));
-    end = std::max(end, now_us_);
-  }
-  now_us_ = end;  // the round completes with its slowest branch
-  return results;
-}
-
-std::vector<SimNetwork::RpcResult> SimNetwork::Broadcast(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<uint8_t>& request, const Handler& handler) {
-  const uint64_t start = now_us_;
-  uint64_t end = start;
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (uint32_t server : servers) {
-    now_us_ = start;  // branches run in parallel from the same instant
-    results.push_back(Call(client, server, request, handler));
-    end = std::max(end, now_us_);
-  }
-  now_us_ = end;  // the round completes with its slowest branch
-  return results;
-}
-
 std::vector<SimNetwork::RpcResult> SimNetwork::CallBatch(
     const std::vector<Outgoing>& calls, const Handler& handler) {
   const uint64_t start = now_us_;

@@ -1,5 +1,5 @@
 // SimNetwork: a deterministic discrete-event message layer — the
-// simulation implementation of net::Transport (alias: SimTransport).
+// simulation implementation of net::Transport.
 //
 // Per-node endpoints with inboxes, a virtual clock in microseconds, a
 // seeded latency distribution (base + exponential jitter per
@@ -111,30 +111,12 @@ class SimNetwork : public Transport {
                  const std::vector<uint8_t>& request,
                  const Handler& handler = {}) override;
 
-  // `servers.size()` calls issued in parallel from `client`: every
-  // branch starts at the current virtual time and the clock lands on the
-  // slowest branch's completion. Branches are evaluated in index order,
-  // so the trace is deterministic.
-  std::vector<RpcResult> CallMany(uint32_t client,
-                                  const std::vector<uint32_t>& servers,
-                                  const std::vector<std::vector<uint8_t>>&
-                                      requests,
-                                  const Handler& handler = {}) override;
-
-  // Same-request fan-out: every server receives `request`. Equivalent to
-  // CallMany with `servers.size()` copies of `request`, without
-  // materializing those copies (the quorum paths — reveal, shortage,
-  // attest — all broadcast one message to k members).
-  std::vector<RpcResult> Broadcast(uint32_t client,
-                                   const std::vector<uint32_t>& servers,
-                                   const std::vector<uint8_t>& request,
-                                   const Handler& handler = {}) override;
-
-  // A parallel wave of calls from potentially MANY clients (e.g. every
-  // data source contributing to its aggregator at once): every call
-  // starts at the current virtual time and the clock lands on the
-  // slowest call's completion. Calls are evaluated in index order, so
-  // the trace is deterministic.
+  // The virtual-parallel wave, from one client or many (every protocol
+  // round: a quorum's engagement, a same-request FanOut, every data
+  // source contributing to its aggregator at once): every call starts
+  // at the current virtual time and the clock lands on the slowest
+  // call's completion. Calls are evaluated in index order, so the trace
+  // is deterministic.
   std::vector<RpcResult> CallBatch(const std::vector<Outgoing>& calls,
                                    const Handler& handler = {}) override;
 
@@ -161,7 +143,7 @@ class SimNetwork : public Transport {
 
   // Jumps the virtual clock to `at_us` (delivering anything due), used
   // by the throughput engine to place each admitted task's execution at
-  // its admission instant. Mirrors CallMany's virtual-parallel shape —
+  // its admission instant. Mirrors CallBatch's virtual-parallel shape —
   // rewinding to an earlier instant models branches that ran
   // concurrently — so monotonicity is deliberately NOT required; the
   // event queue keys on delivery time, never on the current clock.
@@ -221,10 +203,6 @@ class SimNetwork : public Transport {
   uint64_t next_rpc_id_ = 0;
   uint64_t cur_rpc_ = 0;  // the RPC the current Transmit belongs to
 };
-
-// The discrete-event engine IS the simulation transport; the alias
-// names it by role at Transport-facing call sites.
-using SimTransport = SimNetwork;
 
 }  // namespace sep2p::net
 

@@ -22,7 +22,7 @@
 // re-established on the next attempt; in-flight calls on it time out
 // and retry per RetryPolicy (wall-clock here, virtual in sim).
 //
-// Threading: Call/CallMany/... are driver-side and may be used from one
+// Threading: Call and CallBatch are driver-side and may be used from one
 // driver thread; service threads run concurrently with it. ONE mutex
 // (mu_) serializes every dispatch, stats update and obs emission —
 // TraceRecorder and MetricsRegistry are single-threaded by contract, so

@@ -40,29 +40,6 @@ std::optional<std::vector<uint8_t>> Transport::Dispatch(
   return it->second(server, request);
 }
 
-std::vector<Transport::RpcResult> Transport::CallMany(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<std::vector<uint8_t>>& requests,
-    const Handler& handler) {
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (size_t i = 0; i < servers.size(); ++i) {
-    results.push_back(Call(client, servers[i], requests[i], handler));
-  }
-  return results;
-}
-
-std::vector<Transport::RpcResult> Transport::Broadcast(
-    uint32_t client, const std::vector<uint32_t>& servers,
-    const std::vector<uint8_t>& request, const Handler& handler) {
-  std::vector<RpcResult> results;
-  results.reserve(servers.size());
-  for (uint32_t server : servers) {
-    results.push_back(Call(client, server, request, handler));
-  }
-  return results;
-}
-
 std::vector<Transport::RpcResult> Transport::CallBatch(
     const std::vector<Outgoing>& calls, const Handler& handler) {
   std::vector<RpcResult> results;
@@ -73,10 +50,18 @@ std::vector<Transport::RpcResult> Transport::CallBatch(
   return results;
 }
 
+std::vector<Transport::Outgoing> Transport::FanOut(
+    uint32_t client, const std::vector<uint32_t>& servers,
+    const std::vector<uint8_t>& request) {
+  std::vector<Outgoing> wave;
+  wave.reserve(servers.size());
+  for (uint32_t server : servers) wave.push_back({client, server, request});
+  return wave;
+}
+
 Transport::QuorumResult Transport::EngageQuorum(
     uint32_t client, const std::vector<uint32_t>& candidates, int k,
-    const std::function<std::vector<uint8_t>(uint32_t)>& make_request,
-    const Handler& handler) {
+    const std::vector<uint8_t>& request, const Handler& handler) {
   QuorumResult q;
   if (static_cast<int>(candidates.size()) < k) return q;
   const uint64_t retries_before = stats_.retries;
@@ -90,16 +75,10 @@ Transport::QuorumResult Transport::EngageQuorum(
   std::vector<int> pending(k);
   for (int i = 0; i < k; ++i) pending[i] = i;
   while (!pending.empty()) {
-    std::vector<uint32_t> servers;
-    std::vector<std::vector<uint8_t>> requests;
-    servers.reserve(pending.size());
-    requests.reserve(pending.size());
-    for (int slot : pending) {
-      servers.push_back(q.members[slot]);
-      requests.push_back(make_request(q.members[slot]));
-    }
-    std::vector<RpcResult> results =
-        CallMany(client, servers, requests, handler);
+    std::vector<Outgoing> wave;
+    wave.reserve(pending.size());
+    for (int slot : pending) wave.push_back({client, q.members[slot], request});
+    std::vector<RpcResult> results = CallBatch(wave, handler);
 
     std::vector<int> still_pending;
     for (size_t i = 0; i < pending.size(); ++i) {
@@ -117,7 +96,7 @@ Transport::QuorumResult Transport::EngageQuorum(
         obs::Event e;
         e.t_us = now_us();
         e.kind = obs::EventKind::kMark;
-        e.node = servers[i];
+        e.node = wave[i].server;
         e.peer = candidates[next];
         e.detail = "quorum-replacement";
         trace_->Record(std::move(e));

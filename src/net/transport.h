@@ -8,7 +8,7 @@
 //
 //   * SimNetwork (net/sim_network.h) — the deterministic discrete-event
 //     engine. Virtual clock, seeded latency/drop/crash injection,
-//     virtual-parallel CallMany. Bit-identical replay for a fixed seed.
+//     virtual-parallel CallBatch. Bit-identical replay for a fixed seed.
 //   * TcpTransport (net/tcp_transport.h) — real sockets between OS
 //     processes. Length-prefixed frames over core/wire.h, wall-clock
 //     timeouts, per-connection reconnect.
@@ -20,11 +20,14 @@
 //     an incoming frame to the same handler a sim run would invoke
 //     in-process), the shared Stats block, the obs hooks, and the
 //     EngageQuorum replacement-wave algorithm (pure control flow over
-//     CallMany — identical for both transports by construction).
-//   * Implementations own the clock, the wire, and Call/CallMany/
-//     Broadcast/CallBatch. The base provides sequential defaults built
-//     on Call; SimNetwork overrides them with its virtual-parallel
-//     versions.
+//     CallBatch — identical for both transports by construction).
+//   * Implementations own the clock, the wire, and the two messaging
+//     entry points: Call, and CallBatch, one wave of parallel calls.
+//     Every protocol round is one CallBatch (FanOut builds the
+//     same-request wave). The base CallBatch issues its calls one after
+//     another through Call; SimNetwork overrides it with its
+//     virtual-parallel wave, so a transport that forwards Call and
+//     CallBatch forwards every message.
 //
 // Per-call handlers vs registered dispatch: Call takes an optional
 // Handler. SimNetwork executes it in-process (this is how the protocol
@@ -197,38 +200,33 @@ class Transport {
                          const std::vector<uint8_t>& request,
                          const Handler& handler = {}) = 0;
 
-  // `servers.size()` calls issued in parallel from `client`. The base
-  // default issues them sequentially in index order (a wall-clock
-  // transport overlaps real time naturally); SimNetwork overrides with
-  // its virtual-parallel version.
-  virtual std::vector<RpcResult> CallMany(
-      uint32_t client, const std::vector<uint32_t>& servers,
-      const std::vector<std::vector<uint8_t>>& requests,
-      const Handler& handler = {});
-
-  // Same-request fan-out: every server receives `request`. A distinct
-  // name, not an overload: braced-init request lists would be
-  // ambiguous.
-  virtual std::vector<RpcResult> Broadcast(
-      uint32_t client, const std::vector<uint32_t>& servers,
-      const std::vector<uint8_t>& request, const Handler& handler = {});
-
-  // A parallel wave of calls from potentially MANY clients (e.g. every
-  // data source contributing to its aggregator at once).
+  // One wave of parallel calls, from one client or many (a quorum
+  // round, or every data source contributing to its aggregator at
+  // once); results come back in call order. The base issues the calls
+  // one after another through Call in index order (a wall-clock
+  // transport overlaps real time naturally); SimNetwork overrides it
+  // with its virtual-parallel wave.
   virtual std::vector<RpcResult> CallBatch(
       const std::vector<Outgoing>& calls, const Handler& handler = {});
 
-  // Engages `k` responsive members out of `candidates` (in order):
-  // the first k are contacted in parallel; members whose RPC exhausts
-  // its retry budget are declared failed and replaced by the next spare
-  // candidates in a follow-up parallel wave. Fails (ok = false) only
-  // when the candidate list runs dry — the caller's cue that the quorum
-  // is genuinely unreachable and a full restart is warranted. Pure
-  // control flow over CallMany, shared by every transport.
-  QuorumResult EngageQuorum(
-      uint32_t client, const std::vector<uint32_t>& candidates, int k,
-      const std::function<std::vector<uint8_t>(uint32_t)>& make_request,
-      const Handler& handler = {});
+  // The same-request wave: `client` sends `request` to every server, in
+  // order. Each call carries its own copy of the request.
+  static std::vector<Outgoing> FanOut(uint32_t client,
+                                      const std::vector<uint32_t>& servers,
+                                      const std::vector<uint8_t>& request);
+
+  // Engages `k` responsive members out of `candidates` (in order), each
+  // sent `request`: the first k are contacted in one wave; members
+  // whose RPC exhausts its retry budget are declared failed and
+  // replaced by the next spare candidates in a follow-up wave. Fails
+  // (ok = false) only when the candidate list runs dry — the caller's
+  // cue that the quorum is genuinely unreachable and a full restart is
+  // warranted. Pure control flow over CallBatch, shared by every
+  // transport.
+  QuorumResult EngageQuorum(uint32_t client,
+                            const std::vector<uint32_t>& candidates, int k,
+                            const std::vector<uint8_t>& request,
+                            const Handler& handler = {});
 
   // Models a DHT routing leg of `hops` store-and-forward messages.
   // SimNetwork advances the virtual clock; TcpTransport only meters it

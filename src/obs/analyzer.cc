@@ -344,7 +344,7 @@ Result<Analysis> Analyze(const Trace& trace,
       intervals.push_back(std::move(seg));
     }
 
-    // Backwards chain: CallMany waves end exactly where the next round
+    // Backwards chain: CallBatch waves end exactly where the next round
     // begins, so "interval ending at the cursor" reconstructs the
     // dependency chain; when branches rewound the clock past a gap, the
     // latest earlier-ending interval continues the chain behind an

@@ -13,8 +13,8 @@
 //    one row carrying total/self virtual time.
 //  - Critical path. Within the longest top-level span, the longest
 //    chain of causally-ordered intervals (RPCs and routing legs) whose
-//    endpoints abut: CallMany's next wave starts exactly when the
-//    slowest branch of the previous wave ended, so walking backwards
+//    endpoints abut: CallBatch's next wave starts exactly when the
+//    slowest call of the previous wave ended, so walking backwards
 //    from the span's end and repeatedly taking the interval that ends
 //    where the chain currently begins reconstructs the latency-carrying
 //    chain; gaps are reported as explicit wait segments.

@@ -312,17 +312,9 @@ class RewritingTransport : public net::Transport {
                  const Handler& handler) override {
     return inner_.Call(client, server, request, Wrap(handler));
   }
-  std::vector<RpcResult> CallMany(
-      uint32_t client, const std::vector<uint32_t>& servers,
-      const std::vector<std::vector<uint8_t>>& requests,
-      const Handler& handler) override {
-    return inner_.CallMany(client, servers, requests, Wrap(handler));
-  }
-  std::vector<RpcResult> Broadcast(uint32_t client,
-                                   const std::vector<uint32_t>& servers,
-                                   const std::vector<uint8_t>& request,
+  std::vector<RpcResult> CallBatch(const std::vector<Outgoing>& calls,
                                    const Handler& handler) override {
-    return inner_.Broadcast(client, servers, request, Wrap(handler));
+    return inner_.CallBatch(calls, Wrap(handler));
   }
   void AdvanceRoute(int hops) override { inner_.AdvanceRoute(hops); }
 
@@ -339,6 +331,39 @@ class RewritingTransport : public net::Transport {
   net::SimNetwork& inner_;
   Rewrite rewrite_;
 };
+
+// A transport that forwards Call and CallBatch forwards every message:
+// the quorum, reveal and attestation waves stay virtual-parallel, so the
+// run through it matches the run on the bare SimNetwork in actors,
+// messages and virtual time.
+TEST(ForwardingTransportTest, KeepsEveryWaveParallel) {
+  std::unique_ptr<sim::Network> network = test::MakeNetwork();
+  ASSERT_NE(network, nullptr);
+  const ProtocolContext ctx = network->context();
+  const auto n = static_cast<uint32_t>(network->directory().size());
+  auto run = [&](net::Transport& transport) {
+    SelectionOptions options;
+    options.network = &transport;
+    util::Rng rng(11);
+    return SelectionProtocol(ctx).Run(5, rng, options);
+  };
+  net::SimNetwork direct(n, net::LinkModel{}, net::RetryPolicy{}, 5);
+  auto expected = run(direct);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  net::SimNetwork inner(n, net::LinkModel{}, net::RetryPolicy{}, 5);
+  RewritingTransport forwarding(
+      inner, [](uint32_t, const std::vector<uint8_t>&,
+                std::optional<std::vector<uint8_t>>&) {});
+  auto forwarded = run(forwarding);
+  ASSERT_TRUE(forwarded.ok()) << forwarded.status().ToString();
+
+  EXPECT_EQ(forwarded->actor_indices, expected->actor_indices);
+  EXPECT_EQ(direct.stats().messages_sent, 52u);
+  EXPECT_EQ(inner.stats().messages_sent, direct.stats().messages_sent);
+  EXPECT_EQ(direct.now_us(), 569'810u);
+  EXPECT_EQ(inner.now_us(), direct.now_us());
+}
 
 bool HasTag(const std::vector<uint8_t>& bytes, uint8_t tag) {
   Result<uint8_t> peeked = msg::PeekTag(bytes);
