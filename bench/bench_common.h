@@ -128,17 +128,10 @@ struct Observers {
   bool Write() const {
     for (size_t t = 0; t < recorders.size(); ++t) {
       const obs::Trace& trace = recorders[t].trace();
-      Status st = Status::Ok();
-      if (t == 0) {
-        st = obs::WriteFile(trace_path, obs::ToChromeTrace(trace));
-        if (st.ok()) {
-          st = obs::WriteFile(trace_path + ".jsonl", obs::ToJsonl(trace));
-        }
-      } else {
-        st = obs::WriteFile(trace_path + ".trial" + std::to_string(t) +
-                                ".jsonl",
-                            obs::ToJsonl(trace));
-      }
+      const std::string trial_path =
+          trace_path + ".trial" + std::to_string(t) + ".jsonl";
+      Status st = t == 0 ? obs::WriteTraceFiles(trace_path, trace)
+                         : obs::WriteFile(trial_path, obs::ToJsonl(trace));
       if (!st.ok()) {
         std::fprintf(stderr, "trace write failed: %s\n",
                      st.ToString().c_str());
@@ -151,13 +144,10 @@ struct Observers {
                   recorders.size() > 1 ? ", .trialN.jsonl" : "");
     }
     if (!metrics_path.empty()) {
-      Status prom =
-          obs::WriteFile(metrics_path, metrics.ToPrometheusText());
-      Status json =
-          obs::WriteFile(metrics_path + ".json", metrics.ToJson());
-      if (!prom.ok() || !json.ok()) {
+      Status st = obs::WriteMetricsFiles(metrics_path, metrics);
+      if (!st.ok()) {
         std::fprintf(stderr, "metrics write failed: %s\n",
-                     (!prom.ok() ? prom : json).ToString().c_str());
+                     st.ToString().c_str());
         return false;
       }
       std::printf("metrics: %s (Prometheus text) + %s.json\n",

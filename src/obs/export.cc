@@ -399,6 +399,19 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::Ok();
 }
 
+Status WriteTraceFiles(const std::string& path, const Trace& trace) {
+  Status st = WriteFile(path, ToChromeTrace(trace));
+  if (!st.ok()) return st;
+  return WriteFile(path + ".jsonl", ToJsonl(trace));
+}
+
+Status WriteMetricsFiles(const std::string& path,
+                         const MetricsRegistry& metrics) {
+  Status st = WriteFile(path, metrics.ToPrometheusText());
+  if (!st.ok()) return st;
+  return WriteFile(path + ".json", metrics.ToJson());
+}
+
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);

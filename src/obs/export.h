@@ -20,6 +20,7 @@
 
 #include <string>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -47,6 +48,15 @@ std::string ToChromeTrace(const Trace& trace);
 // plumbing of their own.
 Status WriteFile(const std::string& path, const std::string& content);
 Result<std::string> ReadFile(const std::string& path);
+
+// The pair a traced run leaves behind: Chrome trace-event JSON at
+// `path` and lossless JSONL at `path`.jsonl.
+Status WriteTraceFiles(const std::string& path, const Trace& trace);
+
+// The pair a metered run leaves behind: Prometheus text at `path` and
+// JSON at `path`.json.
+Status WriteMetricsFiles(const std::string& path,
+                         const MetricsRegistry& metrics);
 
 }  // namespace sep2p::obs
 

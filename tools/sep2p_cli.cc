@@ -431,13 +431,9 @@ int CmdDemo(const Flags& flags) {
 
   if (!flags.trace_path.empty()) {
     simnet.FinalizeTrace();
-    Status chrome = obs::WriteFile(flags.trace_path,
-                                   obs::ToChromeTrace(recorder.trace()));
-    Status jsonl = obs::WriteFile(flags.trace_path + ".jsonl",
-                                  obs::ToJsonl(recorder.trace()));
-    if (!chrome.ok() || !jsonl.ok()) {
-      std::fprintf(stderr, "trace write failed: %s\n",
-                   (!chrome.ok() ? chrome : jsonl).ToString().c_str());
+    Status st = obs::WriteTraceFiles(flags.trace_path, recorder.trace());
+    if (!st.ok()) {
+      std::fprintf(stderr, "trace write failed: %s\n", st.ToString().c_str());
       return 1;
     }
     std::printf("trace: %zu events -> %s (Chrome/Perfetto) + %s.jsonl\n",
@@ -446,13 +442,10 @@ int CmdDemo(const Flags& flags) {
   }
   if (!flags.metrics_path.empty()) {
     metrics.SetGauge("demo_n", static_cast<double>(net.directory().size()));
-    Status prom =
-        obs::WriteFile(flags.metrics_path, metrics.ToPrometheusText());
-    Status json =
-        obs::WriteFile(flags.metrics_path + ".json", metrics.ToJson());
-    if (!prom.ok() || !json.ok()) {
+    Status st = obs::WriteMetricsFiles(flags.metrics_path, metrics);
+    if (!st.ok()) {
       std::fprintf(stderr, "metrics write failed: %s\n",
-                   (!prom.ok() ? prom : json).ToString().c_str());
+                   st.ToString().c_str());
       return 1;
     }
     std::printf("metrics: %s (Prometheus text) + %s.json\n",
@@ -798,26 +791,17 @@ int CmdServe(int argc, char** argv) {
     // exporter must not race late dispatches.
     if (!flags.trace_path.empty()) {
       transport.FinalizeTrace();
-      Status chrome = obs::WriteFile(flags.trace_path,
-                                     obs::ToChromeTrace(recorder.trace()));
-      Status jsonl = obs::WriteFile(flags.trace_path + ".jsonl",
-                                    obs::ToJsonl(recorder.trace()));
-      if (!chrome.ok() || !jsonl.ok()) {
+      if (!obs::WriteTraceFiles(flags.trace_path, recorder.trace()).ok()) {
         std::fprintf(stderr, "trace write failed\n");
         return 1;
       }
       std::printf("trace: %zu events -> %s (+ .jsonl)\n", recorder.size(),
                   flags.trace_path.c_str());
     }
-    if (!flags.metrics_path.empty()) {
-      Status prom =
-          obs::WriteFile(flags.metrics_path, metrics.ToPrometheusText());
-      Status json =
-          obs::WriteFile(flags.metrics_path + ".json", metrics.ToJson());
-      if (!prom.ok() || !json.ok()) {
-        std::fprintf(stderr, "metrics write failed\n");
-        return 1;
-      }
+    if (!flags.metrics_path.empty() &&
+        !obs::WriteMetricsFiles(flags.metrics_path, metrics).ok()) {
+      std::fprintf(stderr, "metrics write failed\n");
+      return 1;
     }
     const net::Transport::Stats& stats = transport.stats();
     std::printf("serve: drained; %llu delivered, %llu sent\n",
@@ -935,11 +919,7 @@ int CmdServe(int argc, char** argv) {
     metrics.SetGauge("cluster_nodes", static_cast<double>(node_count));
     metrics.SetGauge("cluster_processes",
                      static_cast<double>(flags.cluster_size));
-    Status prom =
-        obs::WriteFile(flags.metrics_path, metrics.ToPrometheusText());
-    Status json =
-        obs::WriteFile(flags.metrics_path + ".json", metrics.ToJson());
-    if (!prom.ok() || !json.ok()) {
+    if (!obs::WriteMetricsFiles(flags.metrics_path, metrics).ok()) {
       std::fprintf(stderr, "metrics write failed\n");
       ++failures;
     } else {
@@ -948,11 +928,7 @@ int CmdServe(int argc, char** argv) {
   }
   if (!flags.trace_path.empty()) {
     transport.FinalizeTrace();
-    Status chrome = obs::WriteFile(flags.trace_path,
-                                   obs::ToChromeTrace(recorder.trace()));
-    Status jsonl = obs::WriteFile(flags.trace_path + ".jsonl",
-                                  obs::ToJsonl(recorder.trace()));
-    if (!chrome.ok() || !jsonl.ok()) {
+    if (!obs::WriteTraceFiles(flags.trace_path, recorder.trace()).ok()) {
       std::fprintf(stderr, "trace write failed\n");
       ++failures;
     } else {
@@ -966,24 +942,108 @@ int CmdServe(int argc, char** argv) {
   return failures == 0 ? 0 : 1;
 }
 
-int CmdCluster(int argc, char** argv) {
-  int processes = 5;
-  uint16_t port_base = 0;
+// The daemons `cluster` and `soak` launch: `processes` serve processes
+// on 127.0.0.1 ports from `port_base`, process 0 driving. Each logs to
+// LOG_DIR/node-I.log and, with `trace_shards`, records its own trace
+// shard LOG_DIR/shard-I.trace (the .jsonl twin the exporter writes is
+// what `report --cluster` globs and merges).
+struct ServeCluster {
+  const char* name;  // prefixes the launcher's error messages
+  int processes;
+  std::string log_dir;
+  uint16_t port_base = 0;  // 0: derived from the launcher's pid
   bool trace_shards = true;
-  std::string log_dir = "cluster-logs";
-  std::vector<std::string> passthrough;
+  std::vector<std::string> driver_args = {};  // process 0, after --drive
+  std::vector<std::string> passthrough = {};  // every process
+  std::vector<pid_t> pids = {};                // the driver first
+
+  // Creates LOG_DIR and forks the daemons; returns false after printing
+  // why.
+  bool Start() {
+    if (port_base == 0) {
+      // Deterministic per launcher instance, unlikely to collide across
+      // concurrent CI jobs.
+      port_base = static_cast<uint16_t>(18000 + getpid() % 10000);
+    }
+    if (mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
+      std::fprintf(stderr, "%s: mkdir %s: %s\n", name, log_dir.c_str(),
+                   std::strerror(errno));
+      return false;
+    }
+    std::fflush(stdout);
+    for (int i = 0; i < processes; ++i) {
+      pid_t pid = fork();
+      if (pid < 0) {
+        std::fprintf(stderr, "%s: fork: %s\n", name, std::strerror(errno));
+        for (pid_t child : pids) kill(child, SIGKILL);
+        return false;
+      }
+      if (pid == 0) Exec(i);
+      pids.push_back(pid);
+    }
+    return true;
+  }
+
+  // Once the driver has exited: SIGTERMs the other daemons and reaps
+  // them.
+  void StopServers() const {
+    for (size_t i = 1; i < pids.size(); ++i) kill(pids[i], SIGTERM);
+    for (size_t i = 1; i < pids.size(); ++i) {
+      int status = 0;
+      waitpid(pids[i], &status, 0);
+    }
+  }
+
+ private:
+  // Child i: log to its own file, exec serve.
+  [[noreturn]] void Exec(int i) const {
+    const std::string index = std::to_string(i);
+    int fd = open((log_dir + "/node-" + index + ".log").c_str(),
+                  O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+      dup2(fd, STDOUT_FILENO);
+      dup2(fd, STDERR_FILENO);
+      close(fd);
+    }
+    std::vector<std::string> args = {
+        "/proc/self/exe",  "serve",
+        "--cluster-index", index,
+        "--cluster-size",  std::to_string(processes),
+        "--port-base",     std::to_string(port_base)};
+    if (i == 0) {
+      args.push_back("--drive");
+      args.insert(args.end(), driver_args.begin(), driver_args.end());
+    }
+    if (trace_shards) {
+      args.push_back("--trace");
+      args.push_back(log_dir + "/shard-" + index + ".trace");
+    }
+    args.insert(args.end(), passthrough.begin(), passthrough.end());
+    std::vector<char*> argv_exec;
+    for (std::string& a : args) argv_exec.push_back(a.data());
+    argv_exec.push_back(nullptr);
+    execv("/proc/self/exe", argv_exec.data());
+    std::fprintf(stderr, "%s: exec: %s\n", name, std::strerror(errno));
+    _exit(127);
+  }
+};
+
+int CmdCluster(int argc, char** argv) {
+  ServeCluster cluster{.name = "cluster",
+                       .processes = 5,
+                       .log_dir = "cluster-logs"};
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--nodes") {
-      TakeNumber(argc, argv, &i, &processes);
+      TakeNumber(argc, argv, &i, &cluster.processes);
     } else if (arg == "--port-base") {
-      TakeNumber(argc, argv, &i, &port_base);
+      TakeNumber(argc, argv, &i, &cluster.port_base);
     } else if (arg == "--log-dir" && i + 1 < argc) {
-      log_dir = argv[++i];
+      cluster.log_dir = argv[++i];
     } else if (arg == "--no-trace") {
-      trace_shards = false;
+      cluster.trace_shards = false;
     } else if (arg == "--ed25519") {
-      passthrough.push_back(arg);
+      cluster.passthrough.push_back(arg);
     } else if (arg == "--n" || arg == "--seed" || arg == "--cache" ||
                arg == "--a" || arg == "--drive-seconds") {
       // Checked once here rather than by every daemon.
@@ -993,80 +1053,27 @@ int CmdCluster(int argc, char** argv) {
       } else {
         NumberArg<uint64_t>(arg, value);
       }
-      passthrough.insert(passthrough.end(), {arg, value});
+      cluster.passthrough.insert(cluster.passthrough.end(), {arg, value});
     } else {
       std::fprintf(stderr, "cluster: unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
-  if (processes < 1 || processes > 64) {
+  if (cluster.processes < 1 || cluster.processes > 64) {
     std::fprintf(stderr, "cluster: --nodes must be in [1, 64]\n");
     return 2;
   }
-  if (port_base == 0) {
-    // Deterministic per launcher instance, unlikely to collide across
-    // concurrent CI jobs.
-    port_base = static_cast<uint16_t>(18000 + getpid() % 10000);
-  }
-  if (mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "cluster: mkdir %s: %s\n", log_dir.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
-
+  if (!cluster.Start()) return 1;
+  const std::string& log_dir = cluster.log_dir;
   std::printf("cluster: %d processes on 127.0.0.1:%d.., logs in %s/\n",
-              processes, port_base, log_dir.c_str());
+              cluster.processes, cluster.port_base, log_dir.c_str());
   std::fflush(stdout);
-
-  std::vector<pid_t> pids;
-  for (int i = 0; i < processes; ++i) {
-    pid_t pid = fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "cluster: fork: %s\n", std::strerror(errno));
-      for (pid_t child : pids) kill(child, SIGKILL);
-      return 1;
-    }
-    if (pid == 0) {
-      // Child: log to its own file, exec serve.
-      std::string log_path = log_dir + "/node-" + std::to_string(i) + ".log";
-      int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        dup2(fd, STDOUT_FILENO);
-        dup2(fd, STDERR_FILENO);
-        close(fd);
-      }
-      std::vector<std::string> args = {
-          "/proc/self/exe",  "serve",
-          "--cluster-index", std::to_string(i),
-          "--cluster-size",  std::to_string(processes),
-          "--port-base",     std::to_string(port_base)};
-      if (i == 0) args.push_back("--drive");
-      if (trace_shards) {
-        // Each process records its own shard; the .jsonl twin the
-        // exporter writes is what `report --cluster` globs and merges.
-        args.push_back("--trace");
-        args.push_back(log_dir + "/shard-" + std::to_string(i) + ".trace");
-      }
-      for (const std::string& extra : passthrough) args.push_back(extra);
-      std::vector<char*> argv_exec;
-      for (std::string& a : args) argv_exec.push_back(a.data());
-      argv_exec.push_back(nullptr);
-      execv("/proc/self/exe", argv_exec.data());
-      std::fprintf(stderr, "cluster: exec: %s\n", std::strerror(errno));
-      _exit(127);
-    }
-    pids.push_back(pid);
-  }
 
   // The driver (child 0) finishes the protocol run; the rest serve
   // until told to drain.
   int driver_status = 0;
-  waitpid(pids[0], &driver_status, 0);
-  for (size_t i = 1; i < pids.size(); ++i) kill(pids[i], SIGTERM);
-  for (size_t i = 1; i < pids.size(); ++i) {
-    int status = 0;
-    waitpid(pids[i], &status, 0);
-  }
+  waitpid(cluster.pids[0], &driver_status, 0);
+  cluster.StopServers();
 
   // Surface the driver's log on the launcher's stdout.
   std::string driver_log = log_dir + "/node-0.log";
@@ -1083,7 +1090,7 @@ int CmdCluster(int argc, char** argv) {
       WIFEXITED(driver_status) ? WEXITSTATUS(driver_status) : 1;
   std::printf("cluster: driver exited %d; per-node logs in %s/\n",
               exit_code, log_dir.c_str());
-  if (trace_shards) {
+  if (cluster.trace_shards) {
     std::printf("cluster: trace shards in %s/ — merge + audit with "
                 "`sep2p_cli report --cluster %s`\n",
                 log_dir.c_str(), log_dir.c_str());
@@ -1158,102 +1165,55 @@ int CmdScrape(int argc, char** argv) {
 // one status scrape of every daemon per second, closed out by a merged
 // causal audit — the live analogue of the sim sweep's checker gate.
 int CmdSoak(int argc, char** argv) {
-  int processes = 3;
+  ServeCluster soak{.name = "soak", .processes = 3, .log_dir = "soak-logs"};
   double seconds = 5;
-  uint16_t port_base = 0;
-  std::string log_dir = "soak-logs";
-  std::vector<std::string> passthrough;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--nodes") {
-      TakeNumber(argc, argv, &i, &processes);
+      TakeNumber(argc, argv, &i, &soak.processes);
     } else if (arg == "--seconds") {
       TakeNumber(argc, argv, &i, &seconds);
     } else if (arg == "--port-base") {
-      TakeNumber(argc, argv, &i, &port_base);
+      TakeNumber(argc, argv, &i, &soak.port_base);
     } else if (arg == "--log-dir" && i + 1 < argc) {
-      log_dir = argv[++i];
+      soak.log_dir = argv[++i];
     } else if (arg == "--ed25519") {
-      passthrough.push_back(arg);
+      soak.passthrough.push_back(arg);
     } else if (arg == "--n" || arg == "--seed" || arg == "--cache" ||
                arg == "--a") {
       // Checked once here rather than by every daemon.
       const char* value = TakeValue(argc, argv, &i);
       NumberArg<uint64_t>(arg, value);
-      passthrough.insert(passthrough.end(), {arg, value});
+      soak.passthrough.insert(soak.passthrough.end(), {arg, value});
     } else {
       std::fprintf(stderr, "soak: unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
-  if (processes < 1 || processes > 64 || seconds <= 0) {
+  if (soak.processes < 1 || soak.processes > 64 || seconds <= 0) {
     std::fprintf(stderr, "soak: --nodes in [1, 64], --seconds > 0\n");
     return 2;
   }
-  if (port_base == 0) {
-    port_base = static_cast<uint16_t>(18000 + getpid() % 10000);
-  }
-  if (mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    std::fprintf(stderr, "soak: mkdir %s: %s\n", log_dir.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
+  soak.driver_args = {"--drive-seconds", std::to_string(seconds)};
+  if (!soak.Start()) return 1;
+  const std::string& log_dir = soak.log_dir;
   std::printf("soak: %d processes on 127.0.0.1:%d.. for %.1fs, logs in "
               "%s/\n",
-              processes, port_base, seconds, log_dir.c_str());
+              soak.processes, soak.port_base, seconds, log_dir.c_str());
   std::fflush(stdout);
-
-  std::vector<pid_t> pids;
-  for (int i = 0; i < processes; ++i) {
-    pid_t pid = fork();
-    if (pid < 0) {
-      std::fprintf(stderr, "soak: fork: %s\n", std::strerror(errno));
-      for (pid_t child : pids) kill(child, SIGKILL);
-      return 1;
-    }
-    if (pid == 0) {
-      std::string log_path = log_dir + "/node-" + std::to_string(i) + ".log";
-      int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        dup2(fd, STDOUT_FILENO);
-        dup2(fd, STDERR_FILENO);
-        close(fd);
-      }
-      std::vector<std::string> args = {
-          "/proc/self/exe",  "serve",
-          "--cluster-index", std::to_string(i),
-          "--cluster-size",  std::to_string(processes),
-          "--port-base",     std::to_string(port_base),
-          "--trace",         log_dir + "/shard-" + std::to_string(i) +
-                                 ".trace"};
-      if (i == 0) {
-        args.push_back("--drive");
-        args.push_back("--drive-seconds");
-        args.push_back(std::to_string(seconds));
-      }
-      for (const std::string& extra : passthrough) args.push_back(extra);
-      std::vector<char*> argv_exec;
-      for (std::string& a : args) argv_exec.push_back(a.data());
-      argv_exec.push_back(nullptr);
-      execv("/proc/self/exe", argv_exec.data());
-      std::fprintf(stderr, "soak: exec: %s\n", std::strerror(errno));
-      _exit(127);
-    }
-    pids.push_back(pid);
-  }
 
   // Scrape every daemon roughly once a second while the driver runs.
   uint64_t scrapes_attempted = 0;
   uint64_t scrapes_ok = 0;
   int driver_status = 0;
   for (;;) {
-    const pid_t done = waitpid(pids[0], &driver_status, WNOHANG);
-    if (done == pids[0]) break;
+    const pid_t done = waitpid(soak.pids[0], &driver_status, WNOHANG);
+    if (done == soak.pids[0]) break;
     std::this_thread::sleep_for(std::chrono::seconds(1));
-    for (int p = 0; p < processes; ++p) {
+    for (int p = 0; p < soak.processes; ++p) {
       ++scrapes_attempted;
       auto text = net::ScrapeStatus(
-          "127.0.0.1", static_cast<uint16_t>(port_base + p), 2000);
+          "127.0.0.1", static_cast<uint16_t>(soak.port_base + p), 2000);
       if (text.ok() && text->find("sep2p_health") != std::string::npos) {
         ++scrapes_ok;
         // Keep the freshest snapshot per daemon next to its shard (the
@@ -1263,11 +1223,7 @@ int CmdSoak(int argc, char** argv) {
       }
     }
   }
-  for (size_t i = 1; i < pids.size(); ++i) kill(pids[i], SIGTERM);
-  for (size_t i = 1; i < pids.size(); ++i) {
-    int status = 0;
-    waitpid(pids[i], &status, 0);
-  }
+  soak.StopServers();
   const int driver_rc =
       WIFEXITED(driver_status) ? WEXITSTATUS(driver_status) : 1;
   std::printf("soak: driver exited %d; scrapes %llu/%llu ok\n", driver_rc,
@@ -1385,11 +1341,7 @@ int CmdAttack(const Flags& flags) {
               static_cast<unsigned long long>(verdict.checker_violations));
 
   if (!flags.trace_path.empty()) {
-    Status chrome = obs::WriteFile(flags.trace_path,
-                                   obs::ToChromeTrace(recorder.trace()));
-    Status jsonl = obs::WriteFile(flags.trace_path + ".jsonl",
-                                  obs::ToJsonl(recorder.trace()));
-    if (!chrome.ok() || !jsonl.ok()) {
+    if (!obs::WriteTraceFiles(flags.trace_path, recorder.trace()).ok()) {
       std::fprintf(stderr, "trace write failed\n");
       return 1;
     }
