@@ -441,9 +441,9 @@ TEST(TcpTransportObsTest, LiveShardsMergeCheckAndCrossProcessSpans) {
                                    ? "?"
                                    : report.violations.front());
   EXPECT_EQ(report.sends, report.delivers);
-  // The remote RPC contributes request + response legs; the local one
-  // short-circuits dispatch, so only its request leg is metered.
-  EXPECT_GE(report.sends, 3u);
+  // Each RPC contributes its request and response legs, the local one
+  // (which short-circuits dispatch) as much as the remote one.
+  EXPECT_EQ(report.sends, 4u);
 }
 
 TEST(TcpTransportObsTest, StatusRendererEmitsHealthVerdicts) {
