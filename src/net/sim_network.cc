@@ -7,7 +7,7 @@ namespace sep2p::net {
 
 SimNetwork::SimNetwork(uint32_t node_count, const LinkModel& link,
                        const RetryPolicy& retry, uint64_t seed)
-    : link_(link), rng_(seed), endpoints_(node_count) {
+    : Transport(seed), link_(link), endpoints_(node_count) {
   retry_ = retry;
 }
 
@@ -87,53 +87,21 @@ void SimNetwork::AdvanceRoute(int hops) {
 }
 
 std::optional<uint64_t> SimNetwork::Transmit(
-    uint32_t from, uint32_t to, std::vector<uint8_t> payload,
+    uint32_t from, uint32_t to, uint64_t rpc, std::vector<uint8_t> payload,
     uint64_t depart_us, uint64_t* seq_out) {
   // Every transmission gets a seq — including ones the link then drops —
   // so trace events identify the message uniquely. next_seq_ never feeds
   // the Rng, so the numbering scheme cannot perturb results.
   const uint64_t seq = next_seq_++;
-  ++stats_.messages_sent;
-  stats_.bytes_sent += payload.size();
-  if (metrics_ != nullptr) {
-    metrics_->Inc(obs::Counter::kMessagesSent);
-    metrics_->Inc(obs::Counter::kBytesSent, payload.size());
-    metrics_->IncNode(from, obs::NodeCounter::kMessages);
-  }
-  if (trace_ != nullptr) {
-    obs::Event e;
-    e.t_us = depart_us;
-    e.kind = obs::EventKind::kSend;
-    e.node = from;
-    e.peer = to;
-    e.rpc = cur_rpc_;
-    e.seq = seq;
-    e.value = payload.size();
-    trace_->Record(std::move(e));
-  }
-  auto record_drop = [&](uint64_t t_us, const char* cause) {
-    ++stats_.messages_dropped;
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kMessagesDropped);
-    if (trace_ != nullptr) {
-      obs::Event e;
-      e.t_us = t_us;
-      e.kind = obs::EventKind::kDrop;
-      e.node = from;
-      e.peer = to;
-      e.rpc = cur_rpc_;
-      e.seq = seq;
-      e.detail = cause;
-      trace_->Record(std::move(e));
-    }
-  };
+  RecordSend(depart_us, from, to, rpc, seq, payload.size());
   if (link_.drop_probability > 0 && rng_.NextBool(link_.drop_probability)) {
-    record_drop(depart_us, "link");
+    RecordDrop(depart_us, from, to, rpc, seq, "link");
     return std::nullopt;
   }
   const uint64_t at_us = depart_us + SampleLatencyUs();
   if (!IsUp(to, at_us)) {
     // Destination dead on arrival: the bytes evaporate like a drop.
-    record_drop(at_us, "dead-dest");
+    RecordDrop(at_us, from, to, rpc, seq, "dead-dest");
     return std::nullopt;
   }
   Delivery d;
@@ -141,7 +109,7 @@ std::optional<uint64_t> SimNetwork::Transmit(
   d.seq = seq;
   d.from = from;
   d.to = to;
-  d.rpc = cur_rpc_;
+  d.rpc = rpc;
   d.payload = std::move(payload);
   if (seq_out != nullptr) *seq_out = d.seq;
   in_flight_.push_back(std::move(d));
@@ -159,164 +127,63 @@ void SimNetwork::AdvanceTo(uint64_t at_us) {
       // crash recorded after the transmission passed its liveness
       // check): the bytes evaporate like a drop instead of landing in a
       // dead node's inbox.
-      ++stats_.messages_dropped;
-      if (metrics_ != nullptr) {
-        metrics_->Inc(obs::Counter::kMessagesDropped);
-      }
-      if (trace_ != nullptr) {
-        obs::Event e;
-        e.t_us = d.at_us;
-        e.kind = obs::EventKind::kDrop;
-        e.node = d.from;
-        e.peer = d.to;
-        e.rpc = d.rpc;
-        e.seq = d.seq;
-        e.detail = "dead-dest";
-        trace_->Record(std::move(e));
-      }
+      RecordDrop(d.at_us, d.from, d.to, d.rpc, d.seq, "dead-dest");
       continue;
     }
-    ++stats_.messages_delivered;
-    if (metrics_ != nullptr) {
-      metrics_->Inc(obs::Counter::kMessagesDelivered);
-    }
-    if (trace_ != nullptr) {
-      obs::Event e;
-      e.t_us = d.at_us;
-      e.kind = obs::EventKind::kDeliver;
-      e.node = d.to;
-      e.peer = d.from;
-      e.rpc = d.rpc;
-      e.seq = d.seq;
-      trace_->Record(std::move(e));
-    }
+    RecordDeliver(d.at_us, d.from, d.to, d.rpc, d.seq);
     endpoints_[d.to].inbox.push_back(std::move(d));
   }
 }
 
-SimNetwork::RpcResult SimNetwork::Call(uint32_t client, uint32_t server,
-                                       const std::vector<uint8_t>& request,
-                                       const Handler& handler) {
-  RpcResult result;
-  // The id advances whether or not tracing is on (bit-identical runs);
-  // cur_rpc_ lets Transmit attribute its events to this RPC. Handlers
-  // never re-enter the network, but save/restore keeps it safe anyway.
-  const uint64_t rpc = ++next_rpc_id_;
-  const uint64_t prev_rpc = cur_rpc_;
-  const uint64_t rpc_start = now_us_;
-  cur_rpc_ = rpc;
-  if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcsBegun);
-  if (trace_ != nullptr) {
-    obs::Event e;
-    e.t_us = now_us_;
-    e.kind = obs::EventKind::kRpcBegin;
-    e.node = client;
-    e.peer = server;
-    e.rpc = rpc;
-    trace_->Record(std::move(e));
+std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
+    uint32_t client, uint32_t server, uint64_t rpc,
+    const std::vector<uint8_t>& request, const Handler& handler) {
+  const uint64_t deadline = now_us_ + retry_.timeout_us;
+  std::optional<uint64_t> reply_at;
+  uint64_t reply_seq = 0;
+  std::optional<uint64_t> req_at =
+      Transmit(client, server, rpc, request, now_us_, nullptr);
+  if (req_at.has_value() && !StepCrash(server, *req_at)) {
+    // The server consumes the request from its inbox at arrival...
+    AdvanceTo(*req_at);
+    endpoints_[server].inbox.clear();
+    // ...handles it (idempotent; retransmissions re-invoke it), and
+    // replies after its processing delay. The clock tracks the handling
+    // instant so dispatch hooks see the arrival time; both exits below
+    // overwrite it, and nothing the handler may do reads it, so this is
+    // invisible outside tracing.
+    now_us_ = *req_at;
+    std::optional<std::vector<uint8_t>> reply =
+        handler ? handler(server, request) : Dispatch(server, request);
+    if (reply.has_value()) {
+      // The reply buffer is dead after this point: move it into the
+      // event queue instead of copying.
+      reply_at = Transmit(server, client, rpc, std::move(*reply),
+                          *req_at + link_.process_us, &reply_seq);
+    }
   }
-  auto rpc_event = [&](obs::EventKind kind, uint64_t t_us, uint64_t value) {
-    if (trace_ == nullptr) return;
-    obs::Event e;
-    e.t_us = t_us;
-    e.kind = kind;
-    e.node = client;
-    e.peer = server;
-    e.rpc = rpc;
-    e.value = value;
-    trace_->Record(std::move(e));
-  };
-  uint64_t backoff = retry_.backoff_base_us;
-  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
-    result.attempts = attempt;
-    const uint64_t depart = now_us_;
-    const uint64_t deadline = depart + retry_.timeout_us;
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcAttempts);
-    rpc_event(obs::EventKind::kAttempt, depart,
-              static_cast<uint64_t>(attempt));
-
-    std::optional<uint64_t> reply_at;
-    uint64_t reply_seq = 0;
-    std::optional<uint64_t> req_at =
-        Transmit(client, server, request, depart, nullptr);
-    if (req_at.has_value() && !StepCrash(server, *req_at)) {
-      // The server consumes the request from its inbox at arrival...
-      AdvanceTo(*req_at);
-      endpoints_[server].inbox.clear();
-      // ...handles it (idempotent; retransmissions re-invoke it), and
-      // replies after its processing delay. The clock tracks the
-      // handling instant so dispatch hooks see the arrival time; both
-      // exits below overwrite it, and nothing the handler may do reads
-      // it, so this is invisible outside tracing.
-      now_us_ = *req_at;
-      std::optional<std::vector<uint8_t>> reply =
-          handler ? handler(server, request) : Dispatch(server, request);
-      if (reply.has_value()) {
-        // The reply buffer is dead after this point: move it into the
-        // event queue instead of copying.
-        reply_at = Transmit(server, client, std::move(*reply),
-                            *req_at + link_.process_us, &reply_seq);
-      }
-    }
-
-    if (reply_at.has_value() && *reply_at <= deadline) {
-      now_us_ = *reply_at;
-      AdvanceTo(now_us_);
-      // Consume the matching reply; anything else sitting in the inbox
-      // is a stale reply from an abandoned attempt or parallel branch.
-      std::vector<Delivery>& inbox = endpoints_[client].inbox;
-      for (Delivery& d : inbox) {
-        if (d.seq == reply_seq) {
-          result.ok = true;
-          result.reply = std::move(d.payload);
-          break;
-        }
-      }
-      stats_.late_replies += inbox.size() - 1;
-      if (metrics_ != nullptr) {
-        metrics_->Inc(obs::Counter::kLateReplies, inbox.size() - 1);
-        metrics_->Observe(obs::Hist::kRpcLatencyUs, now_us_ - rpc_start);
-        metrics_->Observe(obs::Hist::kRpcAttempts,
-                          static_cast<uint64_t>(attempt));
-      }
-      inbox.clear();
-      rpc_event(obs::EventKind::kRpcEnd, now_us_,
-                static_cast<uint64_t>(attempt));
-      cur_rpc_ = prev_rpc;
-      return result;
-    }
-
-    ++stats_.timeouts;
-    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kTimeouts);
+  if (!reply_at.has_value() || *reply_at > deadline) {
     now_us_ = deadline;
-    rpc_event(obs::EventKind::kTimeout, deadline,
-              static_cast<uint64_t>(attempt));
-    if (attempt < retry_.max_attempts) {
-      ++stats_.retries;
-      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRetries);
-      uint64_t wait = backoff;
-      if (retry_.jitter_fraction > 0) {
-        wait += static_cast<uint64_t>(static_cast<double>(backoff) *
-                                      retry_.jitter_fraction *
-                                      rng_.NextDouble());
-      }
-      now_us_ += wait;
-      backoff = static_cast<uint64_t>(static_cast<double>(backoff) *
-                                      retry_.backoff_factor);
-      rpc_event(obs::EventKind::kRetry, now_us_,
-                static_cast<uint64_t>(attempt + 1));
+    return std::nullopt;
+  }
+  now_us_ = *reply_at;
+  AdvanceTo(now_us_);
+  // Consume the matching reply; anything else sitting in the inbox is a
+  // stale reply from an abandoned attempt or parallel branch.
+  std::vector<Delivery>& inbox = endpoints_[client].inbox;
+  std::optional<std::vector<uint8_t>> reply;
+  for (Delivery& d : inbox) {
+    if (d.seq == reply_seq) {
+      reply = std::move(d.payload);
+      break;
     }
   }
-  ++stats_.rpc_failures;
+  stats_.late_replies += inbox.size() - 1;
   if (metrics_ != nullptr) {
-    metrics_->Inc(obs::Counter::kRpcsFailed);
-    metrics_->Observe(obs::Hist::kRpcAttempts,
-                      static_cast<uint64_t>(retry_.max_attempts));
+    metrics_->Inc(obs::Counter::kLateReplies, inbox.size() - 1);
   }
-  rpc_event(obs::EventKind::kRpcFail, now_us_,
-            static_cast<uint64_t>(retry_.max_attempts));
-  cur_rpc_ = prev_rpc;
-  return result;
+  inbox.clear();
+  return reply;
 }
 
 std::vector<SimNetwork::RpcResult> SimNetwork::CallBatch(

@@ -5,16 +5,16 @@
 // seeded latency distribution (base + exponential jitter per
 // transmission), per-link drop probability, and node-crash schedules
 // (explicit CrashAt, or a per-request crash coin — the paper's §3.6
-// "Failures and disconnections"). On top of the raw transport it
-// provides the synchronous RPC shape the protocol drivers need —
-// per-call timeouts with bounded retries and exponential backoff plus
-// deterministic jitter — so a slow or dropped reply is retried, and a
-// peer that exhausts the retry budget is *declared failed* instead of
-// silently aborting the run.
+// "Failures and disconnections"). It supplies one attempt of an RPC
+// and the virtual wait before a retry; Transport::Call runs the RPC
+// state machine over them — per-call timeouts with bounded retries and
+// exponential backoff plus deterministic jitter — so a slow or dropped
+// reply is retried, and a peer that exhausts the retry budget is
+// *declared failed* instead of silently aborting the run.
 //
 // Determinism contract: every random decision (latency sample, drop,
-// step-crash, backoff jitter) draws from the single Rng owned by the
-// network, and the protocol drivers issue calls in a fixed order, so a
+// step-crash, backoff jitter) draws from the transport's single Rng,
+// and the protocol drivers issue calls in a fixed order, so a
 // SimNetwork seeded identically replays the exact same trace. Parallel
 // experiment harnesses give each trial (or each TrialRunner shard) its
 // OWN SimNetwork (sim/trial_runner.h); a SimNetwork must never be
@@ -35,7 +35,6 @@
 
 #include "net/transport.h"
 #include "obs/trace.h"
-#include "util/rng.h"
 
 namespace sep2p::net {
 
@@ -101,16 +100,6 @@ class SimNetwork : public Transport {
   // shutdown. Call once, after the last protocol action.
   void FinalizeTrace() override;
 
-  // Synchronous request/response from `client` to `server`, advancing
-  // the virtual clock: request latency + server processing + reply
-  // latency on success; timeout + backoff per failed attempt. The reply
-  // is delivered through the event queue into the client's inbox and
-  // consumed from there. An empty `handler` answers via the registered
-  // dispatch table instead (node::AppRuntime's path).
-  RpcResult Call(uint32_t client, uint32_t server,
-                 const std::vector<uint8_t>& request,
-                 const Handler& handler = {}) override;
-
   // The virtual-parallel wave, from one client or many (every protocol
   // round: a quorum's engagement, a same-request FanOut, every data
   // source contributing to its aggregator at once): every call starts
@@ -126,37 +115,30 @@ class SimNetwork : public Transport {
   // business, so no drops are applied here.
   void AdvanceRoute(int hops) override;
 
-  // One-way transmission of `payload` departing at `depart_us`; returns
-  // the delivery time, or nullopt when the link drops the message or the
-  // destination is down at arrival. Delivered payloads are enqueued on
-  // the destination's inbox (tagged `seq`). Takes the payload by value:
-  // callers that are done with the bytes (reply paths) move them in and
-  // the buffer travels through the event queue into the inbox without
-  // ever being copied.
-  std::optional<uint64_t> Transmit(uint32_t from, uint32_t to,
-                                   std::vector<uint8_t> payload,
-                                   uint64_t depart_us, uint64_t* seq_out);
-
-  // Moves every in-flight message with delivery time <= `at_us` into its
-  // destination inbox, in (time, seq) order.
-  void AdvanceTo(uint64_t at_us);
-
   // Jumps the virtual clock to `at_us` (delivering anything due), used
-  // by the throughput engine to place each admitted task's execution at
-  // its admission instant. Mirrors CallBatch's virtual-parallel shape —
-  // rewinding to an earlier instant models branches that ran
-  // concurrently — so monotonicity is deliberately NOT required; the
-  // event queue keys on delivery time, never on the current clock.
-  void SetTime(uint64_t at_us) {
+  // by the throughput engine and the churn driver to place each task's
+  // execution at its admission instant. Mirrors CallBatch's
+  // virtual-parallel shape — rewinding to an earlier instant models
+  // branches that ran concurrently — so monotonicity is deliberately NOT
+  // required; the event queue keys on delivery time, never on the
+  // current clock.
+  bool SetVirtualTime(uint64_t at_us) override {
     AdvanceTo(at_us);
     now_us_ = at_us;
-  }
-
-  // Transport's discrete-event capability probe maps onto SetTime.
-  bool SetVirtualTime(uint64_t at_us) override {
-    SetTime(at_us);
     return true;
   }
+
+ protected:
+  // One attempt, advancing the virtual clock: request latency + server
+  // processing + reply latency. The reply is delivered through the event
+  // queue into the client's inbox and consumed from there; without one
+  // by the deadline (lost, refused, or the server crashed), the clock
+  // lands on the deadline. An empty `handler` answers via the registered
+  // dispatch table instead (node::AppRuntime's path).
+  std::optional<std::vector<uint8_t>> Attempt(
+      uint32_t client, uint32_t server, uint64_t rpc,
+      const std::vector<uint8_t>& request, const Handler& handler) override;
+  void Wait(uint64_t us) override { now_us_ += us; }
 
  private:
   struct Delivery {
@@ -182,13 +164,27 @@ class SimNetwork : public Transport {
     }
   };
 
+  // One-way transmission of `payload`, part of RPC `rpc`, departing at
+  // `depart_us`; returns the delivery time, or nullopt when the link
+  // drops the message or the destination is down at arrival. Delivered
+  // payloads are enqueued on the destination's inbox (tagged `seq`).
+  // Takes the payload by value: callers that are done with the bytes
+  // (reply paths) move them in and the buffer travels through the event
+  // queue into the inbox without ever being copied.
+  std::optional<uint64_t> Transmit(uint32_t from, uint32_t to, uint64_t rpc,
+                                   std::vector<uint8_t> payload,
+                                   uint64_t depart_us, uint64_t* seq_out);
+
+  // Moves every in-flight message with delivery time <= `at_us` into its
+  // destination inbox, in (time, seq) order.
+  void AdvanceTo(uint64_t at_us);
+
   uint64_t SampleLatencyUs();
   // Samples the per-step crash coin for a live `node` handling a request
   // at `at_us`; returns true (and records the crash) on failure.
   bool StepCrash(uint32_t node, uint64_t at_us);
 
   LinkModel link_;
-  util::Rng rng_;
   std::vector<Endpoint> endpoints_;
   // Binary heap managed with std::push_heap/pop_heap rather than a
   // std::priority_queue: priority_queue::top() is const, which forces a
@@ -198,10 +194,6 @@ class SimNetwork : public Transport {
   uint64_t now_us_ = 0;
   uint64_t next_seq_ = 0;
   double step_crash_probability_ = 0.0;
-  // RPC ids advance unconditionally (never from the Rng) so traced and
-  // untraced runs stay bit-identical.
-  uint64_t next_rpc_id_ = 0;
-  uint64_t cur_rpc_ = 0;  // the RPC the current Transmit belongs to
 };
 
 }  // namespace sep2p::net

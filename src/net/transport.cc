@@ -6,6 +6,16 @@
 
 namespace sep2p::net {
 
+namespace {
+
+// Holds `mu` for one scope; holds nothing when it is null.
+std::unique_lock<std::mutex> LockIf(std::mutex* mu) {
+  return mu != nullptr ? std::unique_lock<std::mutex>(*mu)
+                       : std::unique_lock<std::mutex>();
+}
+
+}  // namespace
+
 void Transport::Register(uint8_t tag, Handler handler) {
   handlers_[tag] = std::move(handler);
 }
@@ -38,6 +48,139 @@ std::optional<std::vector<uint8_t>> Transport::Dispatch(
   auto it = handlers_.find(tag.value());
   if (it == handlers_.end()) return std::nullopt;
   return it->second(server, request);
+}
+
+Transport::RpcResult Transport::Call(uint32_t client, uint32_t server,
+                                     const std::vector<uint8_t>& request,
+                                     const Handler& handler) {
+  RpcResult result;
+  uint64_t rpc = 0;
+  // One lifecycle event of this RPC; the caller holds the obs lock.
+  auto record = [&](obs::EventKind kind, uint64_t value) {
+    if (trace_ == nullptr) return;
+    obs::Event e;
+    e.t_us = EventTime();
+    e.kind = kind;
+    e.node = client;
+    e.peer = server;
+    e.rpc = rpc;
+    e.value = value;
+    trace_->Record(std::move(e));
+  };
+  uint64_t rpc_start = 0;
+  {
+    const auto lock = LockIf(obs_mu_);
+    rpc = ++next_rpc_id_;
+    rpc_start = EventTime();
+    if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcsBegun);
+    record(obs::EventKind::kRpcBegin, 0);
+  }
+  uint64_t backoff = retry_.backoff_base_us;
+  for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+    result.attempts = attempt;
+    const auto attempt_value = static_cast<uint64_t>(attempt);
+    {
+      const auto lock = LockIf(obs_mu_);
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRpcAttempts);
+      record(obs::EventKind::kAttempt, attempt_value);
+    }
+    std::optional<std::vector<uint8_t>> reply =
+        Attempt(client, server, rpc, request, handler);
+    uint64_t wait = backoff;
+    {
+      const auto lock = LockIf(obs_mu_);
+      if (reply.has_value()) {
+        result.ok = true;
+        result.reply = std::move(*reply);
+        if (metrics_ != nullptr) {
+          metrics_->Observe(obs::Hist::kRpcLatencyUs, EventTime() - rpc_start);
+          metrics_->Observe(obs::Hist::kRpcAttempts, attempt_value);
+        }
+        record(obs::EventKind::kRpcEnd, attempt_value);
+        return result;
+      }
+      ++stats_.timeouts;
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kTimeouts);
+      record(obs::EventKind::kTimeout, attempt_value);
+      if (attempt == retry_.max_attempts) break;
+      ++stats_.retries;
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kRetries);
+      if (retry_.jitter_fraction > 0) {
+        wait += static_cast<uint64_t>(static_cast<double>(backoff) *
+                                      retry_.jitter_fraction *
+                                      rng_.NextDouble());
+      }
+    }
+    Wait(wait);
+    backoff = static_cast<uint64_t>(static_cast<double>(backoff) *
+                                    retry_.backoff_factor);
+    const auto lock = LockIf(obs_mu_);
+    record(obs::EventKind::kRetry, attempt_value + 1);
+  }
+  const auto lock = LockIf(obs_mu_);
+  ++stats_.rpc_failures;
+  if (metrics_ != nullptr) {
+    metrics_->Inc(obs::Counter::kRpcsFailed);
+    metrics_->Observe(obs::Hist::kRpcAttempts,
+                      static_cast<uint64_t>(retry_.max_attempts));
+  }
+  record(obs::EventKind::kRpcFail, static_cast<uint64_t>(retry_.max_attempts));
+  return result;
+}
+
+void Transport::RecordSend(uint64_t t_us, uint32_t from, uint32_t to,
+                           uint64_t rpc, uint64_t seq, size_t bytes) {
+  ++stats_.messages_sent;
+  stats_.bytes_sent += bytes;
+  if (metrics_ != nullptr) {
+    metrics_->Inc(obs::Counter::kMessagesSent);
+    metrics_->Inc(obs::Counter::kBytesSent, bytes);
+    metrics_->IncNode(from, obs::NodeCounter::kMessages);
+  }
+  if (trace_ != nullptr) {
+    obs::Event e;
+    e.t_us = t_us;
+    e.kind = obs::EventKind::kSend;
+    e.node = from;
+    e.peer = to;
+    e.rpc = rpc;
+    e.seq = seq;
+    e.value = bytes;
+    trace_->Record(std::move(e));
+  }
+}
+
+void Transport::RecordDeliver(uint64_t t_us, uint32_t from, uint32_t to,
+                              uint64_t rpc, uint64_t seq) {
+  ++stats_.messages_delivered;
+  if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kMessagesDelivered);
+  if (trace_ != nullptr) {
+    obs::Event e;
+    e.t_us = t_us;
+    e.kind = obs::EventKind::kDeliver;
+    e.node = to;
+    e.peer = from;
+    e.rpc = rpc;
+    e.seq = seq;
+    trace_->Record(std::move(e));
+  }
+}
+
+void Transport::RecordDrop(uint64_t t_us, uint32_t from, uint32_t to,
+                           uint64_t rpc, uint64_t seq, const char* cause) {
+  ++stats_.messages_dropped;
+  if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kMessagesDropped);
+  if (trace_ != nullptr) {
+    obs::Event e;
+    e.t_us = t_us;
+    e.kind = obs::EventKind::kDrop;
+    e.node = from;
+    e.peer = to;
+    e.rpc = rpc;
+    e.seq = seq;
+    e.detail = cause;
+    trace_->Record(std::move(e));
+  }
 }
 
 std::vector<Transport::RpcResult> Transport::CallBatch(

@@ -15,15 +15,19 @@
 //
 // The split of responsibilities:
 //
-//   * The base class owns the handler registry and PeekTag dispatch
-//     (moved here from node::AppRuntime so a *remote* process can route
-//     an incoming frame to the same handler a sim run would invoke
-//     in-process), the shared Stats block, the obs hooks, and the
-//     EngageQuorum replacement-wave algorithm (pure control flow over
-//     CallBatch — identical for both transports by construction).
-//   * Implementations own the clock, the wire, and the two messaging
-//     entry points: Call, and CallBatch, one wave of parallel calls.
-//     Every protocol round is one CallBatch (FanOut builds the
+//   * The base class owns the RPC state machine (Call: the RPC id, the
+//     attempts, the timeouts, the backoff with jitter, and the six
+//     lifecycle events with their counters), the message accounting
+//     (RecordSend / RecordDeliver / RecordDrop write Stats, the metrics
+//     counters and the trace event of every transmission), the seeded
+//     Rng and the RPC ids. It also owns the handler registry and
+//     PeekTag dispatch (moved here from node::AppRuntime so a *remote*
+//     process can route an incoming frame to the same handler a sim run
+//     would invoke in-process), the obs hooks, and the EngageQuorum
+//     replacement-wave algorithm (pure control flow over CallBatch).
+//   * Implementations own one attempt (Attempt: a request and, in time,
+//     its reply), the wait before a retry (Wait), the clock and the
+//     wire. Every protocol round is one CallBatch (FanOut builds the
 //     same-request wave). The base CallBatch issues its calls one after
 //     another through Call; SimNetwork overrides it with its
 //     virtual-parallel wave, so a transport that forwards Call and
@@ -41,9 +45,11 @@
 // NewEngagementNonce, SetVirtualTime) let shared code ask which world
 // it is in without #ifdef forks. Crash injection is SimNetwork's own.
 //
-// Thread-safety: the registry and stats are NOT internally locked; a
-// SimNetwork must stay on one thread, and TcpTransport serializes all
-// dispatch + stats + obs under its own mutex.
+// Thread-safety: the registry and stats are NOT internally locked. A
+// SimNetwork must stay on one thread and has no obs lock. TcpTransport
+// hands the base class its mutex as the obs lock, which serializes
+// Stats, metrics, trace writes and dispatch against its service
+// threads.
 
 #ifndef SEP2P_NET_TRANSPORT_H_
 #define SEP2P_NET_TRANSPORT_H_
@@ -51,11 +57,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.h"
+#include "util/rng.h"
 
 namespace sep2p::net {
 
@@ -192,13 +200,18 @@ class Transport {
 
   // ---- Messaging ---------------------------------------------------
 
-  // Synchronous request/response from `client` to `server`. When
-  // `handler` is empty the server side answers via Dispatch (in the
-  // server's process, wherever that is); a non-empty handler models the
-  // server in-process on transports that support it.
+  // Synchronous request/response from `client` to `server`: the one RPC
+  // state machine. Each attempt is one Attempt; an attempt without a
+  // reply is a timeout, followed (budget permitting) by a Wait of the
+  // jittered exponential backoff and a retry. Records rpc-begin,
+  // attempt, timeout, retry and rpc-end or rpc-fail, with their
+  // counters. When `handler` is empty the server side answers via
+  // Dispatch (in the server's process, wherever that is); a non-empty
+  // handler models the server in-process on transports that support
+  // it. Virtual only so that a wrapping transport can forward it whole.
   virtual RpcResult Call(uint32_t client, uint32_t server,
                          const std::vector<uint8_t>& request,
-                         const Handler& handler = {}) = 0;
+                         const Handler& handler = {});
 
   // One wave of parallel calls, from one client or many (a quorum
   // round, or every data source contributing to its aggregator at
@@ -234,14 +247,55 @@ class Transport {
   virtual void AdvanceRoute(int hops);
 
  protected:
-  Transport() = default;
+  // `seed` seeds the transport's Rng; RPC ids count up from
+  // `rpc_id_base` + 1.
+  explicit Transport(uint64_t seed = 0, uint64_t rpc_id_base = 0)
+      : rng_(seed), next_rpc_id_(rpc_id_base) {}
+
+  // One attempt of RPC `rpc`: delivers `request` to `server` and returns
+  // the reply, or nullopt when none arrives in time (lost, refused, or
+  // the server is down). A virtual clock is left at the end of the
+  // attempt: the reply's arrival, or the deadline. Called without the
+  // obs lock.
+  virtual std::optional<std::vector<uint8_t>> Attempt(
+      uint32_t client, uint32_t server, uint64_t rpc,
+      const std::vector<uint8_t>& request, const Handler& handler) = 0;
+
+  // The backoff before a retry: advances the clock by `us`. Called
+  // without the obs lock.
+  virtual void Wait(uint64_t us) = 0;
+
+  // The time stamped on the events Call records; the caller holds the
+  // obs lock. A transport whose recorder reads a clock cache refreshes
+  // it here.
+  virtual uint64_t EventTime() { return now_us(); }
+
+  // Message accounting: one transmission from `from` to `to` at `t_us`,
+  // numbered `seq` (0 where the transport does not number them). Each
+  // writes Stats, the metrics counters and the trace event of its fate;
+  // the caller holds the obs lock.
+  void RecordSend(uint64_t t_us, uint32_t from, uint32_t to, uint64_t rpc,
+                  uint64_t seq, size_t bytes);
+  void RecordDeliver(uint64_t t_us, uint32_t from, uint32_t to, uint64_t rpc,
+                     uint64_t seq);
+  void RecordDrop(uint64_t t_us, uint32_t from, uint32_t to, uint64_t rpc,
+                  uint64_t seq, const char* cause);
 
   Stats stats_;
   RetryPolicy retry_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
+  // Every random decision of the transport (SimNetwork: latency, drops,
+  // crash coins; both: backoff jitter) draws from this one stream.
+  util::Rng rng_;
+  // Serializes Stats, metrics and trace writes against the transport's
+  // other threads; null on a single-threaded transport.
+  std::mutex* obs_mu_ = nullptr;
 
  private:
+  // Advances under the obs lock whether or not tracing is on (and never
+  // from the Rng), so traced and untraced runs stay bit-identical.
+  uint64_t next_rpc_id_;
   std::map<uint8_t, Handler> handlers_;
   std::map<std::pair<uint32_t, uint8_t>, Handler> node_handlers_;
 };

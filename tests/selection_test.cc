@@ -318,6 +318,15 @@ class RewritingTransport : public net::Transport {
   }
   void AdvanceRoute(int hops) override { inner_.AdvanceRoute(hops); }
 
+ protected:
+  // Never reached: Call and CallBatch forward whole to the inner network.
+  std::optional<std::vector<uint8_t>> Attempt(uint32_t, uint32_t, uint64_t,
+                                              const std::vector<uint8_t>&,
+                                              const Handler&) override {
+    return std::nullopt;
+  }
+  void Wait(uint64_t) override {}
+
  private:
   Handler Wrap(const Handler& handler) {
     return [this, &handler](uint32_t server,
