@@ -1,6 +1,7 @@
 #include "dht/directory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 
@@ -281,7 +282,8 @@ void Directory::ForEachAliveInRegion(const Region& region, Fn&& fn) const {
   const size_t m = size();
   const size_t start = RankLowerBound(begin);
   if (alive_count_ == m) {
-    // No churn: walk ranks directly (handle == rank order).
+    // No churn: walk ranks directly. The walk below would be ~25%
+    // slower here, where selection and the figure harnesses run.
     for (size_t step = 0; step < m; ++step) {
       size_t r = start + step;
       if (r >= m) r -= m;
@@ -292,17 +294,26 @@ void Directory::ForEachAliveInRegion(const Region& region, Fn&& fn) const {
     }
     return;
   }
-  // Under churn: enumerate alive nodes in ring order via Fenwick
-  // selection — O(log N) per visited node, never scanning dead runs.
-  const size_t first = AliveBefore(start);
-  for (size_t step = 0; step < alive_count_; ++step) {
-    size_t k = first + step;
-    if (k >= alive_count_) k -= alive_count_;
-    const size_t r = SelectAlive(k);
+  // Under churn: one Fenwick select finds the first alive rank; each
+  // next one is found by testing alive bits rank by rank. A dead run
+  // longer than the select's depth ends the scan with a select for the
+  // next alive ordinal `k`, so a visit costs O(1) past short dead runs
+  // and never more than about two selects.
+  const size_t depth = std::bit_width(m);  // SelectAlive's step count
+  size_t k = AliveBefore(start);
+  if (k == alive_count_) k = 0;  // wrap
+  size_t r = SelectAlive(k);
+  for (size_t visited = 1;; ++visited) {
     if (!full_ring && ClockwiseDistance(begin, sorted_pos_[r]) > width) {
-      break;
+      return;
     }
-    if (!fn(order_[r])) return;
+    if (!fn(order_[r]) || visited == alive_count_) return;
+    if (++k == alive_count_) k = 0;
+    size_t scanned = 0;
+    do {
+      if (++r == m) r = 0;
+    } while (!alive(order_[r]) && ++scanned < depth);
+    if (!alive(order_[r])) r = SelectAlive(k);
   }
 }
 

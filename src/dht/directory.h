@@ -22,7 +22,13 @@
 // ring ranks, so SetAlive/MarkCrashed are O(log N) and every query
 // (successor, predecessor, region count, k-th alive) stays O(log N)
 // even when most of the table is churned out — the previous
-// implementation degraded to O(N) scans past dead records. AddNode
+// implementation degraded to O(N) scans past dead records. A region
+// walk under churn selects its first alive rank, then steps to each
+// next one by testing alive bits, selecting again only past a dead run
+// longer than the tree is deep: O(log N + answer) when dead runs are
+// short, never worse than O(log N) per visited node. An all-alive
+// directory keeps a plain rank loop, which the flag tests would slow
+// by ~25% (2.0 -> 2.5 µs per 512-node query at N=10^5). AddNode
 // inserts a genuinely new node (O(N) column shift — fine for tests and
 // small networks; large-scale churn drivers pre-provision a pool of
 // dead nodes and activate them in O(log N), see sim::ChurnDriver).

@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <thread>
@@ -223,6 +225,120 @@ TEST(DirectoryChurnEquivalenceTest, LargePopulationCountsStayExact) {
   size_t lo = dir->CountAliveInRange(0, half);
   size_t hi = dir->CountAliveInRange(half, 0);
   EXPECT_EQ(lo + hi, kN - killed);
+}
+
+// What a region walk must return: the alive handles inside `region`,
+// by clockwise distance from its start and then by id (the ring order
+// the directory keeps), cut to `limit` (0 = no limit).
+std::vector<uint32_t> BruteForceWalk(const dht::Directory& dir,
+                                     const dht::Region& region,
+                                     size_t limit) {
+  std::vector<uint32_t> out;
+  for (uint32_t i = 0; i < dir.size(); ++i) {
+    if (dir.alive(i) && region.Contains(dir.pos(i))) out.push_back(i);
+  }
+  const dht::RingPos begin = region.begin();
+  std::sort(out.begin(), out.end(), [&](uint32_t a, uint32_t b) {
+    const dht::RingPos da = dht::ClockwiseDistance(begin, dir.pos(a));
+    const dht::RingPos db = dht::ClockwiseDistance(begin, dir.pos(b));
+    if (da != db) return da < db;
+    return dir.id(a) < dir.id(b);
+  });
+  if (limit != 0 && out.size() > limit) out.resize(limit);
+  return out;
+}
+
+// A region of size `rs` whose counter-clockwise edge is `begin`.
+dht::Region RegionFrom(dht::RingPos begin, double rs) {
+  return dht::Region::Centered(
+      begin + dht::Region::Centered(0, rs).half_width(), rs);
+}
+
+TEST(DirectoryChurnEquivalenceTest, RegionWalkMatchesBruteForce) {
+  const size_t kN = 1000;
+  auto dir = test::MakeDirectory(kN, 71);
+  // Past a visited node the walk tests at most `bound` ranks' alive
+  // bits (SelectAlive's depth), then selects: the dead runs below sit
+  // on both sides of it. Construction sorts by position, so handle h is
+  // ring rank h.
+  const size_t bound = std::bit_width(kN);
+  auto expect_walk = [&](const dht::Region& region) {
+    for (size_t limit : {size_t{0}, size_t{1}, size_t{2}, bound,
+                         3 * bound}) {
+      EXPECT_EQ(dir->NodesInRegion(region, limit),
+                BruteForceWalk(*dir, region, limit))
+          << "begin " << static_cast<uint64_t>(region.begin() >> 64)
+          << " size " << region.size() << " limit " << limit;
+    }
+  };
+
+  struct Run {
+    size_t first;  // rank
+    size_t length;
+  };
+  std::vector<Run> runs;
+  size_t first = 2 * bound;
+  for (size_t length : {size_t{1}, bound - 1, bound, bound + 1,
+                        5 * bound}) {
+    runs.push_back({first, length});
+    first += length + 3;  // three alive ranks between runs
+  }
+  runs.push_back({kN - bound, 2 * bound + 1});  // crosses rank 0
+  for (const Run& run : runs) {
+    for (size_t i = 0; i < run.length; ++i) {
+      dir->RemoveNode(static_cast<uint32_t>((run.first + i) % kN));
+    }
+  }
+
+  expect_walk(dht::Region::Centered(dir->pos(5), 1.0));  // full ring
+  for (const Run& run : runs) {
+    const auto at = [&](size_t rank) {
+      return dir->pos(static_cast<uint32_t>(rank % kN));
+    };
+    for (double rs : {0.001, 0.02, 0.2}) {
+      // Starting inside the run, on the alive rank before it, and on
+      // the run's first rank.
+      expect_walk(RegionFrom(at(run.first + run.length / 2), rs));
+      expect_walk(RegionFrom(at(run.first + kN - 1), rs));
+      expect_walk(RegionFrom(at(run.first) - 1, rs));
+    }
+  }
+  // A start past the last position wraps to rank 0.
+  expect_walk(RegionFrom(dir->pos(kN - 1) + 1, 0.05));
+
+  util::Rng rng(72);
+  auto random_pos = [&rng] {
+    return (static_cast<dht::RingPos>(rng.NextUint64()) << 64) |
+           rng.NextUint64();
+  };
+  for (int trial = 0; trial < 100; ++trial) {
+    expect_walk(
+        RegionFrom(random_pos(), std::pow(10.0, -3.0 * rng.NextDouble())));
+  }
+
+  // Random churn, up to nearly every node dead.
+  for (double dead : {0.5, 0.9, 0.99}) {
+    for (uint32_t i = 0; i < kN; ++i) {
+      dir->SetAlive(i, rng.NextDouble() >= dead);
+    }
+    SCOPED_TRACE(dead);
+    expect_walk(dht::Region::Centered(random_pos(), 1.0));
+    for (int trial = 0; trial < 50; ++trial) {
+      expect_walk(
+          RegionFrom(random_pos(), std::pow(10.0, -2.0 * rng.NextDouble())));
+    }
+  }
+
+  // Exactly one alive node: inside, outside, and a region that starts
+  // just after it and ends short of it (the walk wraps to it and stops).
+  for (uint32_t i = 0; i < kN; ++i) dir->SetAlive(i, i == 400);
+  ASSERT_EQ(dir->alive_count(), 1u);
+  expect_walk(dht::Region::Centered(dir->pos(7), 1.0));
+  expect_walk(dht::Region::Centered(dir->pos(400), 0.01));
+  expect_walk(dht::Region::Centered(dir->pos(100), 0.01));
+  expect_walk(RegionFrom(dir->pos(400) + 1, 0.9999));
+  EXPECT_EQ(dir->NodesInRegion(dht::Region::Centered(0, 1.0)),
+            std::vector<uint32_t>{400});
 }
 
 // ---------------------------------------------------------------------
