@@ -1,6 +1,9 @@
 #include "node/join.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 #include "core/messages.h"
 #include "core/protocol_service.h"
@@ -9,6 +12,35 @@
 #include "node/node_cache.h"
 
 namespace sep2p::node {
+namespace {
+
+// Drops repeated keys, keeping first occurrences in pool order, without
+// comparison-sorting 32-byte keys: kept slots go into an open-addressed
+// table indexed by each key's leading bytes (keys are hash outputs or
+// curve points, so those are evenly spread), and whole keys are
+// compared only along a probe run.
+void DedupeKeys(std::vector<crypto::PublicKey>& keys) {
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  const size_t mask = std::bit_ceil(2 * keys.size()) - 1;
+  std::vector<uint32_t> table(mask + 1, kEmpty);
+  uint32_t kept = 0;
+  for (const crypto::PublicKey& key : keys) {
+    uint64_t prefix = 0;
+    std::memcpy(&prefix, key.data(), sizeof(prefix));
+    for (size_t slot = prefix;; ++slot) {
+      slot &= mask;
+      if (table[slot] == kEmpty) {
+        table[slot] = kept;
+        keys[kept++] = key;
+        break;
+      }
+      if (keys[table[slot]] == key) break;
+    }
+  }
+  keys.resize(kept);
+}
+
+}  // namespace
 
 std::vector<uint8_t> AttestedCache::SignedBytes() const {
   std::vector<uint8_t> out;
@@ -107,8 +139,9 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(
   obs::Span span(transport_.trace(), transport_.metrics(), newcomer_index,
                  "join");
 
-  // Request + receive the two attested caches; their key union is
-  // sorted and deduplicated at the end, the order a std::set would give.
+  // Request + receive the two attested caches and pool their keys. The
+  // pool's order never reaches the outcome, whose cache is sorted by
+  // handle.
   std::vector<crypto::PublicKey> pool;
   for (uint32_t neighbor : {*successor, *predecessor}) {
     Result<AttestedCache> attested = AttestCache(neighbor, rng, attack);
@@ -125,8 +158,7 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(
                 attested->entries.end());
     pool.push_back(dir.pub(neighbor));  // the neighbor itself is known
   }
-  std::sort(pool.begin(), pool.end());
-  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  DedupeKeys(pool);
 
   // Keep the union's entries legitimate w.r.t. rs3 centered on self.
   dht::Region coverage = dht::Region::Centered(newcomer_pos, ctx_.rs3);

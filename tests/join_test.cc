@@ -245,6 +245,56 @@ TEST_F(JoinTest, JoinBuildsNearCompleteValidCache) {
   EXPECT_GE(outcome->cache.size(), expected.size() * 8 / 10);
 }
 
+// The joined cache is exactly the neighbours' attested entries plus the
+// neighbours themselves, kept where they fall in the newcomer's rs3
+// coverage, minus the newcomer, sorted by handle. The churn digest
+// folds only whether each join succeeded, so this pins the union.
+TEST_F(JoinTest, CacheEqualsFilteredNeighbourUnion) {
+  dht::Directory& dir = network_->directory();
+  util::Rng draw(43);
+  for (uint32_t i = 0; i < dir.size(); ++i) {
+    if (draw.NextDouble() < 0.2) dir.RemoveNode(i);
+  }
+  // `stride` 2 mirrors OmitEveryOther, which keeps each owner's entries
+  // at even positions.
+  auto reference = [&](uint32_t newcomer, size_t stride) {
+    const dht::Region coverage =
+        dht::Region::Centered(dir.pos(newcomer), ctx_.rs3);
+    const dht::RingPos pos = dir.pos(newcomer);
+    std::vector<uint32_t> out;
+    for (uint32_t neighbour :
+         {*dir.SuccessorIndex(pos + 1), *dir.PredecessorIndex(pos)}) {
+      const std::vector<uint32_t> entries =
+          NodeCache(&dir, neighbour, ctx_.rs3).Entries();
+      for (size_t i = 0; i < entries.size(); i += stride) {
+        out.push_back(entries[i]);
+      }
+      out.push_back(neighbour);
+    }
+    std::erase_if(out, [&](uint32_t idx) {
+      return idx == newcomer || !coverage.Contains(dir.pos(idx));
+    });
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+
+  JoinProtocol join(ctx_, *transport_);
+  OmitEveryOther omit;
+  for (int i = 0; i < 60; ++i) {
+    const uint32_t newcomer = *dir.NthAlive(draw.NextUint64(dir.alive_count()));
+    SCOPED_TRACE(newcomer);
+    auto outcome = join.Join(newcomer, rng_);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->cache, reference(newcomer, 1));
+    if (i % 10 == 0) {
+      auto omitted = join.Join(newcomer, rng_, &omit);
+      ASSERT_TRUE(omitted.ok()) << omitted.status().ToString();
+      EXPECT_EQ(omitted->cache, reference(newcomer, 2));
+    }
+  }
+}
+
 TEST_F(JoinTest, JoinCostsScaleWithCoverage) {
   JoinProtocol join(ctx_, *transport_);
   auto outcome = join.Join(42, rng_);
