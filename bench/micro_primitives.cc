@@ -13,6 +13,7 @@
 #include "crypto/sim_provider.h"
 #include "dht/can.h"
 #include "dht/chord.h"
+#include "dht/directory.h"
 #include "sim/network.h"
 
 namespace {
@@ -146,6 +147,45 @@ void BM_RegionQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionQuery)->Arg(32)->Arg(512)->Arg(4096);
+
+// Region walks under churn need a directory of their own: BM_ChordRoute
+// shares the N=10^5 network above, which must stay all alive. This one
+// has N=10^5 nodes with `dead_per_mille` of them dead.
+const dht::Directory& ChurnedDirectory(int64_t dead_per_mille) {
+  static std::map<int64_t, std::unique_ptr<dht::Directory>> cache;
+  auto& slot = cache[dead_per_mille];
+  if (!slot) {
+    util::Rng rng(8);
+    std::vector<dht::NodeRecord> records(100000);
+    for (dht::NodeRecord& record : records) {
+      record.pub = rng.NextBytes32();
+      record.id = dht::NodeIdForKey(record.pub);
+      record.pos = record.id.ring_pos();
+      record.alive =
+          rng.NextUint64(1000) >= static_cast<uint64_t>(dead_per_mille);
+    }
+    slot = std::make_unique<dht::Directory>(std::move(records));
+  }
+  return *slot;
+}
+
+// Arg: per mille of the nodes dead. Each region holds ~512 alive nodes,
+// the size of a churn join's cache walk. 0 takes the all-alive loop, for
+// reference; at 990 the dead runs average ~100 ranks, the walk's worst
+// case.
+void BM_RegionQueryChurn(benchmark::State& state) {
+  const dht::Directory& dir = ChurnedDirectory(state.range(0));
+  util::Rng rng(6);
+  const double rs = 512.0 / static_cast<double>(dir.alive_count());
+  for (auto _ : state) {
+    dht::RingPos center = (static_cast<dht::RingPos>(rng.NextUint64())
+                           << 64) |
+                          rng.NextUint64();
+    benchmark::DoNotOptimize(
+        dir.NodesInRegion(dht::Region::Centered(center, rs)));
+  }
+}
+BENCHMARK(BM_RegionQueryChurn)->Arg(0)->Arg(10)->Arg(500)->Arg(990);
 
 void BM_KTableBuild(benchmark::State& state) {
   for (auto _ : state) {
