@@ -63,8 +63,7 @@ BENCHMARK(BM_Verify<crypto::SimProvider>)->Name("BM_Verify/sim");
 // Batched verification (the BatchVerifier's inner loop) against the
 // single-call baseline above: per-batch-size throughput shows how much
 // of the per-call dispatch (EVP_PKEY import, MAC-key derivation) the
-// key-sorted batch path amortizes. Items cycle through 8 signers, the
-// shard shape the throughput engine produces.
+// key-sorted batch path amortizes. Items cycle through 8 signers.
 template <typename Provider>
 void BM_VerifyBatch(benchmark::State& state) {
   Provider provider;

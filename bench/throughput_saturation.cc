@@ -1,7 +1,8 @@
 // Concurrent-task saturation curves: offered vs completed tasks/sec,
 // task latency percentiles, and crypto-ops/sec, for the naive
 // (synchronous per-message verification) baseline against the batched
-// sharded-worker-pool verifier — the throughput engine's raison d'etre.
+// verifier, one batch per task on a worker pool — the throughput
+// engine's raison d'etre.
 //
 // The engine keeps `window` selections/queries/diffusions in flight
 // over one SimNetwork; the sweep lowers the virtual inter-arrival gap
@@ -167,7 +168,7 @@ int main(int argc, char** argv) {
   // backpressure knee to show up in the queue-delay percentiles.
   const int tasks = quick ? 96 : 192;
   bench::PrintHeader(
-      "throughput saturation: task mempool + batched sharded verification",
+      "throughput saturation: task mempool + per-task batched verification",
       "batched deferred verification sustains >= 2x tasks/sec at "
       "saturation vs per-message verification at equal thread count",
       params);

@@ -7,32 +7,13 @@
 
 namespace sep2p::crypto {
 
-namespace {
-
-// Shard routing key: first 8 bytes of the public key, little-endian.
-// Keys are SHA-256 outputs (SimProvider) or Ed25519 points, so the low
-// bytes are already uniform — no extra mixing needed.
-uint64_t KeyPrefix(const PublicKey& key) {
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8 && i < key.size(); ++i) {
-    v |= static_cast<uint64_t>(key.data()[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
 BatchVerifier::BatchVerifier(SignatureProvider* provider,
                              const Options& options)
-    : provider_(provider), options_(options) {
-  if (options_.shard_count < 1) options_.shard_count = 1;
-  if (options_.batch_size < 1) options_.batch_size = 1;
-  if (options_.workers < 0) options_.workers = 0;
-  open_.resize(static_cast<size_t>(options_.shard_count));
-  queues_.resize(static_cast<size_t>(options_.workers));
-  threads_.reserve(static_cast<size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
+    : provider_(provider) {
+  const int workers = std::max(options.workers, 0);
+  threads_.reserve(static_cast<size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -78,82 +59,58 @@ void BatchVerifier::Defer(const PublicKey& key,
     return;
   }
 
-  int shard = static_cast<int>(KeyPrefix(key) %
-                               static_cast<uint64_t>(options_.shard_count));
-  Batch& b = open_[static_cast<size_t>(shard)];
-  b.items.push_back(VerifyItem{key, msg, sig});
-  b.ids.push_back(id);
-  if (b.items.size() >= options_.batch_size) DispatchShard(shard);
+  open_.items.push_back(VerifyItem{key, msg, sig});
+  open_.ids.push_back(id);
 }
 
-void BatchVerifier::DispatchShard(int shard) {
-  Batch& b = open_[static_cast<size_t>(shard)];
-  if (b.items.empty()) return;
+void BatchVerifier::Dispatch() {
+  if (open_.items.empty()) return;
   ++stats_.batches;
-  stats_.max_batch = std::max<uint64_t>(stats_.max_batch, b.items.size());
-  Batch out;
-  std::swap(out, b);
-  b.items.reserve(options_.batch_size);
-  b.ids.reserve(options_.batch_size);
-  if (threads_.empty()) {
-    // Degenerate mode: verify inline on the coordinator.
-    RunBatch(std::move(out));
-    return;
-  }
+  stats_.max_batch = std::max<uint64_t>(stats_.max_batch, open_.items.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queues_[static_cast<size_t>(shard) % threads_.size()].push_back(
-        std::move(out));
-    ++queued_;
+    queue_.push_back(std::exchange(open_, Batch()));
   }
-  wake_.notify_all();
+  wake_.notify_one();
 }
 
-void BatchVerifier::WorkerLoop(size_t worker) {
-  std::deque<Batch>& queue = queues_[worker];
+void BatchVerifier::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    Batch batch;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this, &queue] { return stop_ || !queue.empty(); });
-      if (queue.empty()) return;  // stop_ set and nothing left to do
-      batch = std::move(queue.front());
-      queue.pop_front();
-      --queued_;
-      ++in_worker_;
-    }
-    RunBatch(std::move(batch));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_worker_;
-    }
-    drain_.notify_all();
+    wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop_ set and nothing left to do
+    VerifyFront(lock);
   }
 }
 
-void BatchVerifier::RunBatch(Batch batch) {
+void BatchVerifier::VerifyFront(std::unique_lock<std::mutex>& lock) {
+  Batch batch = std::move(queue_.front());
+  queue_.pop_front();
+  ++in_flight_;
+  lock.unlock();
   std::vector<uint8_t> ok(batch.items.size());
   provider_->VerifyBatch(batch.items.data(), batch.items.size(), ok.data());
-  std::lock_guard<std::mutex> lock(result_mutex_);
+  lock.lock();
   for (size_t i = 0; i < ok.size(); ++i) {
     resolved_.emplace_back(batch.ids[i], ok[i] != 0);
   }
+  if (--in_flight_ == 0) drain_.notify_one();
 }
 
 void BatchVerifier::Drain() {
-  for (int s = 0; s < options_.shard_count; ++s) DispatchShard(s);
-  if (!threads_.empty()) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    drain_.wait(lock, [this] { return queued_ == 0 && in_worker_ == 0; });
-  }
-  // Fold worker results into the deterministic view. resolved_ arrives
-  // in worker-completion order (nondeterministic), but each unique
-  // triple resolves exactly once ever, verdicts_ insertion is keyed, and
-  // the failure fold below is a set insert plus a count of unique false
-  // verdicts — all order-independent, bit-identical for any worker
-  // count.
+  Dispatch();
   {
-    std::lock_guard<std::mutex> lock(result_mutex_);
+    // Batches nobody has picked up yet are verified here, beside the
+    // workers, instead of waiting for a worker to get to them.
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!queue_.empty()) VerifyFront(lock);
+    drain_.wait(lock, [this] { return in_flight_ == 0; });
+    // Fold the verdicts into the deterministic view. resolved_ arrives
+    // in completion order on whichever thread verified each batch
+    // (nondeterministic), but each unique triple resolves exactly once
+    // ever, verdicts_ insertion is keyed, and the failure fold below is
+    // a set insert plus a count of unique false verdicts — all
+    // order-independent, bit-identical for any worker count.
     for (auto& [id, ok] : resolved_) verdicts_.emplace(id, ok);
     resolved_.clear();
   }

@@ -1,5 +1,5 @@
 // BatchVerifier: deferred Ed25519/SimProvider verification coalesced
-// into per-shard batches and drained by a dedicated worker pool.
+// into one batch per task and verified by a dedicated worker pool.
 //
 // SEP2P's cost model says signature verification dominates (every VAL
 // acceptance is 2k asymmetric operations, every vrand check 2k+1), and
@@ -12,10 +12,12 @@
 //  * protocol code defers each (key, msg, sig) triple through the
 //    crypto::VerifySink interface (core::ProtocolContext::verify_sink)
 //    and optimistically continues;
-//  * the verifier coalesces triples into per-shard batches — shard =
-//    hash(key) % shard_count, so one signer's items land in one batch
-//    and the provider's per-key caching (sim_provider.cc,
-//    ed25519_provider.cc) collapses their setup cost;
+//  * the verifier collects the current task's new triples in one open
+//    batch; BeginTask() for the next task hands it to a shared FIFO, so
+//    the workers verify task i while the coordinator executes task i+1
+//    (the pipelining is where the wall-clock throughput comes from). A
+//    batch still amortizes per-key setup: the provider visits its items
+//    in key order (sim_provider.cc, ed25519_provider.cc);
 //  * duplicate triples coalesce into ONE real verification. This is
 //    where SEP2P's verification cost actually concentrates: an attested
 //    actor list is verified by EVERY party it is disclosed to (2k
@@ -23,20 +25,18 @@
 //    the exact same (key, msg, sig) triples. The verdict is a pure
 //    function of the triple, so later subscribers reuse it — free in
 //    the paper's accounting (SHA-256) instead of 2k asymmetric ops;
-//  * full batches are handed to dedicated worker threads that run
-//    SignatureProvider::VerifyBatch while the coordinator keeps
-//    executing protocol work (the pipelining is where the wall-clock
-//    throughput comes from);
-//  * Drain() waits for every batch, then exposes per-task verdicts: a
-//    task fails iff any of its deferred items failed.
+//  * Drain() verifies still-queued batches on the calling thread beside
+//    the workers, waits for the ones they hold, then exposes per-task
+//    verdicts: a task fails iff any of its deferred items failed.
 //
 // Determinism contract. Exactly one coordinator thread calls
 // BeginTask/Defer/Drain. Batch composition is decided entirely on the
-// coordinator side (fixed shard_count, fixed batch_size, arrival
-// order), so the batch count, item count and max batch size are
-// independent of the worker count; verdicts are pure functions of the
-// items and fold into the failed-task set with a commutative OR —
-// results and stats are bit-identical for any `workers`.
+// coordinator side (one batch per task that deferred a new triple, in
+// arrival order), so the batch count, item count and max batch size
+// are independent of the worker count and of which thread verifies a
+// batch; verdicts are pure functions of the items and fold into the
+// failed-task set with a commutative OR — results and stats are
+// bit-identical for any `workers`.
 
 #ifndef SEP2P_CRYPTO_BATCH_VERIFIER_H_
 #define SEP2P_CRYPTO_BATCH_VERIFIER_H_
@@ -59,13 +59,7 @@ namespace sep2p::crypto {
 class BatchVerifier : public VerifySink {
  public:
   struct Options {
-    // Shard fan-out. Fixed per run (NEVER derived from the worker
-    // count) so batch composition — and therefore every stat — is
-    // thread-count independent.
-    int shard_count = 16;
-    // Items per shard batch before it is dispatched to the workers.
-    size_t batch_size = 64;
-    // Dedicated worker threads draining dispatched batches; 0 workers
+    // Dedicated worker threads verifying dispatched batches; 0 workers
     // means Drain() verifies everything inline on the coordinator
     // (degenerate single-threaded mode, sanitizer-friendly).
     int workers = 1;
@@ -74,7 +68,7 @@ class BatchVerifier : public VerifySink {
   struct Stats {
     uint64_t items = 0;          // triples deferred
     uint64_t coalesced = 0;      // duplicates folded into another verdict
-    uint64_t batches = 0;        // batches dispatched to workers
+    uint64_t batches = 0;        // one per task with a new triple
     uint64_t failed_items = 0;   // unique verdicts that came back false
     uint64_t max_batch = 0;      // largest batch dispatched
   };
@@ -85,17 +79,22 @@ class BatchVerifier : public VerifySink {
   BatchVerifier(const BatchVerifier&) = delete;
   BatchVerifier& operator=(const BatchVerifier&) = delete;
 
-  // Subsequent Defer() calls charge their verdicts to `task_id`.
-  void BeginTask(uint64_t task_id) { current_task_ = task_id; }
+  // Dispatches the previous task's batch; subsequent Defer() calls
+  // charge their verdicts to `task_id`. Coordinator thread only.
+  void BeginTask(uint64_t task_id) {
+    Dispatch();
+    current_task_ = task_id;
+  }
 
-  // Enqueues one verification for the current task; dispatches the
-  // shard's batch when it reaches batch_size. Coordinator thread only.
+  // Enqueues one verification for the current task. Coordinator thread
+  // only.
   void Defer(const PublicKey& key, const std::vector<uint8_t>& msg,
              const Signature& sig) override;
 
-  // Dispatches every partial batch and blocks until all verdicts are
-  // folded. After Drain() returns, TaskFailed() is valid for every task
-  // deferred so far. Coordinator thread only.
+  // Dispatches the open batch, verifies queued batches on the calling
+  // thread and blocks until all verdicts are folded. After Drain()
+  // returns, TaskFailed() is valid for every task deferred so far.
+  // Coordinator thread only.
   void Drain();
 
   // True iff any deferred item of `task_id` verified false. Valid after
@@ -129,19 +128,21 @@ class BatchVerifier : public VerifySink {
     std::vector<TripleId> ids;  // items[i] is triple ids[i]
   };
 
-  void DispatchShard(int shard);
-  void WorkerLoop(size_t worker);
-  // Verifies `batch` and appends its (triple, verdict) pairs to
-  // resolved_ under result_mutex_ (commutative fold: verdicts are pure
-  // functions of the triple, so arrival order never matters).
-  void RunBatch(Batch batch);
+  // Moves the open batch, if it holds anything, onto queue_.
+  void Dispatch();
+  void WorkerLoop();
+  // Pops the front of queue_ and verifies it with `lock` released, then
+  // appends its (triple, verdict) pairs to resolved_ (commutative fold:
+  // verdicts are pure functions of the triple, so the thread and order
+  // never matter). Called with `lock` held on mutex_ and a non-empty
+  // queue_; returns with it held.
+  void VerifyFront(std::unique_lock<std::mutex>& lock);
 
   SignatureProvider* provider_;
-  Options options_;
   uint64_t current_task_ = 0;
 
   // Coordinator-side state. No locking: only the coordinator touches it.
-  std::vector<Batch> open_;  // one open batch per shard
+  Batch open_;  // the current task's new triples
   // Triples in flight this cycle -> tasks awaiting their verdict.
   std::unordered_map<TripleId, std::vector<uint64_t>, TripleIdHash> waiting_;
   // Resolved verdicts from earlier drains (and duplicate hits within a
@@ -151,19 +152,14 @@ class BatchVerifier : public VerifySink {
   Stats stats_;
   std::set<uint64_t> failed_tasks_;
 
-  // Worker-side queues + bookkeeping. A shard is pinned to worker
-  // shard % workers, so one signer's batches always verify on the same
-  // worker (its provider-side key cache stays warm across batches) and
-  // the routing is a pure function of the item — independent of timing.
+  // Shared with the workers, guarded by mutex_.
   std::mutex mutex_;
   std::condition_variable wake_;   // workers: a batch is queued / stop
-  std::condition_variable drain_;  // coordinator: all batches finished
-  std::vector<std::deque<Batch>> queues_;  // one per worker
-  size_t queued_ = 0;     // batches sitting in any queue
-  size_t in_worker_ = 0;  // batches popped but not yet folded
+  std::condition_variable drain_;  // coordinator: nothing in flight
+  std::deque<Batch> queue_;        // dispatched, not yet picked up
+  size_t in_flight_ = 0;           // picked up, verdicts not yet folded
   bool stop_ = false;
-  std::mutex result_mutex_;
-  // Verdicts produced by workers since the last Drain() fold.
+  // Verdicts produced since the last Drain() fold.
   std::vector<std::pair<TripleId, bool>> resolved_;
   std::vector<std::thread> threads_;
 };

@@ -135,8 +135,8 @@ bool Ed25519Provider::DoVerify(const PublicKey& key, const uint8_t* msg,
 void Ed25519Provider::DoVerifyBatch(const VerifyItem* items, size_t count,
                                     uint8_t* ok_out) {
   // Visit items grouped by key (results stay positional) so each run of
-  // equal keys imports its EVP_PKEY once; certificate batches under the
-  // single CA key import exactly one.
+  // equal keys imports its EVP_PKEY once; the certificate checks in a
+  // batch, all under the single CA key, share one import.
   std::vector<uint32_t> order(count);
   for (size_t i = 0; i < count; ++i) order[i] = static_cast<uint32_t>(i);
   std::sort(order.begin(), order.end(), [items](uint32_t a, uint32_t b) {

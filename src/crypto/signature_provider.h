@@ -82,8 +82,8 @@ class CryptoMeter {
 };
 
 // One verification in a batch: the key, message bytes and signature are
-// owned by the caller (the BatchVerifier's shard queues) and must stay
-// alive until VerifyBatch returns.
+// owned by the caller (a BatchVerifier batch) and must stay alive until
+// VerifyBatch returns.
 struct VerifyItem {
   PublicKey key{};
   std::vector<uint8_t> msg;

@@ -33,8 +33,8 @@ class SimProvider : public SignatureProvider {
   // Batched verification hoists the MAC-key derivation (one SHA-256 per
   // distinct public key) out of the item loop: items are visited in
   // key-sorted order so every run of equal keys derives its MAC key
-  // once. Certificate-check batches (every item under the CA key)
-  // collapse to a single derivation.
+  // once. The certificate checks in a batch (every one under the CA
+  // key) share a single derivation.
   void DoVerifyBatch(const VerifyItem* items, size_t count,
                      uint8_t* ok_out) override;
 };

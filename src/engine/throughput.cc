@@ -64,7 +64,7 @@ ThroughputEngine::ThroughputEngine(sim::Network* world,
   // built from the same Parameters::seed.
   task_seed_base_ = sim::MixSeed(options_.seed, 0x746872707464ULL);
   if (options_.verify_mode == VerifyMode::kBatched) {
-    // The verifier's fixed shard fan-out and batch size keep batch
+    // One batch per task, cut at BeginTask on this thread, keeps batch
     // composition, and every stat derived from it, independent of
     // `workers`.
     crypto::BatchVerifier::Options vo;

@@ -23,12 +23,13 @@
 //  * batched deferred verification: in kBatched mode the engine
 //    installs a crypto::BatchVerifier as the world's verify sink, so
 //    every certificate/signature check any task performs is coalesced
-//    into sharded batches verified by dedicated worker threads WHILE
-//    the coordinator executes further tasks. Verdicts are folded back
-//    at drain points: a task with a false verdict is retroactively
-//    failed (TaskMempool's completed->failed edge). kNaive mode keeps
-//    the synchronous per-message verify — the baseline the saturation
-//    bench compares against.
+//    into one batch per task, verified by dedicated worker threads
+//    WHILE the coordinator executes further tasks. Verdicts are folded
+//    back at drain points, where the coordinator verifies what the
+//    workers have not reached: a task with a false verdict is
+//    retroactively failed (TaskMempool's completed->failed edge).
+//    kNaive mode keeps the synchronous per-message verify — the
+//    baseline the saturation bench compares against.
 //
 // Determinism contract. Task ids, arrivals, admission instants, RNG
 // streams, batch composition and verdicts are all pure functions of
@@ -68,7 +69,7 @@ class ThroughputEngine {
   struct Options {
     VerifyMode verify_mode = VerifyMode::kBatched;
     // Verifier worker threads (kBatched only). 0 = verify inline at
-    // dispatch (single-threaded batched mode: still amortizes per-key
+    // each drain (single-threaded batched mode: still amortizes per-key
     // setup, no pipelining).
     int workers = 1;
     // Admission window: max tasks in flight on the virtual timeline.
