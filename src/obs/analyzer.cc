@@ -42,6 +42,68 @@ struct RouteInfo {
 
 }  // namespace
 
+void EventTally::Count(const Event& e) {
+  switch (e.kind) {
+    case EventKind::kSpanBegin: ++spans; break;
+    case EventKind::kSend:
+      ++sends;
+      bytes_sent += e.value;
+      break;
+    case EventKind::kDeliver: ++delivers; break;
+    case EventKind::kDrop: ++drops; break;
+    case EventKind::kTimeout: ++timeouts; break;
+    case EventKind::kRetry: ++retries; break;
+    case EventKind::kRpcBegin: ++rpcs; break;
+    case EventKind::kRpcFail: ++rpc_fails; break;
+    case EventKind::kAttempt: ++attempts; break;
+    case EventKind::kSignature: ++signatures; break;
+    case EventKind::kDispatch: ++dispatches; break;
+    case EventKind::kCrash: ++crashes; break;
+    case EventKind::kMark: ++marks; break;
+    case EventKind::kRoute:
+      ++routes;
+      route_hops += e.seq;
+      break;
+    case EventKind::kSpanEnd:
+    case EventKind::kRpcEnd:
+      break;
+  }
+}
+
+EventTally& EventTally::operator+=(const EventTally& other) {
+  spans += other.spans;
+  sends += other.sends;
+  delivers += other.delivers;
+  drops += other.drops;
+  timeouts += other.timeouts;
+  retries += other.retries;
+  rpcs += other.rpcs;
+  rpc_fails += other.rpc_fails;
+  attempts += other.attempts;
+  signatures += other.signatures;
+  dispatches += other.dispatches;
+  crashes += other.crashes;
+  marks += other.marks;
+  routes += other.routes;
+  route_hops += other.route_hops;
+  bytes_sent += other.bytes_sent;
+  return *this;
+}
+
+double EventTally::retry_amplification() const {
+  return rpcs > 0 ? static_cast<double>(attempts) / static_cast<double>(rpcs)
+                  : 0.0;
+}
+
+PhaseRow& PhaseRow::operator+=(const PhaseRow& other) {
+  EventTally::operator+=(other);
+  events += other.events;
+  total_us += other.total_us;
+  self_us += other.self_us;
+  rpc_time_us += other.rpc_time_us;
+  return *this;
+}
+
 Result<Analysis> Analyze(const Trace& trace,
                          const AnalyzerOptions& options) {
   Analysis a;
@@ -54,7 +116,6 @@ Result<Analysis> Analyze(const Trace& trace,
   };
 
   std::unordered_map<uint64_t, SpanInfo> spans;
-  std::vector<uint64_t> open_stack;
   std::unordered_map<uint64_t, RpcInfo> rpcs;
   std::vector<uint64_t> rpc_order;  // deterministic offender ordering
   std::vector<RouteInfo> routes;
@@ -76,7 +137,6 @@ Result<Analysis> Analyze(const Trace& trace,
     t_max = std::max(t_max, e.t_us);
 
     if (e.kind == EventKind::kSpanBegin) {
-      ++a.spans;
       if (e.span == 0) return err(i, "span-begin without id");
       if (spans.count(e.span) != 0) {
         return err(i, "span id " + std::to_string(e.span) + " reused");
@@ -87,9 +147,7 @@ Result<Analysis> Analyze(const Trace& trace,
       info.name = e.detail;
       info.begin_us = e.t_us;
       spans.emplace(e.span, std::move(info));
-      open_stack.push_back(e.span);
-      PhaseRow& row = rows[spans[e.span].name];
-      ++row.spans;
+      rows[e.detail].Count(e);
       continue;
     }
     if (e.kind == EventKind::kSpanEnd) {
@@ -98,9 +156,6 @@ Result<Analysis> Analyze(const Trace& trace,
       if (it->second.closed) return err(i, "span closed twice");
       it->second.closed = true;
       it->second.end_us = e.t_us;
-      if (!open_stack.empty() && open_stack.back() == e.span) {
-        open_stack.pop_back();
-      }
       // Charge this span's duration to its parent's child time.
       if (it->second.parent != 0) {
         auto parent = spans.find(it->second.parent);
@@ -118,78 +173,39 @@ Result<Analysis> Analyze(const Trace& trace,
     }
     PhaseRow& row = rows[phase_of(e.span)];
     ++row.events;
+    row.Count(e);
 
-    auto rpc_ref = [&](bool must_exist) -> RpcInfo* {
-      if (e.rpc == 0) return nullptr;
-      auto it = rpcs.find(e.rpc);
-      if (it == rpcs.end()) {
-        if (must_exist) return nullptr;
-        return nullptr;
-      }
-      return &it->second;
-    };
-
+    // The rpc this event belongs to (rpc id 0 is never registered).
+    RpcInfo* rpc = nullptr;
+    if (auto it = rpcs.find(e.rpc); it != rpcs.end()) rpc = &it->second;
     switch (e.kind) {
-      case EventKind::kSend:
-        ++a.sends;
-        ++row.sends;
-        a.bytes_sent += e.value;
-        row.bytes_sent += e.value;
-        break;
-      case EventKind::kDeliver:
-        ++a.delivers;
-        ++row.delivers;
-        break;
-      case EventKind::kDrop:
-        ++a.drops;
-        ++row.drops;
-        break;
       case EventKind::kTimeout:
-        ++a.timeouts;
-        ++row.timeouts;
-        if (rpc_ref(true) == nullptr) {
-          return err(i, "timeout before rpc-begin");
-        }
+        if (rpc == nullptr) return err(i, "timeout before rpc-begin");
         break;
       case EventKind::kRetry:
-        ++a.retries;
-        ++row.retries;
-        if (rpc_ref(true) == nullptr) {
-          return err(i, "retry before rpc-begin");
-        }
+        if (rpc == nullptr) return err(i, "retry before rpc-begin");
         break;
-      case EventKind::kAttempt: {
-        ++a.attempts;
-        ++row.attempts;
-        RpcInfo* rpc = rpc_ref(true);
+      case EventKind::kAttempt:
         if (rpc == nullptr) return err(i, "attempt before rpc-begin");
         ++rpc->attempts;
         break;
-      }
       case EventKind::kRpcBegin: {
-        ++a.rpcs;
-        ++row.rpcs;
         if (e.rpc == 0) return err(i, "rpc-begin without id");
-        if (rpcs.count(e.rpc) != 0) {
+        if (rpc != nullptr) {
           return err(i, "duplicate rpc-begin " + std::to_string(e.rpc));
         }
-        RpcInfo rpc;
-        rpc.id = e.rpc;
-        rpc.client = e.node;
-        rpc.server = e.peer;
-        rpc.span = e.span;
-        rpc.begin_us = e.t_us;
-        rpcs.emplace(e.rpc, rpc);
+        RpcInfo info;
+        info.id = e.rpc;
+        info.client = e.node;
+        info.server = e.peer;
+        info.span = e.span;
+        info.begin_us = e.t_us;
+        rpcs.emplace(e.rpc, info);
         rpc_order.push_back(e.rpc);
         break;
       }
       case EventKind::kRpcEnd:
-      case EventKind::kRpcFail: {
-        if (e.kind == EventKind::kRpcFail) {
-          ++a.rpc_fails;
-          ++row.rpc_fails;
-        }
-        RpcInfo* rpc = rpc_ref(true);
+      case EventKind::kRpcFail:
         if (rpc == nullptr) {
           return err(i, "rpc terminal before rpc-begin");
         }
@@ -197,28 +213,7 @@ Result<Analysis> Analyze(const Trace& trace,
         rpc->failed = e.kind == EventKind::kRpcFail;
         rpc->end_us = e.t_us;
         break;
-      }
-      case EventKind::kCrash:
-        ++a.crashes;
-        ++row.crashes;
-        break;
-      case EventKind::kDispatch:
-        ++a.dispatches;
-        ++row.dispatches;
-        break;
-      case EventKind::kSignature:
-        ++a.signatures;
-        ++row.signatures;
-        break;
-      case EventKind::kMark:
-        ++a.marks;
-        ++row.marks;
-        break;
       case EventKind::kRoute: {
-        ++a.routes;
-        ++row.routes;
-        a.route_hops += e.seq;
-        row.route_hops += e.seq;
         RouteInfo route;
         route.span = e.span;
         route.start_us = e.t_us;
@@ -227,17 +222,12 @@ Result<Analysis> Analyze(const Trace& trace,
         routes.push_back(route);
         break;
       }
-      case EventKind::kSpanBegin:
-      case EventKind::kSpanEnd:
-        break;  // handled above
+      default:
+        break;
     }
   }
 
   if (t_min != UINT64_MAX) a.duration_us = t_max - t_min;
-  a.retry_amplification =
-      a.rpcs > 0 ? static_cast<double>(a.attempts) /
-                       static_cast<double>(a.rpcs)
-                 : 0.0;
 
   // RPC latencies + per-phase rpc time, charged to the begin's phase.
   for (uint64_t id : rpc_order) {
@@ -261,10 +251,7 @@ Result<Analysis> Analyze(const Trace& trace,
 
   for (auto& [name, row] : rows) {
     row.name = name;
-    row.retry_amplification =
-        row.rpcs > 0 ? static_cast<double>(row.attempts) /
-                           static_cast<double>(row.rpcs)
-                     : 0.0;
+    a += row;
     a.phases.push_back(row);
   }
 

@@ -1,5 +1,11 @@
-// Trace analytics: phase attribution, critical path, retry
-// amplification, folded stacks.
+// Trace analytics: event tallies, phase attribution, critical path,
+// retry amplification, folded stacks.
+//
+// EventTally is the one definition of the 16 event counts every reader
+// of a trace reports: Count() charges one event, += adds two tallies,
+// retry_amplification() is attempts / rpcs. PhaseRow, Analysis,
+// obs::Report (obs/report.h) and obs::CheckerReport (obs/checker.h)
+// inherit their counts from it.
 //
 // Analyze() consumes a recorded trace (obs/trace.h — live or reloaded
 // from JSONL) and computes the attribution the raw event log only
@@ -7,10 +13,11 @@
 //
 //  - Per-phase cost attribution. Every non-span event is charged to the
 //    NAME of its DIRECT enclosing span ("(top)" for events outside any
-//    span), so the per-phase rows sum EXACTLY to the trace totals — no
-//    event is double-counted up the ancestry and none is lost. Spans of
-//    the same name (e.g. "sl-engage" across relocations) aggregate into
-//    one row carrying total/self virtual time.
+//    span), and a span-begin to the row of its own name. Each event is
+//    counted once, in its row, and the trace totals are the sum of the
+//    rows — no event is double-counted up the ancestry and none is
+//    lost. Spans of the same name (e.g. "sl-engage" across relocations)
+//    aggregate into one row carrying total/self virtual time.
 //  - Critical path. Within the longest top-level span, the longest
 //    chain of causally-ordered intervals (RPCs and routing legs) whose
 //    endpoints abut: CallBatch's next wave starts exactly when the
@@ -18,8 +25,8 @@
 //    from the span's end and repeatedly taking the interval that ends
 //    where the chain currently begins reconstructs the latency-carrying
 //    chain; gaps are reported as explicit wait segments.
-//  - Retry amplification: attempts / rpcs, globally and per phase, plus
-//    the top-N offenders (RPCs that burned the most attempts).
+//  - Retry amplification, globally and per phase, plus the top-N
+//    offenders (RPCs that burned the most attempts).
 //  - Folded stacks: "selection;sl-engage 12345" lines (self time in
 //    virtual µs, ancestry joined by ';'), ready for flamegraph.pl or
 //    speedscope.
@@ -44,16 +51,16 @@
 
 namespace sep2p::obs {
 
-struct PhaseRow {
-  std::string name;     // span name; "(top)" = outside any span
-  uint64_t spans = 0;   // spans bearing this name
-  uint64_t events = 0;  // non-span events charged here
+// The per-kind event counts. Span-end and rpc-end events count nowhere;
+// every other kind bumps its own count.
+struct EventTally {
+  uint64_t spans = 0;  // span-begins
   uint64_t sends = 0;
   uint64_t delivers = 0;
   uint64_t drops = 0;
   uint64_t timeouts = 0;
   uint64_t retries = 0;
-  uint64_t rpcs = 0;
+  uint64_t rpcs = 0;  // rpc-begins
   uint64_t rpc_fails = 0;
   uint64_t attempts = 0;
   uint64_t signatures = 0;
@@ -61,12 +68,24 @@ struct PhaseRow {
   uint64_t crashes = 0;
   uint64_t marks = 0;
   uint64_t routes = 0;
-  uint64_t route_hops = 0;
-  uint64_t bytes_sent = 0;   // payload bytes of sends charged here
+  uint64_t route_hops = 0;  // sum of the routes' hop counts
+  uint64_t bytes_sent = 0;  // payload bytes of the sends
+
+  void Count(const Event& e);
+  EventTally& operator+=(const EventTally& other);
+  // attempts / rpcs (0 when no rpcs).
+  double retry_amplification() const;
+};
+
+struct PhaseRow : EventTally {
+  std::string name;     // span name; "(top)" = outside any span
+  uint64_t events = 0;  // non-span events charged here
   uint64_t total_us = 0;     // sum of this phase's span durations
   uint64_t self_us = 0;      // total_us minus child-span time
   uint64_t rpc_time_us = 0;  // sum of completed-RPC durations begun here
-  double retry_amplification = 0;  // attempts / rpcs (0 when no rpcs)
+
+  // Adds another row of the same name (a second trace's).
+  PhaseRow& operator+=(const PhaseRow& other);
 };
 
 struct RetryOffender {
@@ -90,29 +109,11 @@ struct CriticalSegment {
   std::string phase;         // direct enclosing span name
 };
 
-struct Analysis {
+// Whole-trace tallies: the sum of the phase rows.
+struct Analysis : EventTally {
   TraceMeta meta;
   uint64_t total_events = 0;
   uint64_t duration_us = 0;  // last event time - first event time
-
-  // Whole-trace tallies (the per-phase rows sum to exactly these).
-  uint64_t sends = 0;
-  uint64_t delivers = 0;
-  uint64_t drops = 0;
-  uint64_t timeouts = 0;
-  uint64_t retries = 0;
-  uint64_t rpcs = 0;
-  uint64_t rpc_fails = 0;
-  uint64_t attempts = 0;
-  uint64_t signatures = 0;
-  uint64_t dispatches = 0;
-  uint64_t crashes = 0;
-  uint64_t marks = 0;
-  uint64_t routes = 0;
-  uint64_t route_hops = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t spans = 0;
-  double retry_amplification = 0;
 
   std::vector<PhaseRow> phases;  // sorted by name
   Histogram rpc_latency;         // completed RPCs only, virtual µs
@@ -130,7 +131,9 @@ struct Analysis {
 };
 
 struct AnalyzerOptions {
-  size_t top_n = 10;  // retry-offender list cap
+  // Retry-offender cap: per trace here, and on the merged list the
+  // report renders (obs/report.h).
+  size_t top_n = 10;
 };
 
 Result<Analysis> Analyze(const Trace& trace,

@@ -12,7 +12,6 @@ struct RpcState {
   bool terminal = false;   // rpc-end or rpc-fail seen
   uint64_t failures = 0;   // timeouts + drops attributed to this rpc
   uint64_t retries = 0;
-  uint64_t max_attempt = 0;  // highest attempt number observed
 };
 
 }  // namespace
@@ -87,12 +86,9 @@ CheckerReport CheckTrace(const Trace& trace) {
       }
     }
 
+    report.Count(e);
     switch (e.kind) {
-      case EventKind::kSend:
-        ++report.sends;
-        break;
       case EventKind::kDeliver: {
-        ++report.delivers;
         // 4. A delivery must not land on a crashed node. Trace order
         // is causal order; the timestamp comparison filters parallel
         // branches that legitimately delivered before the crash.
@@ -104,11 +100,9 @@ CheckerReport CheckTrace(const Trace& trace) {
         break;
       }
       case EventKind::kDrop:
-        ++report.drops;
         if (e.rpc != 0) ++rpcs[e.rpc].failures;
         break;
       case EventKind::kTimeout:
-        ++report.timeouts;
         if (e.rpc == 0 || !rpcs[e.rpc].began) {
           violate("timeout outside any rpc" + at(i, e));
         } else {
@@ -116,7 +110,6 @@ CheckerReport CheckTrace(const Trace& trace) {
         }
         break;
       case EventKind::kRetry: {
-        ++report.retries;
         RpcState& rpc = rpcs[e.rpc];
         if (e.rpc == 0 || !rpc.began) {
           violate("retry outside any rpc" + at(i, e));
@@ -142,7 +135,6 @@ CheckerReport CheckTrace(const Trace& trace) {
           violate("attempt outside any rpc" + at(i, e));
           break;
         }
-        if (e.value > rpc.max_attempt) rpc.max_attempt = e.value;
         // 3. The retry budget is a hard cap.
         if (max_attempts > 0 && e.value > max_attempts) {
           violate("rpc " + std::to_string(e.rpc) + " exceeded " +
@@ -151,7 +143,6 @@ CheckerReport CheckTrace(const Trace& trace) {
         break;
       }
       case EventKind::kRpcBegin:
-        ++report.rpcs;
         if (e.rpc == 0) {
           violate("rpc-begin without rpc id" + at(i, e));
         } else if (rpcs[e.rpc].began) {
@@ -176,18 +167,15 @@ CheckerReport CheckTrace(const Trace& trace) {
         break;
       }
       case EventKind::kCrash: {
-        ++report.crashes;
         // Keep the earliest instant if a node is crashed twice.
         auto [it, inserted] = crash_at.emplace(e.node, e.t_us);
         if (!inserted && e.t_us < it->second) it->second = e.t_us;
         break;
       }
+      case EventKind::kSend:
       case EventKind::kDispatch:
-        break;
       case EventKind::kRoute:
-        ++report.routes;
-        report.route_hops += e.seq;
-        break;
+        break;  // counted above; no invariant of their own
       case EventKind::kSignature:
         if (e.detail == "sl-attest") {
           attest_signature_spans.push_back(e.span);
@@ -203,7 +191,6 @@ CheckerReport CheckTrace(const Trace& trace) {
         }
         break;
       case EventKind::kSpanBegin:
-        ++report.spans;
         if (e.span == 0) {
           violate("span-begin without span id" + at(i, e));
           break;

@@ -25,6 +25,8 @@
 //
 // The checker is pure: it never touches the network or the recorder,
 // so it runs equally over live traces and traces reloaded from JSONL.
+// Its counts are the analyzer's EventTally (obs/analyzer.h), so `check`
+// and `report` count every event the same way.
 
 #ifndef SEP2P_OBS_CHECKER_H_
 #define SEP2P_OBS_CHECKER_H_
@@ -33,28 +35,20 @@
 #include <string>
 #include <vector>
 
+#include "obs/analyzer.h"
 #include "obs/trace.h"
 
 namespace sep2p::obs {
 
-struct CheckerReport {
+// The inherited tallies are for reporting and for tests to assert
+// against.
+struct CheckerReport : EventTally {
   // Human-readable violation descriptions; empty = all invariants hold.
   // Capped at kMaxViolations (suppressed count in `suppressed`).
   std::vector<std::string> violations;
   uint64_t suppressed = 0;
 
-  // Tallies, for reporting and for tests to assert against.
-  uint64_t sends = 0;
-  uint64_t delivers = 0;
-  uint64_t drops = 0;
-  uint64_t timeouts = 0;
-  uint64_t retries = 0;
-  uint64_t crashes = 0;
-  uint64_t rpcs = 0;
-  uint64_t spans = 0;
-  uint64_t selections_completed = 0;
-  uint64_t routes = 0;
-  uint64_t route_hops = 0;
+  uint64_t selections_completed = 0;  // "selection-complete" marks
 
   bool ok() const { return violations.empty() && suppressed == 0; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/analyzer.h"
 #include "obs/export.h"
 #include "obs/report.h"
 
@@ -90,9 +91,7 @@ Result<Trace> MergeCluster(std::vector<Trace> shards) {
   // happens-before edge the wire carried.
   constexpr size_t kNone = static_cast<size_t>(-1);
   std::vector<size_t> cursor(shards.size(), 0);
-  uint64_t sends = 0;
-  uint64_t delivers = 0;
-  uint64_t drops = 0;
+  EventTally tally;
   uint64_t max_t_us = 0;
   uint64_t max_hlc = 0;
   for (;;) {
@@ -116,19 +115,7 @@ Result<Trace> MergeCluster(std::vector<Trace> shards) {
     // negative and unrepresentable. Drop them; the cluster-wide
     // residual is re-synthesized below from the merged tallies.
     if (IsShutdownMark(e)) continue;
-    switch (e.kind) {
-      case EventKind::kSend:
-        ++sends;
-        break;
-      case EventKind::kDeliver:
-        ++delivers;
-        break;
-      case EventKind::kDrop:
-        ++drops;
-        break;
-      default:
-        break;
-    }
+    tally.Count(e);
     merged.events.push_back(std::move(e));
   }
 
@@ -137,7 +124,8 @@ Result<Trace> MergeCluster(std::vector<Trace> shards) {
   mark.kind = EventKind::kMark;
   mark.node = kNoNode;
   mark.detail = "shutdown";
-  mark.value = sends > delivers + drops ? sends - delivers - drops : 0;
+  const uint64_t landed = tally.delivers + tally.drops;
+  mark.value = tally.sends > landed ? tally.sends - landed : 0;
   mark.hlc = max_hlc + 1;
   merged.events.push_back(std::move(mark));
   return merged;
@@ -180,12 +168,8 @@ Result<Trace> LoadClusterTrace(const std::string& dir) {
   std::vector<Trace> shards;
   shards.reserve(files->size());
   for (const std::string& file : files.value()) {
-    Result<std::string> text = ReadFile(file);
-    if (!text.ok()) return text.status();
-    Result<Trace> shard = FromJsonl(text.value());
-    if (!shard.ok()) {
-      return Status::InvalidArgument(file + ": " + shard.status().message());
-    }
+    Result<Trace> shard = LoadTrace(file);
+    if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard).value());
   }
   return MergeCluster(std::move(shards));

@@ -412,12 +412,16 @@ Status WriteMetricsFiles(const std::string& path,
   return WriteFile(path + ".json", metrics.ToJson());
 }
 
-Result<std::string> ReadFile(const std::string& path) {
+Result<Trace> LoadTrace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::ostringstream text;
+  text << in.rdbuf();
+  Result<Trace> trace = FromJsonl(text.str());
+  if (!trace.ok()) {
+    return Status::InvalidArgument(path + ": " + trace.status().message());
+  }
+  return trace;
 }
 
 }  // namespace sep2p::obs

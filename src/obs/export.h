@@ -7,6 +7,8 @@
 //    kinds, malformed syntax or a missing/incompatible header are
 //    rejected with an error (a corrupted trace must never silently
 //    parse into a plausible one the checker would then bless).
+//    LoadTrace is the one way a trace file is read back: the report,
+//    the cluster merger and `sep2p_cli check` all go through it.
 //  - Chrome trace-event JSON ("X" complete events from span pairs plus
 //    "i" instants), loadable in Perfetto / chrome://tracing. This
 //    format is export-only.
@@ -44,10 +46,13 @@ Result<Trace> FromJsonl(const std::string& text);
 // event becomes an "i" instant named after its kind.
 std::string ToChromeTrace(const Trace& trace);
 
-// Tiny file helpers so the CLI and harnesses need no iostream
+// Reads the JSONL trace at `path` and parses it with FromJsonl; a parse
+// error names the file.
+Result<Trace> LoadTrace(const std::string& path);
+
+// Writes `content` to `path`, so the CLI and harnesses need no iostream
 // plumbing of their own.
 Status WriteFile(const std::string& path, const std::string& content);
-Result<std::string> ReadFile(const std::string& path);
 
 // The pair a traced run leaves behind: Chrome trace-event JSON at
 // `path` and lossless JSONL at `path`.jsonl.

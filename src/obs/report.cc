@@ -10,6 +10,10 @@
 namespace sep2p::obs {
 namespace {
 
+// Folded-stack lines the markdown shows (the heaviest first); ToFolded
+// writes them all.
+constexpr size_t kFoldedLines = 40;
+
 std::string Num(uint64_t v) { return std::to_string(v); }
 
 std::string Fixed(double v) {
@@ -46,102 +50,61 @@ const char* SegmentKindName(CriticalSegment::Kind kind) {
 }  // namespace
 
 void MergeAnalysis(Report& report, const Analysis& analysis) {
-  const bool first = report.trace_count == 0;
-  ++report.trace_count;
-
-  report.total_events += analysis.total_events;
-  report.sends += analysis.sends;
-  report.delivers += analysis.delivers;
-  report.drops += analysis.drops;
-  report.timeouts += analysis.timeouts;
-  report.retries += analysis.retries;
-  report.rpcs += analysis.rpcs;
-  report.rpc_fails += analysis.rpc_fails;
-  report.attempts += analysis.attempts;
-  report.signatures += analysis.signatures;
-  report.dispatches += analysis.dispatches;
-  report.crashes += analysis.crashes;
-  report.routes += analysis.routes;
-  report.route_hops += analysis.route_hops;
-  report.bytes_sent += analysis.bytes_sent;
-  report.spans += analysis.spans;
-  report.retry_amplification =
-      report.rpcs == 0 ? 0
-                       : static_cast<double>(report.attempts) /
-                             static_cast<double>(report.rpcs);
-
-  // Phase rows merge by name; both sides are sorted, but a map keeps
-  // the merge simple and the result deterministic.
-  std::map<std::string, PhaseRow> rows;
-  for (PhaseRow& row : report.phases) rows.emplace(row.name, std::move(row));
-  for (const PhaseRow& add : analysis.phases) {
-    PhaseRow& row = rows[add.name];
-    row.name = add.name;
-    row.spans += add.spans;
-    row.events += add.events;
-    row.sends += add.sends;
-    row.delivers += add.delivers;
-    row.drops += add.drops;
-    row.timeouts += add.timeouts;
-    row.retries += add.retries;
-    row.rpcs += add.rpcs;
-    row.rpc_fails += add.rpc_fails;
-    row.attempts += add.attempts;
-    row.signatures += add.signatures;
-    row.dispatches += add.dispatches;
-    row.crashes += add.crashes;
-    row.marks += add.marks;
-    row.routes += add.routes;
-    row.route_hops += add.route_hops;
-    row.bytes_sent += add.bytes_sent;
-    row.total_us += add.total_us;
-    row.self_us += add.self_us;
-    row.rpc_time_us += add.rpc_time_us;
-  }
-  report.phases.clear();
-  report.phases.reserve(rows.size());
-  for (auto& [name, row] : rows) {
-    row.retry_amplification =
-        row.rpcs == 0 ? 0
-                      : static_cast<double>(row.attempts) /
-                            static_cast<double>(row.rpcs);
-    report.phases.push_back(std::move(row));
-  }
-
-  report.rpc_latency.Merge(analysis.rpc_latency);
   report.trace_durations_us.push_back(analysis.duration_us);
+  if (report.trace_count++ == 0) {
+    static_cast<Analysis&>(report) = analysis;
+  } else {
+    // Counts, latencies and offenders add up; meta, duration and the
+    // critical path stay the first trace's.
+    report += analysis;  // the event tallies
+    report.total_events += analysis.total_events;
+    report.rpc_latency.Merge(analysis.rpc_latency);
+    report.top_retries.insert(report.top_retries.end(),
+                              analysis.top_retries.begin(),
+                              analysis.top_retries.end());
 
-  // Offenders re-rank across traces; keep them all here, the renderers
-  // cap. Tie-break on phase then rpc id for a stable cross-trace order.
-  report.top_retries.insert(report.top_retries.end(),
-                            analysis.top_retries.begin(),
-                            analysis.top_retries.end());
+    // Phase rows sum by name and folded stacks by stack; both sides are
+    // sorted, but a map keeps the merge simple and deterministic.
+    std::map<std::string, PhaseRow> rows;
+    for (PhaseRow& row : report.phases) rows.emplace(row.name, std::move(row));
+    for (const PhaseRow& row : analysis.phases) {
+      auto [it, inserted] = rows.try_emplace(row.name, row);
+      if (!inserted) it->second += row;
+    }
+    report.phases.clear();
+    for (auto& [name, row] : rows) report.phases.push_back(std::move(row));
+
+    std::map<std::string, uint64_t> folded(report.folded_stacks.begin(),
+                                           report.folded_stacks.end());
+    for (const auto& [stack, value] : analysis.folded_stacks) {
+      folded[stack] += value;
+    }
+    report.folded_stacks.assign(folded.begin(), folded.end());
+  }
+
+  // The renderers cap the offenders; the tie-break on phase then rpc id
+  // gives a stable cross-trace order.
   std::stable_sort(report.top_retries.begin(), report.top_retries.end(),
                    [](const RetryOffender& a, const RetryOffender& b) {
                      if (a.attempts != b.attempts) return a.attempts > b.attempts;
                      if (a.phase != b.phase) return a.phase < b.phase;
                      return a.rpc < b.rpc;
                    });
-
-  if (first) {
-    report.clock = analysis.meta.clock;
-    report.critical_span = analysis.critical_span;
-    report.critical_span_us = analysis.critical_span_us;
-    report.critical_path_us = analysis.critical_path_us;
-    report.critical_path = analysis.critical_path;
-  }
-
-  std::map<std::string, uint64_t> folded;
-  for (const auto& [stack, value] : report.folded_stacks) {
-    folded[stack] += value;
-  }
-  for (const auto& [stack, value] : analysis.folded_stacks) {
-    folded[stack] += value;
-  }
-  report.folded_stacks.assign(folded.begin(), folded.end());
 }
 
-std::string Report::ToMarkdown(const ReportOptions& options) const {
+Status AddTrace(Report& report, const Trace& trace, const std::string& source,
+                const AnalyzerOptions& options) {
+  Result<Analysis> analysis = Analyze(trace, options);
+  if (!analysis.ok()) {
+    return Status::InvalidArgument(source + ": " +
+                                   analysis.status().message());
+  }
+  MergeAnalysis(report, analysis.value());
+  report.sources.push_back(source);
+  return Status::Ok();
+}
+
+std::string Report::ToMarkdown(const AnalyzerOptions& options) const {
   std::string out;
   out += "# SEP2P trace report\n\n";
   out += "- traces: " + Num(trace_count);
@@ -154,7 +117,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
   out += "- events: " + Num(total_events) + ", spans: " + Num(spans) + "\n";
   // The virtual wording is pinned byte-for-byte by the report tests;
   // wall-clock traces (live clusters) get their own label.
-  if (clock == ClockDomain::kWall) {
+  if (meta.clock == ClockDomain::kWall) {
     out += "- wall-clock duration per trace (us): p50 " +
            Num(PercentileOf(trace_durations_us, 0.50)) + ", max " +
            Num(PercentileOf(trace_durations_us, 1.0)) + "\n\n";
@@ -172,7 +135,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
   out += "| bytes sent | " + Num(bytes_sent) + " |\n";
   out += "| RPCs | " + Num(rpcs) + " |\n";
   out += "| RPC attempts | " + Num(attempts) + " |\n";
-  out += "| retry amplification | " + Fixed(retry_amplification) + " |\n";
+  out += "| retry amplification | " + Fixed(retry_amplification()) + " |\n";
   out += "| timeouts | " + Num(timeouts) + " |\n";
   out += "| retries | " + Num(retries) + " |\n";
   out += "| failed RPCs | " + Num(rpc_fails) + " |\n";
@@ -192,7 +155,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
     out += "| " + row.name + " | " + Num(row.spans) + " | " +
            Num(row.total_us) + " | " + Num(row.self_us) + " | " +
            Num(row.rpc_time_us) + " | " + Num(row.rpcs) + " | " +
-           Num(row.attempts) + " | " + Fixed(row.retry_amplification) +
+           Num(row.attempts) + " | " + Fixed(row.retry_amplification()) +
            " | " + Num(row.sends) + " | " + Num(row.delivers) + " | " +
            Num(row.drops) + " | " + Num(row.timeouts) + " | " +
            Num(row.retries) + " | " + Num(row.signatures) + " | " +
@@ -200,7 +163,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
   }
   out += "\n";
 
-  out += clock == ClockDomain::kWall
+  out += meta.clock == ClockDomain::kWall
              ? "## RPC latency (wall-clock us, completed RPCs)\n\n"
              : "## RPC latency (virtual us, completed RPCs)\n\n";
   out += "| count | mean | p50 | p90 | p99 | max |\n|---|---|---|---|---|---|\n";
@@ -254,7 +217,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
     out += "\n";
   }
 
-  out += "## Folded stacks (self us, top " + Num(options.folded_limit) +
+  out += "## Folded stacks (self us, top " + Num(kFoldedLines) +
          " by time)\n\n```\n";
   std::vector<std::pair<std::string, uint64_t>> by_time = folded_stacks;
   std::stable_sort(by_time.begin(), by_time.end(),
@@ -263,7 +226,7 @@ std::string Report::ToMarkdown(const ReportOptions& options) const {
                    });
   size_t lines = 0;
   for (const auto& [stack, value] : by_time) {
-    if (lines++ >= options.folded_limit) break;
+    if (lines++ >= kFoldedLines) break;
     out += stack + " " + Num(value) + "\n";
   }
   out += "```\n";
@@ -280,7 +243,7 @@ std::string Report::ToCsv() const {
            Num(row.total_us) + "," + Num(row.self_us) + "," +
            Num(row.rpc_time_us) + "," + Num(row.rpcs) + "," +
            Num(row.rpc_fails) + "," + Num(row.attempts) + "," +
-           Fixed(row.retry_amplification) + "," + Num(row.sends) + "," +
+           Fixed(row.retry_amplification()) + "," + Num(row.sends) + "," +
            Num(row.delivers) + "," + Num(row.drops) + "," +
            Num(row.timeouts) + "," + Num(row.retries) + "," +
            Num(row.signatures) + "," + Num(row.dispatches) + "," +
@@ -322,29 +285,14 @@ Result<std::vector<std::string>> ListTraceFiles(const std::string& path) {
 }
 
 Result<Report> BuildReport(const std::string& path,
-                           const ReportOptions& options) {
-  Result<std::vector<std::string>> listed = ListTraceFiles(path);
-  if (!listed.ok()) return listed.status();
-  const std::vector<std::string>& files = listed.value();
-
+                           const AnalyzerOptions& options) {
+  Result<std::vector<std::string>> files = ListTraceFiles(path);
+  if (!files.ok()) return files.status();
   Report report;
-  AnalyzerOptions analyzer_options;
-  analyzer_options.top_n = options.top_n;
-  for (const std::string& file : files) {
-    Result<std::string> text = ReadFile(file);
-    if (!text.ok()) return text.status();
-    Result<Trace> trace = FromJsonl(text.value());
-    if (!trace.ok()) {
-      return Status::InvalidArgument(file + ": " +
-                                     trace.status().message());
-    }
-    Result<Analysis> analysis = Analyze(trace.value(), analyzer_options);
-    if (!analysis.ok()) {
-      return Status::InvalidArgument(file + ": " +
-                                     analysis.status().message());
-    }
-    MergeAnalysis(report, analysis.value());
-    report.sources.push_back(file);
+  for (const std::string& file : files.value()) {
+    Result<Trace> trace = LoadTrace(file);
+    if (!trace.ok()) return trace.status();
+    SEP2P_RETURN_IF_ERROR(AddTrace(report, trace.value(), file, options));
   }
   return report;
 }

@@ -153,7 +153,7 @@ TEST(AnalyzerTest, PhaseAttributionIsExactOnSyntheticTrace) {
   EXPECT_EQ(a.attempts, 3u);
   EXPECT_EQ(a.timeouts, 1u);
   EXPECT_EQ(a.retries, 1u);
-  EXPECT_DOUBLE_EQ(a.retry_amplification, 1.5);
+  EXPECT_DOUBLE_EQ(a.retry_amplification(), 1.5);
 
   ASSERT_EQ(a.phases.size(), 2u);
   const PhaseRow* sel = FindPhase(a, "selection");
@@ -181,7 +181,7 @@ TEST(AnalyzerTest, PhaseAttributionIsExactOnSyntheticTrace) {
   EXPECT_EQ(sel->total_us, 300u);
   EXPECT_EQ(sel->self_us, 200u);  // minus vrand's 100
   EXPECT_EQ(sel->rpc_time_us, 200u);
-  EXPECT_DOUBLE_EQ(sel->retry_amplification, 2.0);
+  EXPECT_DOUBLE_EQ(sel->retry_amplification(), 2.0);
 
   // Per-phase rows sum exactly to the totals.
   uint64_t phase_events = 0, phase_rpcs = 0, phase_attempts = 0;
@@ -462,7 +462,7 @@ TEST(ReportTest, MergeAnalysisSumsTotalsAndPhases) {
   EXPECT_EQ(report.total_events, 30u);
   EXPECT_EQ(report.rpcs, 4u);
   EXPECT_EQ(report.attempts, 6u);
-  EXPECT_DOUBLE_EQ(report.retry_amplification, 1.5);
+  EXPECT_DOUBLE_EQ(report.retry_amplification(), 1.5);
   EXPECT_EQ(report.trace_durations_us,
             (std::vector<uint64_t>{300, 300}));
   EXPECT_EQ(report.rpc_latency.count(), 4u);

@@ -469,7 +469,7 @@ bool PrintCheckerReport(const obs::CheckerReport& report) {
 int CmdReport(int argc, char** argv) {
   std::string path, cluster_dir, merged_path;
   std::string out_path, csv_path, folded_path;
-  obs::ReportOptions options;
+  obs::AnalyzerOptions options;
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--cluster" && i + 1 < argc) {
@@ -498,9 +498,7 @@ int CmdReport(int argc, char** argv) {
     return 2;
   }
 
-  obs::Report merged_report;
-  const obs::Report* report = nullptr;
-  Result<obs::Report> built = obs::Report{};
+  obs::Report report;
   if (!cluster_dir.empty()) {
     // Cluster mode: merge the per-process shards into one causal trace,
     // audit it whole, then analyze the merged result.
@@ -526,27 +524,21 @@ int CmdReport(int argc, char** argv) {
       std::printf("cluster: merged trace -> %s\n", merged_path.c_str());
     }
     if (!invariants_ok) return 1;
-    obs::AnalyzerOptions analyzer_options;
-    analyzer_options.top_n = options.top_n;
-    auto analysis = obs::Analyze(*merged, analyzer_options);
-    if (!analysis.ok()) {
-      std::fprintf(stderr, "report: %s\n",
-                   analysis.status().ToString().c_str());
+    Status st = obs::AddTrace(report, *merged, cluster_dir, options);
+    if (!st.ok()) {
+      std::fprintf(stderr, "report: %s\n", st.ToString().c_str());
       return 1;
     }
-    obs::MergeAnalysis(merged_report, *analysis);
-    merged_report.sources.push_back(cluster_dir);
-    report = &merged_report;
   } else {
-    built = obs::BuildReport(path, options);
+    Result<obs::Report> built = obs::BuildReport(path, options);
     if (!built.ok()) {
       std::fprintf(stderr, "report: %s\n",
                    built.status().ToString().c_str());
       return 1;
     }
-    report = &built.value();
+    report = std::move(built).value();
   }
-  std::string markdown = report->ToMarkdown(options);
+  std::string markdown = report.ToMarkdown(options);
   if (out_path.empty()) {
     std::fwrite(markdown.data(), 1, markdown.size(), stdout);
   } else {
@@ -555,18 +547,18 @@ int CmdReport(int argc, char** argv) {
       std::fprintf(stderr, "report: %s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("report: %zu trace(s) -> %s\n", report->trace_count,
+    std::printf("report: %zu trace(s) -> %s\n", report.trace_count,
                 out_path.c_str());
   }
   if (!csv_path.empty()) {
-    Status st = obs::WriteFile(csv_path, report->ToCsv());
+    Status st = obs::WriteFile(csv_path, report.ToCsv());
     if (!st.ok()) {
       std::fprintf(stderr, "report: %s\n", st.ToString().c_str());
       return 1;
     }
   }
   if (!folded_path.empty()) {
-    Status st = obs::WriteFile(folded_path, report->ToFolded());
+    Status st = obs::WriteFile(folded_path, report.ToFolded());
     if (!st.ok()) {
       std::fprintf(stderr, "report: %s\n", st.ToString().c_str());
       return 1;
@@ -576,14 +568,10 @@ int CmdReport(int argc, char** argv) {
 }
 
 int CheckOneTrace(const std::string& path) {
-  auto text = obs::ReadFile(path);
-  if (!text.ok()) {
-    std::fprintf(stderr, "check: %s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  auto trace = obs::FromJsonl(*text);
+  auto trace = obs::LoadTrace(path);
   if (!trace.ok()) {
-    std::fprintf(stderr, "check: rejected: %s\n",
+    const bool unreadable = trace.status().code() == StatusCode::kNotFound;
+    std::fprintf(stderr, "check: %s%s\n", unreadable ? "" : "rejected: ",
                  trace.status().ToString().c_str());
     return 1;
   }
@@ -597,15 +585,9 @@ int CheckOneTrace(const std::string& path) {
               static_cast<unsigned long long>(report.rpcs),
               static_cast<unsigned long long>(report.spans),
               static_cast<unsigned long long>(report.selections_completed));
-  for (const std::string& violation : report.violations) {
-    std::fprintf(stderr, "VIOLATION: %s\n", violation.c_str());
-  }
-  if (report.suppressed > 0) {
-    std::fprintf(stderr, "(%llu further violations suppressed)\n",
-                 static_cast<unsigned long long>(report.suppressed));
-  }
-  std::printf("invariants: %s\n", report.ok() ? "OK" : "VIOLATED");
-  return report.ok() ? 0 : 1;
+  const bool ok = PrintCheckerReport(report);
+  std::printf("invariants: %s\n", ok ? "OK" : "VIOLATED");
+  return ok ? 0 : 1;
 }
 
 int CmdCheck(const char* path) {
