@@ -10,15 +10,17 @@ namespace sep2p::apps {
 
 namespace msg = core::msg;
 
+namespace {
+
+constexpr int kTargetFinders = 4;         // A for the selection
+constexpr int kMaxSelectionAttempts = 8;  // fresh-RND_T restart budget
+
+}  // namespace
+
 DiffusionApp::DiffusionApp(sim::Network* network,
                            std::vector<node::PdmsNode>* pdms,
-                           ConceptIndex* index, node::AppRuntime* runtime,
-                           Config config)
-    : network_(network),
-      pdms_(pdms),
-      index_(index),
-      runtime_(runtime),
-      config_(config) {
+                           ConceptIndex* index, node::AppRuntime* runtime)
+    : network_(network), pdms_(pdms), index_(index), runtime_(runtime) {
   // Candidate-side consent handler: parse the offered expression,
   // evaluate it against the candidate's OWN concepts (node-local data —
   // nobody else ever reads this profile), keep the payload on match.
@@ -65,7 +67,7 @@ Result<DiffusionApp::DiffusionResult> DiffusionApp::Diffuse(
   if (!expression.ok()) return expression.status();
 
   core::ProtocolContext ctx = network_->context();
-  ctx.actor_count = config_.target_finder_count;
+  ctx.actor_count = kTargetFinders;
   obs::Span diffusion_span(runtime_->trace(), runtime_->metrics(), publisher_index, "diffusion");
   const uint64_t round_start_us = runtime_->now_us();
 
@@ -74,7 +76,7 @@ Result<DiffusionApp::DiffusionResult> DiffusionApp::Diffuse(
   DiffusionResult result;
   Result<core::SelectionProtocol::Outcome> selected =
       runtime_->RunSelection(ctx, publisher_index, rng,
-                             config_.max_selection_attempts,
+                             kMaxSelectionAttempts,
                              &result.selection_restarts);
   if (!selected.ok()) return selected.status();
 

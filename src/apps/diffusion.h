@@ -42,18 +42,10 @@ namespace sep2p::apps {
 
 class DiffusionApp {
  public:
-  struct Config {
-    int target_finder_count = 4;  // A for the selection
-    int max_selection_attempts = 8;  // fresh-RND_T restart budget
-  };
-
   // The constructor registers the candidate-side offer handler on the
-  // runtime; all five pointers must outlive the app.
+  // runtime; all four pointers must outlive the app.
   DiffusionApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
-               ConceptIndex* index, node::AppRuntime* runtime)
-      : DiffusionApp(network, pdms, index, runtime, Config()) {}
-  DiffusionApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
-               ConceptIndex* index, node::AppRuntime* runtime, Config config);
+               ConceptIndex* index, node::AppRuntime* runtime);
 
   // Registers every PDMS's concepts in the index.
   Result<net::Cost> PublishAllProfiles(util::Rng& rng);
@@ -84,7 +76,6 @@ class DiffusionApp {
   std::vector<node::PdmsNode>* pdms_;
   ConceptIndex* index_;
   node::AppRuntime* runtime_;
-  Config config_;
   std::set<uint64_t> delivered_offers_;  // candidate-side dedup
 };
 

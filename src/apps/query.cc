@@ -15,17 +15,21 @@ namespace sep2p::apps {
 
 namespace msg = core::msg;
 
+namespace {
+
+constexpr int kAggregators = 4;           // DAs (the first is the MDA)
+constexpr int kMaxSelectionAttempts = 8;  // fresh-RND_T restart budget
+constexpr int kProxyRetries = 3;          // per (target, DA) proxy attempts
+
+}  // namespace
+
 QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
-                   ConceptIndex* index, node::AppRuntime* runtime,
-                   Config config)
+                   ConceptIndex* index, node::AppRuntime* runtime)
     : network_(network),
       pdms_(pdms),
       index_(index),
       runtime_(runtime),
-      config_(config),
-      finder_(network, pdms, index, runtime,
-              DiffusionApp::Config{config.target_finder_count,
-                                   config.max_selection_attempts}) {
+      finder_(network, pdms, index, runtime) {
   // Remote control plane (never exercised by sim runs, which install the
   // round in-process and ship partials directly): a QueryDeploy installs
   // the round in every hosting process after checking the VAL — the
@@ -190,10 +194,10 @@ Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
 
   // --- Phase 2: secure selection of the aggregators over the network.
   core::ProtocolContext ctx = network_->context();
-  ctx.actor_count = config_.aggregator_count;
+  ctx.actor_count = kAggregators;
   Result<core::SelectionProtocol::Outcome> selected =
       runtime_->RunSelection(ctx, querier_index, rng,
-                             config_.max_selection_attempts,
+                             kMaxSelectionAttempts,
                              &result.selection_restarts);
   if (!selected.ok()) return selected.status();
   result.selection_cost = selected->cost;
@@ -264,7 +268,7 @@ Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
     for (size_t off = 0; off < da_count && !delivered; ++off) {
       const crypto::PublicKey& da_pub = network_->directory().pub(
           result.aggregators[(slot_base + off) % da_count]);
-      for (int attempt = 0; attempt < config_.proxy_retries; ++attempt) {
+      for (int attempt = 0; attempt < kProxyRetries; ++attempt) {
         Result<ProxyDelivery> delivery =
             ForwardViaProxy(*runtime_, *network_, target, da_pub, payload,
                             rng, contribution_id);

@@ -49,18 +49,8 @@ struct QuerySpec {
 
 class QueryApp {
  public:
-  struct Config {
-    int aggregator_count = 4;     // DAs (first is the MDA)
-    int target_finder_count = 4;  // TFs
-    int max_selection_attempts = 8;  // fresh-RND_T restart budget
-    int proxy_retries = 3;        // per (target, DA) proxy attempts
-  };
-
   QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
-           ConceptIndex* index, node::AppRuntime* runtime)
-      : QueryApp(network, pdms, index, runtime, Config()) {}
-  QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
-           ConceptIndex* index, node::AppRuntime* runtime, Config config);
+           ConceptIndex* index, node::AppRuntime* runtime);
 
   struct QueryResult {
     double value = 0;
@@ -120,7 +110,6 @@ class QueryApp {
   std::vector<node::PdmsNode>* pdms_;
   ConceptIndex* index_;
   node::AppRuntime* runtime_;
-  Config config_;
   DiffusionApp finder_;  // phase-1 machinery (owns the offer handler)
   std::unique_ptr<RoundState> round_;
   std::vector<std::pair<uint32_t, uint8_t>> round_registrations_;

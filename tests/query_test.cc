@@ -169,8 +169,7 @@ TEST_F(QueryTest, CrashedAggregatorIsReplacedByFailover) {
     util::Rng publish_rng(5);
     auto published = publisher.PublishAllProfiles(publish_rng);
     if (!published.ok()) return published.status();
-    QueryApp app(network_.get(), &pdms_, &index, &runtime,
-                 QueryApp::Config{});
+    QueryApp app(network_.get(), &pdms_, &index, &runtime);
     util::Rng rng(23);
     return app.Execute(2, spec, rng);
   };
@@ -203,7 +202,7 @@ TEST_F(QueryTest, RetriesNeverCountAContributionTwice) {
   DiffusionApp publisher(network_.get(), &pdms_, &index, &runtime);
   util::Rng publish_rng(5);
   ASSERT_TRUE(publisher.PublishAllProfiles(publish_rng).ok());
-  QueryApp app(network_.get(), &pdms_, &index, &runtime, QueryApp::Config{});
+  QueryApp app(network_.get(), &pdms_, &index, &runtime);
   util::Rng rng(23);
 
   QuerySpec spec;
