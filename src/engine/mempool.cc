@@ -1,21 +1,11 @@
 #include "engine/mempool.h"
 
 #include <cassert>
+#include <initializer_list>
+
+#include "util/rng.h"
 
 namespace sep2p::engine {
-
-namespace {
-
-// SplitMix64 finalizer: the same mixer the trial runner uses for stream
-// seeds, reused here as a cheap avalanche fold.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* TaskKindName(TaskKind kind) {
   switch (kind) {
@@ -71,10 +61,12 @@ uint64_t TaskMempool::ResultsDigest() const {
   uint64_t digest = 0x5345503250544d50ULL;  // "SEP2PTMP"
   for (const Task& t : tasks_) {
     if (t.state != TaskState::kCompleted) continue;
-    digest = Mix(digest ^ t.id);
-    digest = Mix(digest ^ t.result_digest);
-    digest = Mix(digest ^ t.complete_us);
-    digest = Mix(digest ^ static_cast<uint64_t>(t.restarts));
+    // Each word folds in through one SplitMix64 step from digest ^ word.
+    for (uint64_t word : {t.id, t.result_digest, t.complete_us,
+                          static_cast<uint64_t>(t.restarts)}) {
+      digest ^= word;
+      digest = util::SplitMix64(digest);
+    }
   }
   return digest;
 }

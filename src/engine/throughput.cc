@@ -17,12 +17,11 @@ namespace {
 // Restart budget per selection task (fresh RND_T on kUnavailable).
 constexpr int kMaxSelectionAttempts = 8;
 
-// SplitMix64 finalizer (same mixer as the mempool's digest fold).
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+// Folds one word into a digest: a SplitMix64 step from digest ^ word
+// (the mempool's digest fold).
+uint64_t Fold(uint64_t digest, uint64_t word) {
+  uint64_t state = digest ^ word;
+  return util::SplitMix64(state);
 }
 
 uint64_t FoldBytes(uint64_t digest, const uint8_t* data, size_t len) {
@@ -31,12 +30,12 @@ uint64_t FoldBytes(uint64_t digest, const uint8_t* data, size_t len) {
   for (size_t i = 0; i < len; ++i) {
     word |= static_cast<uint64_t>(data[i]) << (8 * filled);
     if (++filled == 8) {
-      digest = Mix(digest ^ word);
+      digest = Fold(digest, word);
       word = 0;
       filled = 0;
     }
   }
-  if (filled > 0) digest = Mix(digest ^ word ^ (uint64_t{filled} << 56));
+  if (filled > 0) digest = Fold(digest, word ^ (uint64_t{filled} << 56));
   return digest;
 }
 
@@ -111,7 +110,7 @@ void ThroughputEngine::SubmitWorkload(int count,
 
 Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
                                  uint64_t* digest, int* restarts) {
-  uint64_t d = Mix(task.id ^ 0x53455032ULL);  // "SEP2"
+  uint64_t d = Fold(task.id, 0x53455032ULL);  // "SEP2"
   switch (task.kind) {
     case TaskKind::kSelection: {
       core::ProtocolContext ctx = world_->context();
@@ -122,8 +121,8 @@ Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
       for (const crypto::PublicKey& key : outcome->val.actor_keys) {
         d = FoldBytes(d, key.data(), key.size());
       }
-      d = Mix(d ^ outcome->setter_index);
-      d = Mix(d ^ static_cast<uint64_t>(outcome->relocations));
+      d = Fold(d, outcome->setter_index);
+      d = Fold(d, static_cast<uint64_t>(outcome->relocations));
       break;
     }
     case TaskKind::kDiffusion: {
@@ -135,8 +134,8 @@ Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
           diffusion_->Diffuse(task.trigger, diffusion_expression_,
                               diffusion_message_, rng);
       if (!result.ok()) return result.status();
-      for (uint32_t t : result->targets) d = Mix(d ^ t);
-      for (uint32_t t : result->target_finders) d = Mix(d ^ t);
+      for (uint32_t t : result->targets) d = Fold(d, t);
+      for (uint32_t t : result->target_finders) d = Fold(d, t);
       *restarts = result->selection_restarts;
       break;
     }
@@ -151,9 +150,9 @@ Status ThroughputEngine::Execute(const Task& task, util::Rng& rng,
       uint64_t value_bits = 0;
       static_assert(sizeof(value_bits) == sizeof(result->value));
       std::memcpy(&value_bits, &result->value, sizeof(value_bits));
-      d = Mix(d ^ value_bits);
-      d = Mix(d ^ result->contributors);
-      d = Mix(d ^ (result->answer_delivered ? 1 : 0));
+      d = Fold(d, value_bits);
+      d = Fold(d, result->contributors);
+      d = Fold(d, result->answer_delivered ? 1 : 0);
       *restarts =
           result->selection_restarts + result->target_finding_restarts;
       break;
