@@ -16,7 +16,7 @@
 // Determinism: per-point FNV digests over every trial's outcome fields
 // must be bit-identical for any --threads; the harness re-runs a small
 // sweep at --threads 1/4/8 and exits 2 on divergence. Emits
-// BENCH_adversary.json.
+// BENCH_adversary.json (BENCH_adversary.quick.json under --quick).
 
 #include <cinttypes>
 #include <cstdio>
@@ -150,12 +150,13 @@ int main(int argc, char** argv) {
   json += std::string("],\n    \"agree\": ") +
           (digests_agree ? "true" : "false") + "\n  }\n}\n";
 
-  Status st = obs::WriteFile("BENCH_adversary.json", json);
+  const std::string json_path = bench::BenchJsonPath("adversary", quick);
+  Status st = obs::WriteFile(json_path, json);
   if (!st.ok()) {
-    std::fprintf(stderr, "BENCH_adversary.json write failed: %s\n",
+    std::fprintf(stderr, "%s write failed: %s\n", json_path.c_str(),
                  st.ToString().c_str());
     return 1;
   }
-  std::printf("\nwrote BENCH_adversary.json\n");
+  std::printf("\nwrote %s\n", json_path.c_str());
   return digests_agree ? 0 : 2;
 }

@@ -29,6 +29,13 @@ inline bool QuickMode(int argc, char** argv) {
   return false;
 }
 
+// The file a harness writes its results to: BENCH_<name>.json, or
+// BENCH_<name>.quick.json under --quick, so a smoke run never rewrites
+// the checked-in full-run results.
+inline std::string BenchJsonPath(const char* name, bool quick) {
+  return std::string("BENCH_") + name + (quick ? ".quick.json" : ".json");
+}
+
 // The value of the integer flag NAME=V / NAME V (the first one given),
 // or `fallback` when it is absent. A value that is missing, not a whole
 // number or negative is reported on stderr and exits 2, as sep2p_cli

@@ -14,9 +14,10 @@
 // The harness re-runs its smallest point at --threads 1/4/8 and exits
 // nonzero on any divergence.
 //
-// Emits BENCH_scale.json. --quick caps the sweep at N=1e5 (CI smoke);
-// the default sweep tops out at N=1e6; --n=X replaces the sweep with a
-// single point (e.g. --n=10000000 for the 1e7 stress run).
+// Emits BENCH_scale.json (BENCH_scale.quick.json under --quick).
+// --quick caps the sweep at N=1e5 (CI smoke); the default sweep tops
+// out at N=1e6; --n=X replaces the sweep with a single point (e.g.
+// --n=10000000 for the 1e7 stress run).
 
 #include <sys/resource.h>
 
@@ -231,12 +232,13 @@ int main(int argc, char** argv) {
                : "false") +
           "\n  }\n}\n";
 
-  Status st = obs::WriteFile("BENCH_scale.json", json);
+  const std::string json_path = bench::BenchJsonPath("scale", quick);
+  Status st = obs::WriteFile(json_path, json);
   if (!st.ok()) {
-    std::fprintf(stderr, "BENCH_scale.json write failed: %s\n",
+    std::fprintf(stderr, "%s write failed: %s\n", json_path.c_str(),
                  st.ToString().c_str());
     return 1;
   }
-  std::printf("\nwrote BENCH_scale.json\n");
+  std::printf("\nwrote %s\n", json_path.c_str());
   return digests_agree ? 0 : 2;
 }
