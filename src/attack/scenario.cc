@@ -561,11 +561,13 @@ class EclipseScenario final : public Scenario {
         if (idx != poisoner) forged.entries.push_back(dir.pub(idx));
       }
       const std::vector<uint8_t> bytes = forged.SignedBytes();
+      const crypto::Hash256 digest =
+          crypto::Hash256::Of(bytes.data(), bytes.size());
       int signed_count = 0;
       for (uint32_t idx : colluders_) {
         if (idx == poisoner) continue;
         if (signed_count == k) break;
-        Result<crypto::Signature> sig = ctx_.SignAs(idx, bytes);
+        Result<crypto::Signature> sig = ctx_.SignAs(idx, digest);
         if (!sig.ok()) return sig.status();
         forged.attestations.push_back({dir.cert(idx), *sig});
         ++signed_count;

@@ -53,6 +53,15 @@ struct ProtocolContext {
     return provider->Sign(directory->priv(index), msg);
   }
 
+  // Signs the 32 bytes of `digest`. An attestation (AttestReply) signs
+  // the SHA-256 digest its AttestRequest names, never the attested
+  // bytes themselves (DESIGN.md §14).
+  Result<crypto::Signature> SignAs(uint32_t index,
+                                   const crypto::Hash256& digest) const {
+    return provider->Sign(directory->priv(index), digest.bytes().data(),
+                          digest.bytes().size());
+  }
+
   // Verifies `sig` over `msg` under `key` — synchronously when no sink
   // is installed, otherwise deferred (returns true optimistically).
   // Metering happens when the deferred batch resolves (VerifyBatch
@@ -65,6 +74,15 @@ struct ProtocolContext {
       return true;
     }
     return provider->Verify(key, msg, sig);
+  }
+
+  // Verifies an attestation: `sig` over the 32 bytes of `digest`.
+  bool CheckSignature(const crypto::PublicKey& key,
+                      const crypto::Hash256& digest,
+                      const crypto::Signature& sig) const {
+    const std::vector<uint8_t> msg(digest.bytes().begin(),
+                                   digest.bytes().end());
+    return CheckSignature(key, msg, sig);
   }
 
   // Checks a certificate against the CA — synchronously or deferred.

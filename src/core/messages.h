@@ -38,7 +38,7 @@ namespace sep2p::core::msg {
 // Wire-contract versioning (DESIGN.md §14): several messages gained
 // fields for cross-process runs — the engagement `nonce` scoping
 // server-side protocol state, and the AttestRequest `preimage` letting
-// a remote SL check what it signs. A message whose new fields hold
+// a remote SL check the digest it signs. A message whose new fields hold
 // their defaults (nonce 0 / empty preimage) encodes as version 1,
 // byte-identical to the pre-refactor wire; only non-default values
 // produce version 2. Decoders accept both and default the fields for
@@ -104,15 +104,19 @@ struct SlReveal {
   std::vector<crypto::PublicKey> candidates;
 };
 
-// S → SL: request the signature over `digest` (the VAL's SignedBytes
-// digest, or the shortage digest when R3 is underpopulated).
+// S → SL (and a joining node's neighbour → its attestors): request the
+// signature over `digest`, the SHA-256 of the attested bytes (the VAL's
+// SignedBytes, the shortage bytes when R3 is underpopulated, or the
+// AttestedCache's SignedBytes). The attestor signs these 32 bytes and
+// nothing else, so a verifier hashes the attested bytes once for all k
+// signatures.
 struct AttestRequest {
   crypto::Hash256 digest;
   // The bytes being attested (v2; empty = v1). A resident SL refuses to
   // sign a bare digest: it recomputes H(preimage), checks it against
-  // `digest`, and signs the preimage — closer to the paper's model
-  // where the SL sees the VAL it attests. In-process runs keep the
-  // preimage in the handler closure and send v1 bytes.
+  // `digest`, and only then signs the digest — closer to the paper's
+  // model where the SL sees the VAL it attests. In-process runs send
+  // v1 bytes; their handler closures sign the decoded digest.
   std::vector<uint8_t> preimage;
 };
 

@@ -88,8 +88,8 @@ std::optional<std::vector<uint8_t>> SlRevealReply(const SlState& state,
 
 std::optional<std::vector<uint8_t>> AttestReply(
     const ProtocolContext& ctx, obs::MetricsRegistry* met, uint32_t server,
-    const std::vector<uint8_t>& payload) {
-  Result<crypto::Signature> sig = ctx.SignAs(server, payload);
+    const crypto::Hash256& digest) {
+  Result<crypto::Signature> sig = ctx.SignAs(server, digest);
   if (!sig.ok()) return std::nullopt;
   if (met != nullptr) {
     met->Inc(obs::Counter::kCryptoSign);
@@ -185,13 +185,13 @@ std::optional<std::vector<uint8_t>> ProtocolService::OnAttestRequest(
   Result<msg::AttestRequest> req = msg::DecodeAttestRequest(request);
   if (!req.ok()) return std::nullopt;
   // A resident SL never signs a bare digest: it must see the preimage
-  // and check the digest actually binds it.
+  // and check the digest actually binds it before signing the digest.
   if (req->preimage.empty()) return std::nullopt;
   if (!(crypto::Hash256::Of(req->preimage.data(), req->preimage.size()) ==
         req->digest)) {
     return std::nullopt;
   }
-  return AttestReply(ctx_, transport_.metrics(), server, req->preimage);
+  return AttestReply(ctx_, transport_.metrics(), server, req->digest);
 }
 
 }  // namespace sep2p::core

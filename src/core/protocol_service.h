@@ -88,11 +88,14 @@ SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
 std::optional<std::vector<uint8_t>> SlRevealReply(const SlState& state,
                                                   const msg::CommitList& list);
 
-// Attestation (VAL, shortage, or join cache): sign `payload` as
-// `server` and return the certificate + signature.
+// Attestation (VAL, shortage, or join cache): sign `digest`, the
+// SHA-256 of the attested bytes that the AttestRequest names, as
+// `server` and return the certificate + signature. Every verifier
+// hashes the attested bytes once and checks all k signatures against
+// that digest.
 std::optional<std::vector<uint8_t>> AttestReply(
     const ProtocolContext& ctx, obs::MetricsRegistry* met, uint32_t server,
-    const std::vector<uint8_t>& payload);
+    const crypto::Hash256& digest);
 
 // ---------------------------------------------------------------------
 // ProtocolService: the resident participant for cross-process runs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "core/messages.h"
@@ -353,17 +354,17 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
         attest_request.digest =
             crypto::Hash256::Of(shortage.data(), shortage.size());
         // A resident SL refuses to sign a bare digest; in-process
-        // handlers see the preimage via the closure (v1 bytes).
+        // handlers sign the digest they decode (v1 bytes).
         if (net.remote_dispatch()) attest_request.preimage = shortage;
         const std::vector<uint8_t> request_bytes = msg::Encode(attest_request);
         std::vector<net::Transport::RpcResult> results = net.CallBatch(
             net::Transport::FanOut(setter, sl_members, request_bytes),
             [&](uint32_t server, const std::vector<uint8_t>& request)
                 -> std::optional<std::vector<uint8_t>> {
-              if (!msg::DecodeAttestRequest(request).ok()) {
-                return std::nullopt;
-              }
-              return AttestReply(ctx_, met, server, shortage);
+              Result<msg::AttestRequest> decoded =
+                  msg::DecodeAttestRequest(request);
+              if (!decoded.ok()) return std::nullopt;
+              return AttestReply(ctx_, met, server, decoded->digest);
             });
         for (int j = 0; j < k; ++j) {
           if (!results[j].ok) {
@@ -489,7 +490,7 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
       // the engagement.
       struct Deviation {
         bool withhold = false;
-        std::vector<uint8_t> forged_bytes;  // empty = sign honestly
+        std::optional<crypto::Hash256> forged_digest;  // none = honest
       };
       std::map<uint32_t, Deviation> deviations;
       bool defected = false;
@@ -507,7 +508,9 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
                                            &forged_actors)) {
           VerifiableActorList forged = val;
           forged.actor_keys = std::move(forged_actors);
-          d.forged_bytes = forged.SignedBytes();
+          const std::vector<uint8_t> forged_bytes = forged.SignedBytes();
+          d.forged_digest =
+              crypto::Hash256::Of(forged_bytes.data(), forged_bytes.size());
           if (rec != nullptr) rec->Mark(sl, "attack-sl-forge", 0);
         }
         return d;
@@ -516,15 +519,16 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
           net::Transport::FanOut(setter, sl_members, request_bytes),
           [&](uint32_t server, const std::vector<uint8_t>& request)
               -> std::optional<std::vector<uint8_t>> {
-            if (!msg::DecodeAttestRequest(request).ok()) return std::nullopt;
+            Result<msg::AttestRequest> decoded =
+                msg::DecodeAttestRequest(request);
+            if (!decoded.ok()) return std::nullopt;
             if (options.attack == nullptr) {
-              return AttestReply(ctx_, met, server, signed_bytes);
+              return AttestReply(ctx_, met, server, decoded->digest);
             }
             const Deviation& d = deviation(server);
             if (d.withhold) return std::nullopt;
-            return AttestReply(
-                ctx_, met, server,
-                d.forged_bytes.empty() ? signed_bytes : d.forged_bytes);
+            return AttestReply(ctx_, met, server,
+                               d.forged_digest.value_or(decoded->digest));
           });
       for (int j = 0; j < k; ++j) {
         if (!results[j].ok) {
@@ -582,6 +586,8 @@ Result<net::Cost> VerifyActorList(const ProtocolContext& ctx,
   dht::Region r2 =
       dht::Region::Centered(val.SetterPoint().ring_pos(), val.rs2);
   const std::vector<uint8_t> signed_bytes = val.SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(signed_bytes.data(), signed_bytes.size());
 
   for (const VerifiableActorList::Attestation& att : val.attestations) {
     // Certificate: genuine PDMS + binds the SL's imposed location.
@@ -592,9 +598,9 @@ Result<net::Cost> VerifyActorList(const ProtocolContext& ctx,
     if (!r2.Contains(att.cert.NodeIdFromSubject())) {
       return Status::SecurityViolation("val: SL not legitimate w.r.t. R2");
     }
-    // Signature over (RND_T, AL).
+    // Signature over H(RND_T, relocations, ts, AL).
     asym();
-    if (!ctx.CheckSignature(att.cert.subject, signed_bytes, att.sig)) {
+    if (!ctx.CheckSignature(att.cert.subject, digest, att.sig)) {
       return Status::SecurityViolation("val: bad SL signature");
     }
   }

@@ -55,7 +55,7 @@ struct VerifiableActorList {
 
   struct Attestation {
     crypto::Certificate cert;  // the SL's certificate
-    crypto::Signature sig;     // over SignedBytes()
+    crypto::Signature sig;     // over the SHA-256 of SignedBytes()
   };
   std::vector<Attestation> attestations;  // exactly k
 
@@ -66,7 +66,8 @@ struct VerifiableActorList {
   // `relocations` times.
   crypto::Hash256 SetterPoint() const;
 
-  // Canonical bytes the SLs sign: RND_T || relocations || ts || actor keys.
+  // Canonical bytes the SLs attest: RND_T || relocations || ts || actor
+  // keys. Each SL signs their SHA-256 digest (core::AttestReply).
   std::vector<uint8_t> SignedBytes() const;
 };
 

@@ -90,8 +90,9 @@ Result<AttestedCache> JoinProtocol::AttestCache(
 
   // Each attestor cross-checks the entries against its own cache (its
   // coverage overlaps the owner's, so lies about shared ground would be
-  // detected — covert adversaries therefore sign honestly) and signs.
-  // A resident attestor gets the preimage, to check what it signs.
+  // detected — covert adversaries therefore sign honestly) and signs
+  // the snapshot's digest. A resident attestor gets the preimage, to
+  // check that the digest binds it.
   const std::vector<uint8_t> signed_bytes = cache.SignedBytes();
   core::msg::AttestRequest request;
   request.digest =
@@ -103,8 +104,10 @@ Result<AttestedCache> JoinProtocol::AttestCache(
       owner_index, attestors, k, request_bytes,
       [&](uint32_t server, const std::vector<uint8_t>& req)
           -> std::optional<std::vector<uint8_t>> {
-        if (!core::msg::DecodeAttestRequest(req).ok()) return std::nullopt;
-        return core::AttestReply(ctx_, met, server, signed_bytes);
+        Result<core::msg::AttestRequest> decoded =
+            core::msg::DecodeAttestRequest(req);
+        if (!decoded.ok()) return std::nullopt;
+        return core::AttestReply(ctx_, met, server, decoded->digest);
       });
   if (!quorum.ok) {
     return Status::Unavailable("attest: attestor quorum unreachable");
@@ -203,6 +206,8 @@ Result<net::Cost> VerifyAttestedCache(const core::ProtocolContext& ctx,
   dht::Region r1 = dht::Region::Centered(
       cache.owner_cert.NodeIdFromSubject().ring_pos(), cache.rs1);
   const std::vector<uint8_t> signed_bytes = cache.SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(signed_bytes.data(), signed_bytes.size());
   for (const AttestedCache::Attestation& att : cache.attestations) {
     cost.Then(net::Cost::Step(1, 0));
     if (!ctx.CheckCertificate(att.cert)) {
@@ -213,7 +218,7 @@ Result<net::Cost> VerifyAttestedCache(const core::ProtocolContext& ctx,
           "attested cache: attestor not legitimate");
     }
     cost.Then(net::Cost::Step(1, 0));
-    if (!ctx.CheckSignature(att.cert.subject, signed_bytes, att.sig)) {
+    if (!ctx.CheckSignature(att.cert.subject, digest, att.sig)) {
       return Status::SecurityViolation("attested cache: bad signature");
     }
   }

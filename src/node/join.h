@@ -34,28 +34,31 @@ struct AttestedCache {
 
   struct Attestation {
     crypto::Certificate cert;
-    crypto::Signature sig;
+    crypto::Signature sig;  // over the SHA-256 of SignedBytes()
   };
   std::vector<Attestation> attestations;  // k of them
 
   int k() const { return static_cast<int>(attestations.size()); }
+  // Canonical attested bytes: owner subject || timestamp || entry keys.
   std::vector<uint8_t> SignedBytes() const;
 };
 
 class JoinProtocol {
  public:
   // Attestation requests travel over `transport` (which must outlive
-  // this object) as AttestRequest messages carrying the cache's signed
-  // bytes, through EngageQuorum: unresponsive attestors are replaced by
-  // spare R1 candidates. Callers without a network of their own pass a
-  // net::SimNetwork over net::kIdealLink.
+  // this object) as AttestRequest messages naming the digest of the
+  // cache's signed bytes (and carrying the bytes to a resident
+  // attestor), through EngageQuorum: unresponsive attestors are
+  // replaced by spare R1 candidates. Callers without a network of their
+  // own pass a net::SimNetwork over net::kIdealLink.
   JoinProtocol(const core::ProtocolContext& ctx, net::Transport& transport)
       : ctx_(ctx), transport_(transport) {}
 
   // Builds an attested snapshot of `owner`'s node cache: k legitimate
   // nodes w.r.t. an R1-sized region centered on the owner check the
-  // entries against their own caches and sign. Costs k signatures and
-  // 2k messages. The attestors are drawn (the only rng draw) before the
+  // entries against their own caches and sign the snapshot's SHA-256
+  // digest. Costs one hash of the snapshot, k signatures and 2k
+  // messages. The attestors are drawn (the only rng draw) before the
   // entry list is built, which a non-null `attack` may then shrink
   // (core::AttackHooks::OwnerOmitsEntries).
   Result<AttestedCache> AttestCache(uint32_t owner_index, util::Rng& rng,
@@ -81,7 +84,8 @@ class JoinProtocol {
 
 // Verifies an attested cache: owner certificate, k distinct attestors'
 // certificates and legitimacy w.r.t. R1 centered on the owner, their
-// signatures over the entry list, timestamp freshness. 2k+1 asym ops.
+// signatures over the digest of SignedBytes() (hashed once for all k),
+// timestamp freshness. 2k+1 asym ops.
 Result<net::Cost> VerifyAttestedCache(const core::ProtocolContext& ctx,
                                       const AttestedCache& cache);
 

@@ -268,6 +268,7 @@ Result<Analysis> Analyze(const Trace& trace,
               }
               return x->id < y->id;
             });
+  a.retried_rpcs = offenders.size();
   if (offenders.size() > options.top_n) offenders.resize(options.top_n);
   for (const RpcInfo* rpc : offenders) {
     RetryOffender o;

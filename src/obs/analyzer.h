@@ -119,6 +119,7 @@ struct Analysis : EventTally {
   Histogram rpc_latency;         // completed RPCs only, virtual µs
 
   std::vector<RetryOffender> top_retries;  // attempts desc, ≤ options.top_n
+  uint64_t retried_rpcs = 0;  // RPCs with more than one attempt, uncapped
 
   // Critical path through the longest top-level span, chronological.
   std::string critical_span;        // its name (empty = no spans)

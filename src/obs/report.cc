@@ -59,6 +59,7 @@ void MergeAnalysis(Report& report, const Analysis& analysis) {
     report += analysis;  // the event tallies
     report.total_events += analysis.total_events;
     report.rpc_latency.Merge(analysis.rpc_latency);
+    report.retried_rpcs += analysis.retried_rpcs;
     report.top_retries.insert(report.top_retries.end(),
                               analysis.top_retries.begin(),
                               analysis.top_retries.end());
@@ -202,8 +203,12 @@ std::string Report::ToMarkdown(const AnalyzerOptions& options) const {
   }
 
   out += "## Top retry offenders\n\n";
-  if (top_retries.empty()) {
+  if (retried_rpcs == 0) {
     out += "(none — every RPC succeeded on its first attempt)\n\n";
+  } else if (top_retries.empty() || options.top_n == 0) {
+    out += "(" + Num(retried_rpcs) +
+           (retried_rpcs == 1 ? " RPC" : " RPCs") +
+           " retried; --top 0 lists none)\n\n";
   } else {
     out += "| rpc | client | server | attempts | failed | phase |\n";
     out += "|---|---|---|---|---|---|\n";

@@ -66,11 +66,41 @@ TEST_F(JoinTest, TamperedEntryListRejected) {
   EXPECT_FALSE(VerifyAttestedCache(ctx_, forged).ok());
 }
 
+TEST_F(JoinTest, AttestationsSignTheCacheDigest) {
+  JoinProtocol join(ctx_, *transport_);
+  auto cache = join.AttestCache(15, rng_);
+  ASSERT_TRUE(cache.ok()) << cache.status().ToString();
+  const std::vector<uint8_t> bytes = cache->SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(bytes.data(), bytes.size());
+  for (const AttestedCache::Attestation& att : cache->attestations) {
+    EXPECT_TRUE(ctx_.provider->Verify(att.cert.subject, digest.bytes().data(),
+                                      digest.bytes().size(), att.sig));
+    EXPECT_FALSE(ctx_.provider->Verify(att.cert.subject, bytes, att.sig));
+  }
+  // The same attestors' valid signatures over the full preimage are not
+  // attestations.
+  const dht::Directory& dir = network_->directory();
+  AttestedCache preimage_signed = *cache;
+  for (AttestedCache::Attestation& att : preimage_signed.attestations) {
+    std::optional<uint32_t> attestor =
+        dir.IndexOf(att.cert.NodeIdFromSubject());
+    ASSERT_TRUE(attestor.has_value());
+    auto sig = ctx_.SignAs(*attestor, bytes);
+    ASSERT_TRUE(sig.ok());
+    att.sig = *sig;
+  }
+  auto verdict = VerifyAttestedCache(ctx_, preimage_signed);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.status().code(), StatusCode::kSecurityViolation);
+  EXPECT_EQ(verdict.status().message(), "attested cache: bad signature");
+}
+
 TEST_F(JoinTest, ForeignAttestorRejected) {
   JoinProtocol join(ctx_, *transport_);
   auto cache = join.AttestCache(15, rng_);
   ASSERT_TRUE(cache.ok());
-  // A node far from the owner signs the same bytes — legit signature,
+  // A node far from the owner signs the same digest — legit signature,
   // wrong region.
   const dht::Directory& dir = network_->directory();
   dht::Region r1 = dht::Region::Centered(dir.pos(15), cache->rs1);
@@ -81,11 +111,18 @@ TEST_F(JoinTest, ForeignAttestorRejected) {
       break;
     }
   }
-  auto sig = ctx_.SignAs(outsider, cache->SignedBytes());
+  const std::vector<uint8_t> bytes = cache->SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(bytes.data(), bytes.size());
+  auto sig = ctx_.SignAs(outsider, digest);
   ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(ctx_.CheckSignature(dir.pub(outsider), digest, *sig));
   AttestedCache forged = *cache;
   forged.attestations[0] = {dir.cert(outsider), *sig};
-  EXPECT_FALSE(VerifyAttestedCache(ctx_, forged).ok());
+  auto verdict = VerifyAttestedCache(ctx_, forged);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.status().message(),
+            "attested cache: attestor not legitimate");
 }
 
 TEST_F(JoinTest, RepeatedAttestorRejected) {

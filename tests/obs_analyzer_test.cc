@@ -508,6 +508,34 @@ TEST(ReportTest, RenderersEmitTheDashboardSections) {
             std::string::npos);
 }
 
+TEST(ReportTest, TopZeroStillCountsTheRetriedRpcs) {
+  // The synthetic trace's rpc 2 retried once; --top 0 lists no offender
+  // but must not claim that every RPC succeeded on its first attempt.
+  obs::AnalyzerOptions top_zero;
+  top_zero.top_n = 0;
+  obs::Report report;
+  ASSERT_TRUE(
+      obs::AddTrace(report, MakeSyntheticTrace(), "synthetic", top_zero).ok());
+  EXPECT_EQ(report.retried_rpcs, 1u);
+  EXPECT_TRUE(report.top_retries.empty());
+  const std::string md = report.ToMarkdown(top_zero);
+  EXPECT_EQ(md.find("(none"), std::string::npos) << md;
+  EXPECT_NE(md.find("(1 RPC retried; --top 0 lists none)"), std::string::npos)
+      << md;
+
+  // A second trace adds its count; the default cap lists the offender.
+  ASSERT_TRUE(
+      obs::AddTrace(report, MakeSyntheticTrace(), "again", top_zero).ok());
+  EXPECT_EQ(report.retried_rpcs, 2u);
+  EXPECT_NE(report.ToMarkdown(top_zero).find(
+                "(2 RPCs retried; --top 0 lists none)"),
+            std::string::npos);
+  obs::Report listed;
+  ASSERT_TRUE(obs::AddTrace(listed, MakeSyntheticTrace(), "listed").ok());
+  EXPECT_NE(listed.ToMarkdown().find("| rpc | client | server |"),
+            std::string::npos);
+}
+
 TEST(ReportTest, BuildReportAggregatesADirectoryOfTraces) {
   namespace fs = std::filesystem;
   const fs::path dir =

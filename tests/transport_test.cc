@@ -350,6 +350,52 @@ TEST(TcpTransportTest, EngagementNoncesAreNonzeroAndProcessBranded) {
   EXPECT_EQ(a >> 48, 2u);  // process_index + 1 brands the high bits
 }
 
+// The resident attestor (ProtocolService's AttestRequest handler) signs
+// the digest a request names once the request's preimage binds it, and
+// refuses a bare digest or a preimage that hashes to something else.
+TEST(TcpTransportTest, ResidentAttestorSignsTheRequestDigest) {
+  sim::Parameters params;
+  params.n = 200;
+  params.cache_size = 64;
+  params.seed = 17;
+  params.threads = 1;
+  auto world = sim::Network::Build(params);
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  const core::ProtocolContext ctx = world.value()->context();
+  const dht::Directory& dir = world.value()->directory();
+  auto cluster = MakeBareCluster(/*processes=*/1,
+                                 static_cast<uint32_t>(dir.size()));
+  core::ProtocolService service(ctx, *cluster[0]);
+  const uint32_t attestor = 5;
+
+  const std::vector<uint8_t> preimage(40, 0x5a);
+  core::msg::AttestRequest request;
+  request.digest = crypto::Hash256::Of(preimage.data(), preimage.size());
+  request.preimage = preimage;
+  net::Transport::RpcResult signed_reply =
+      cluster[0]->Call(0, attestor, core::msg::Encode(request));
+  ASSERT_TRUE(signed_reply.ok);
+  Result<core::msg::Attestation> att =
+      core::msg::DecodeAttestation(signed_reply.reply);
+  ASSERT_TRUE(att.ok()) << att.status().ToString();
+  EXPECT_EQ(att->cert.subject, dir.pub(attestor));
+  EXPECT_TRUE(ctx.provider->Verify(dir.pub(attestor),
+                                   request.digest.bytes().data(),
+                                   request.digest.bytes().size(), att->sig));
+  EXPECT_FALSE(ctx.provider->Verify(dir.pub(attestor), preimage, att->sig));
+
+  core::msg::AttestRequest bare;
+  bare.digest = request.digest;
+  EXPECT_FALSE(cluster[0]->Call(0, attestor, core::msg::Encode(bare)).ok);
+
+  core::msg::AttestRequest mismatched = request;
+  mismatched.preimage.back() ^= 0x01;
+  EXPECT_FALSE(
+      cluster[0]->Call(0, attestor, core::msg::Encode(mismatched)).ok);
+
+  cluster[0]->Stop();
+}
+
 // ---------------------------------------------------------------------
 // Full protocol stack over sockets: one replicated world per emulated
 // process, resident ProtocolService + apps, driver in "process" 0 —

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "core/wire.h"
 #include "tests/test_util.h"
@@ -61,9 +63,35 @@ TEST_F(VerificationTest, StaleListRejected) {
   EXPECT_FALSE(decision.accepted);
 }
 
+TEST_F(VerificationTest, AttestationsSignTheListDigest) {
+  const std::vector<uint8_t> bytes = val_.SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(bytes.data(), bytes.size());
+  for (const VerifiableActorList::Attestation& att : val_.attestations) {
+    EXPECT_TRUE(ctx_.provider->Verify(att.cert.subject, digest.bytes().data(),
+                                      digest.bytes().size(), att.sig));
+    EXPECT_FALSE(ctx_.provider->Verify(att.cert.subject, bytes, att.sig));
+  }
+  // The same SLs' valid signatures over the full preimage are not
+  // attestations.
+  const dht::Directory& dir = network_->directory();
+  VerifiableActorList preimage_signed = val_;
+  for (VerifiableActorList::Attestation& att : preimage_signed.attestations) {
+    std::optional<uint32_t> sl = dir.IndexOf(att.cert.NodeIdFromSubject());
+    ASSERT_TRUE(sl.has_value());
+    auto sig = ctx_.SignAs(*sl, bytes);
+    ASSERT_TRUE(sig.ok());
+    att.sig = *sig;
+  }
+  Result<net::Cost> verified = VerifyActorList(ctx_, preimage_signed);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.status().code(), StatusCode::kSecurityViolation);
+  EXPECT_EQ(verified.status().message(), "val: bad SL signature");
+}
+
 TEST_F(VerificationTest, ForeignAttestationRejected) {
   // An attacker swaps in a signature from a node outside R2 (signing the
-  // same bytes, so the signature itself is valid).
+  // same digest, so the signature itself is valid).
   const dht::Directory& dir = network_->directory();
   dht::Region r2 =
       dht::Region::Centered(val_.SetterPoint().ring_pos(), val_.rs2);
@@ -74,12 +102,17 @@ TEST_F(VerificationTest, ForeignAttestationRejected) {
       break;
     }
   }
-  auto sig = ctx_.SignAs(outsider, val_.SignedBytes());
+  const std::vector<uint8_t> bytes = val_.SignedBytes();
+  const crypto::Hash256 digest =
+      crypto::Hash256::Of(bytes.data(), bytes.size());
+  auto sig = ctx_.SignAs(outsider, digest);
   ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(ctx_.CheckSignature(dir.pub(outsider), digest, *sig));
   VerifierDecision decision = VerifyBeforeDisclosure(
       ctx_, tamper::ReplaceAttestation(val_, dir.cert(outsider), *sig),
       nullptr, nullptr);
   EXPECT_FALSE(decision.accepted);
+  EXPECT_EQ(decision.reason.message(), "val: SL not legitimate w.r.t. R2");
 }
 
 TEST_F(VerificationTest, BrokenSignatureRejected) {
