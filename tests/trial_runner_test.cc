@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "attack/sweep.h"
 #include "obs/export.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
@@ -272,6 +275,70 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
   EXPECT_FALSE(serial_traces.empty());
   EXPECT_EQ(serial_metrics, parallel_metrics);
   EXPECT_EQ(serial_traces, parallel_traces);
+}
+
+// The same guarantee for the six other harnesses that take
+// SweepObservers, including RunAppFailureSweep, which no bench observes.
+// Each sweep has two points of 20 trials (two shards, and two colluder
+// epochs where the harness moves colluders), so the shard registries
+// fold across shards and points.
+TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
+  using Sweep =
+      std::function<Status(const Parameters&, const SweepObservers*)>;
+  std::vector<MessageFailureSetting> faults(2);
+  faults[1].drop_probability = 0.05;
+  faults[1].step_crash_probability = 0.002;
+  const std::vector<std::pair<std::string, Sweep>> sweeps = {
+      {"strategies",
+       [](const Parameters& p, const SweepObservers* o) {
+         return RunStrategyComparison(p, {0.02}, {"SEP2P", "ES.AV"}, 20, o)
+             .status();
+       }},
+      {"cache",
+       [](const Parameters& p, const SweepObservers* o) {
+         return RunCacheSweep(p, {32, 128}, 20, o).status();
+       }},
+      {"actors",
+       [](const Parameters& p, const SweepObservers* o) {
+         return RunActorSweep(p, {4, 8}, 20, o).status();
+       }},
+      {"messages",
+       [&](const Parameters& p, const SweepObservers* o) {
+         return RunMessageFailureSweep(p, faults, 20, 25, o).status();
+       }},
+      {"apps",
+       [&](const Parameters& p, const SweepObservers* o) {
+         return RunAppFailureSweep(p, faults, 20, 25, o).status();
+       }},
+      {"adversary",
+       [](const Parameters& p, const SweepObservers* o) {
+         return attack::RunAdversarySweep(p, {"none", "csar-grind"}, 20, o)
+             .status();
+       }},
+  };
+  for (const auto& [name, sweep] : sweeps) {
+    SCOPED_TRACE(name);
+    std::string metrics_json[2], traces[2];
+    const int threads[2] = {1, 8};
+    for (int i = 0; i < 2; ++i) {
+      std::vector<obs::TraceRecorder> recorders;
+      obs::MetricsRegistry metrics;
+      SweepObservers observers;
+      observers.trace_trials = 3;
+      observers.recorders = &recorders;
+      observers.metrics = &metrics;
+      Status status = sweep(SmallNet(threads[i]), &observers);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      ASSERT_EQ(recorders.size(), 3u);
+      metrics_json[i] = metrics.ToJson();
+      for (const obs::TraceRecorder& rec : recorders) {
+        traces[i] += obs::ToJsonl(rec.trace());
+      }
+    }
+    EXPECT_FALSE(traces[0].empty());
+    EXPECT_EQ(metrics_json[0], metrics_json[1]);
+    EXPECT_EQ(traces[0], traces[1]);
+  }
 }
 
 // The message-level acceptance criterion: per-trial SimNetworks seeded
