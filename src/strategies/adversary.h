@@ -12,9 +12,13 @@
 //    hashed destination for M.Hash).
 //  * Actor-list stuffing: a corrupted list builder fills the list with
 //    colluders (and, without actor verification, with fabricated ids).
-//  * Cache-entry hiding: a corrupted SL under SEP2P reports only
-//    colluders in its candidate list — defeated by the union with an
-//    honest SL's list (§3.5 discussion); kept here so tests can prove it.
+//
+// Against SEP2P neither deviation gets past the k SL attestations over
+// the list, so Sep2pStrategy ignores this config and runs every
+// selection honestly. SEP2P's own covert deviation, a corrupted SL
+// hiding honest entries of its candidate list, is the attack
+// subsystem's sl-bias scenario (src/attack/); the union of the k
+// candidate lists defeats it.
 
 #ifndef SEP2P_STRATEGIES_ADVERSARY_H_
 #define SEP2P_STRATEGIES_ADVERSARY_H_
@@ -32,9 +36,8 @@ namespace sep2p::strategies {
 struct AdversaryConfig {
   bool claim_execution_setter = true;
   bool stuff_actor_list = true;
-  bool hide_honest_cache_entries = false;
 
-  static AdversaryConfig Passive() { return {false, false, false}; }
+  static AdversaryConfig Passive() { return {false, false}; }
 };
 
 // Returns a colluding node inside the tolerance region around `p` able to

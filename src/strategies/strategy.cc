@@ -26,10 +26,8 @@ void Sep2pStrategy::set_observers(obs::TraceRecorder* trace,
 
 Result<StrategyOutcome> Sep2pStrategy::Run(uint32_t trigger_index,
                                            util::Rng& rng) {
-  core::SelectionOptions options;
-  if (adversary_.hide_honest_cache_entries) options.attack = &hide_;
   Result<core::SelectionProtocol::Outcome> run =
-      protocol_.Run(trigger_index, rng, options);
+      protocol_.Run(trigger_index, rng);
   if (!run.ok()) return run.status();
 
   StrategyOutcome outcome;

@@ -71,16 +71,7 @@ class Sep2pStrategy : public Strategy {
                      obs::MetricsRegistry* metrics) override;
 
  private:
-  // The covert cache-hiding adversary of §3.5 (AdversaryConfig::
-  // hide_honest_cache_entries): colluding SLs report only colluders in
-  // their candidate lists.
-  class HideHonestEntries final : public core::AttackHooks {
-   public:
-    bool SlBiasesCandidates(uint32_t /*sl_index*/) override { return true; }
-  };
-
   core::SelectionProtocol protocol_;
-  HideHonestEntries hide_;
 };
 
 std::unique_ptr<Strategy> MakeStrategy(const std::string& name,

@@ -92,8 +92,7 @@ TEST_F(StrategiesTest, AllStrategiesSelectAActorsWhenHonest) {
 }
 
 TEST_F(StrategiesTest, Sep2pStaysIdealUnderFullAdversary) {
-  AdversaryConfig full;  // claim + stuff + hide
-  full.hide_honest_cache_entries = true;
+  AdversaryConfig full;  // claim + stuff
   Sep2pStrategy strategy(ctx_, full);
   double avg = AverageCorrupted(strategy, 60);
   // Ideal is A*C/N = 8 * 80/4000 = 0.16; allow generous sampling noise,
