@@ -46,11 +46,12 @@ std::vector<crypto::PublicKey> CoalitionList(
   return keys;
 }
 
-// Restart loop shared by the selection-based scenarios: kUnavailable
-// aborts (benign OR malicious — attack runs inject no benign failures,
-// so here every abort is a coalition strike or its collateral) restart
-// with a fresh engagement, anything else is a real error. The run is
-// observed through the protocol's ideal transport.
+// Restart loop of the selection-based scenarios
+// (SelectionProtocol::RunWithRestarts): kUnavailable aborts (benign OR
+// malicious — attack runs inject no benign failures, so here every abort
+// is a coalition strike or its collateral) restart with a fresh
+// engagement, anything else is a real error. The run is observed through
+// the protocol's ideal transport.
 Result<core::SelectionProtocol::Outcome> RunWithRestarts(
     const core::SelectionProtocol& protocol, uint32_t trigger,
     util::Rng& rng, core::AttackHooks* attack, obs::TraceRecorder* trace,
@@ -60,16 +61,12 @@ Result<core::SelectionProtocol::Outcome> RunWithRestarts(
   transport.set_metrics(metrics);
   core::SelectionOptions options;
   options.attack = attack;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    Result<core::SelectionProtocol::Outcome> run =
-        protocol.Run(trigger, rng, options);
-    if (run.ok()) return run;
-    if (run.status().code() != StatusCode::kUnavailable) {
-      return run.status();
-    }
-    ++*restarts;
+  Result<core::SelectionProtocol::Outcome> run = protocol.RunWithRestarts(
+      trigger, rng, options, kMaxAttempts, restarts);
+  if (!run.ok() && run.status().code() == StatusCode::kUnavailable) {
+    return Status::ResourceExhausted("attack: restart budget exhausted");
   }
-  return Status::ResourceExhausted("attack: restart budget exhausted");
+  return run;
 }
 
 // Hands the completed selection to a verifier (the data source's 2k-op

@@ -558,6 +558,18 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
   }
 }
 
+Result<SelectionProtocol::Outcome> SelectionProtocol::RunWithRestarts(
+    uint32_t trigger_index, util::Rng& rng, const SelectionOptions& options,
+    int max_attempts, int* restarts) const {
+  Result<Outcome> run = Status::Unavailable("selection: no attempt made");
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    run = Run(trigger_index, rng, options);
+    if (run.ok() && restarts != nullptr) *restarts = attempt - 1;
+    if (run.ok() || run.status().code() != StatusCode::kUnavailable) break;
+  }
+  return run;
+}
+
 Result<net::Cost> VerifyActorList(const ProtocolContext& ctx,
                                   const VerifiableActorList& val,
                                   obs::MetricsRegistry* metrics) {

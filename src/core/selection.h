@@ -120,6 +120,16 @@ class SelectionProtocol {
   Result<Outcome> Run(uint32_t trigger_index, util::Rng& rng,
                       const SelectionOptions& options = {}) const;
 
+  // The paper's remedy for a participant failing mid-protocol (§3.6):
+  // Run again with a fresh RND_T, up to `max_attempts` runs in all, but
+  // only after kUnavailable (a genuinely unreachable quorum); any other
+  // error returns at once. An exhausted budget returns the last
+  // kUnavailable. `restarts` (if non-null) receives the number of
+  // restarts the successful run needed.
+  Result<Outcome> RunWithRestarts(uint32_t trigger_index, util::Rng& rng,
+                                  const SelectionOptions& options,
+                                  int max_attempts, int* restarts) const;
+
   // The in-process ideal link (net::kIdealLink) over every directory
   // node that runs carry when SelectionOptions::network is null — also
   // for their vrand step. Created on first use and kept for this

@@ -37,22 +37,13 @@ Result<core::SelectionProtocol::Outcome> AppRuntime::RunSelection(
   core::SelectionProtocol protocol(ctx);
   core::SelectionOptions options;
   options.network = network_;
-  Result<core::SelectionProtocol::Outcome> run =
-      Status::Unavailable("selection: no attempt made");
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    run = protocol.Run(trigger_index, rng, options);
-    if (run.ok()) {
-      if (restarts != nullptr) *restarts = attempt - 1;
-      if (obs::MetricsRegistry* m = network_->metrics();
-          m != nullptr && attempt > 1) {
-        m->Inc(obs::Counter::kRestarts,
-               static_cast<uint64_t>(attempt - 1));
-      }
-      return run;
-    }
-    // A fresh-RND_T restart only absorbs unreachable quorums; any other
-    // failure is a real error.
-    if (run.status().code() != StatusCode::kUnavailable) return run;
+  int consumed = 0;
+  Result<core::SelectionProtocol::Outcome> run = protocol.RunWithRestarts(
+      trigger_index, rng, options, max_attempts, &consumed);
+  if (run.ok() && restarts != nullptr) *restarts = consumed;
+  if (obs::MetricsRegistry* m = network_->metrics();
+      m != nullptr && consumed > 0) {
+    m->Inc(obs::Counter::kRestarts, static_cast<uint64_t>(consumed));
   }
   return run;
 }

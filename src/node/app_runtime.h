@@ -80,10 +80,12 @@ class AppRuntime {
   // operations of a VAL verification).
   void Charge(const net::Cost& cost) { cost_.Then(cost); }
 
-  // Runs the actor selection over this runtime's transport, restarting
-  // with a fresh RND_T (up to `max_attempts` runs total) only when a
-  // quorum is genuinely unreachable (kUnavailable). `restarts` (if
-  // non-null) receives the number of restarts consumed on success.
+  // Runs the actor selection over this runtime's transport through
+  // core::SelectionProtocol::RunWithRestarts (a fresh RND_T, up to
+  // `max_attempts` runs total, only when a quorum is genuinely
+  // unreachable) and counts the restarts in the transport's metrics.
+  // `restarts` (if non-null) receives the number of restarts consumed
+  // on success.
   Result<core::SelectionProtocol::Outcome> RunSelection(
       const core::ProtocolContext& ctx, uint32_t trigger_index,
       util::Rng& rng, int max_attempts, int* restarts);
