@@ -39,7 +39,6 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const sim::SweepObservers* observers) {
   std::vector<AdversaryPoint> points;
   sim::TrialRunner runner(base.threads);
-  sim::PrepareRecorders(observers, trials);
 
   sim::Parameters params = base;
   Result<std::unique_ptr<sim::Network>> network = sim::Network::Build(params);
@@ -75,77 +74,58 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
       uint64_t checker_violations = 0;
     };
     std::vector<TrialResult> slots(static_cast<size_t>(trials));
-    const uint64_t trial_seed =
-        sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si);
     const uint64_t colluder_seed =
         sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        sim::MakeShardMetrics(observers, trials);
 
-    // Colluder placement refreshes every kShardSize trials at epoch
-    // barriers (the shared Directory mutates only here); within an
-    // epoch the coalition is frozen and trials run in parallel against
-    // read-only state.
-    for (int begin = 0; begin < trials;
-         begin += sim::TrialRunner::kShardSize) {
-      const int epoch = begin / sim::TrialRunner::kShardSize;
-      util::Rng colluder_rng(
-          sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-      net.ReassignColluders(colluder_rng);
+    // Colluder placement refreshes every kShardSize trials: each epoch
+    // reassigns the shared Directory and makes the epoch's scenario
+    // before its trials run, and the epochs run serially, so the
+    // scenario's protocol object stays on one thread.
+    std::unique_ptr<Scenario> scenario;
+    Status status = sim::RunSweepPoint(
+        runner, observers, si, trials,
+        sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si),
+        [&](const sim::SweepTrial& trial) {
+          // Every trial records into a trace so the oracle can replay the
+          // checker invariants; the observers' slot (when this trial owns
+          // one) doubles as that recorder.
+          obs::TraceRecorder local;
+          obs::TraceRecorder& rec =
+              trial.trace != nullptr ? *trial.trace : local;
+          rec.meta().node_count =
+              static_cast<uint32_t>(net.directory().size());
 
-      const int end =
-          std::min(begin + sim::TrialRunner::kShardSize, trials);
-      // One scenario per epoch: an epoch is one shard, run serially on
-      // one worker, so the scenario's protocol object stays on one
-      // thread.
-      std::unique_ptr<Scenario> scenario =
-          MakeScenario(name, ctx, net.ColluderIndices());
-      Status status = runner.RunTrialRange(
-          begin, end, trial_seed, [&](int t, util::Rng& rng) {
-            obs::MetricsRegistry* met =
-                shard_metrics.empty()
-                    ? nullptr
-                    : &shard_metrics[static_cast<size_t>(
-                          t / sim::TrialRunner::kShardSize)];
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
+          const uint32_t trigger = static_cast<uint32_t>(
+              trial.rng.NextUint64(net.directory().size()));
+          Result<AttackOutcome> run =
+              scenario->Run(trigger, trial.rng, &rec, trial.metrics);
+          if (!run.ok()) return run.status();
 
-            // Every trial records into a trace so the oracle can replay
-            // the checker invariants; the observers' slot (when this
-            // trial owns one) doubles as that recorder.
-            obs::TraceRecorder local;
-            obs::TraceRecorder* slot_rec = sim::RecorderFor(observers, si, t);
-            obs::TraceRecorder& rec =
-                slot_rec != nullptr ? *slot_rec : local;
-            rec.meta().node_count =
-                static_cast<uint32_t>(net.directory().size());
-
-            const uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<AttackOutcome> run =
-                scenario->Run(trigger, rng, &rec, met);
-            if (!run.ok()) return run.status();
-
-            const Verdict verdict = Judge(*run, &rec.trace());
-            TrialResult& slot = slots[static_cast<size_t>(t)];
-            slot.attempted = run->attempted ? 1 : 0;
-            slot.detected = verdict.detected ? 1 : 0;
-            slot.accepted = run->accepted ? 1 : 0;
-            slot.succeeded = run->succeeded ? 1 : 0;
-            slot.corrupted = run->corrupted_actors;
-            slot.actor_count = run->actor_count;
-            slot.strikes = run->strikes;
-            slot.attempts = run->attempts;
-            slot.restarts = run->restarts;
-            slot.relocations = run->relocations;
-            slot.verification = run->verification_cost;
-            slot.crypto_work = run->cost.crypto_work;
-            slot.msg_work = run->cost.msg_work;
-            slot.checker_violations = verdict.checker_violations;
-            return Status::Ok();
-          });
-      if (!status.ok()) return status;
-    }
-    sim::FoldShardMetrics(observers, shard_metrics);
+          const Verdict verdict = Judge(*run, &rec.trace());
+          TrialResult& slot = slots[static_cast<size_t>(trial.index)];
+          slot.attempted = run->attempted ? 1 : 0;
+          slot.detected = verdict.detected ? 1 : 0;
+          slot.accepted = run->accepted ? 1 : 0;
+          slot.succeeded = run->succeeded ? 1 : 0;
+          slot.corrupted = run->corrupted_actors;
+          slot.actor_count = run->actor_count;
+          slot.strikes = run->strikes;
+          slot.attempts = run->attempts;
+          slot.restarts = run->restarts;
+          slot.relocations = run->relocations;
+          slot.verification = run->verification_cost;
+          slot.crypto_work = run->cost.crypto_work;
+          slot.msg_work = run->cost.msg_work;
+          slot.checker_violations = verdict.checker_violations;
+          return Status::Ok();
+        },
+        [&](int epoch) {
+          util::Rng colluder_rng(
+              sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
+          net.ReassignColluders(colluder_rng);
+          scenario = MakeScenario(name, ctx, net.ColluderIndices());
+        });
+    if (!status.ok()) return status;
 
     AdversaryPoint point;
     point.scenario = name;

@@ -7,9 +7,10 @@
 // bound (§4.2: effectiveness = A_C^ideal / A_C, capped at 1), and the
 // attack's cost overhead relative to the honest "none" baseline row.
 //
-// Determinism mirrors sim::RunStrategyComparison exactly: per-trial
-// SplitMix64 streams from a sweep-private salt family, colluder
-// reassignment at kShardSize epoch barriers through the SAME
+// Determinism mirrors sim::RunStrategyComparison exactly: the trials run
+// through sim::RunSweepPoint with per-trial SplitMix64 streams from a
+// sweep-private salt family, colluder reassignment before each
+// kShardSize-trial epoch (epochs run serially) through the SAME
 // strategies::SampleColluders rule the closed-form model uses,
 // slot-per-trial results folded in trial order, and a per-point FNV-1a
 // digest over every trial's outcome fields — bit-identical for any

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "apps/sensing.h"
 #include "core/ktable.h"
@@ -30,38 +31,97 @@ constexpr uint64_t kMessageNetSalt = 0x4e7411e7;
 constexpr uint64_t kAppTrialSalt = 0xa9905a17;
 constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 
+// One SEP2P selection from a random trigger, as the cache and actor
+// sweeps run it. `strategy` is the trial's shard's: made by its first
+// trial and dropped after its last, since shards run on different
+// workers and a strategy's protocol object stays on one thread.
+Result<strategies::StrategyOutcome> RunSep2p(
+    const core::ProtocolContext& ctx, const Network& net,
+    const SweepTrial& trial,
+    std::unique_ptr<strategies::Sep2pStrategy>& strategy) {
+  if (strategy == nullptr) {
+    strategy = std::make_unique<strategies::Sep2pStrategy>(
+        ctx, strategies::AdversaryConfig::Passive());
+  }
+  strategy->set_observers(trial.trace, trial.metrics);
+  uint32_t trigger = static_cast<uint32_t>(
+      trial.rng.NextUint64(net.directory().size()));
+  Result<strategies::StrategyOutcome> run = strategy->Run(trigger, trial.rng);
+  if (trial.shard_ends) strategy.reset();
+  return run;
+}
+
+// The trial's own network in the failure sweeps, so every latency, drop
+// and crash draw stays inside the trial: `setting`'s link and crash
+// model with the default retry policy, seeded from the trial's stream of
+// `net_seed`, and observed by the trial's observers (passively, so an
+// observed trial's results are unchanged).
+std::unique_ptr<net::SimNetwork> FaultyNetwork(
+    const MessageFailureSetting& setting, uint32_t node_count,
+    uint64_t net_seed, const SweepTrial& trial) {
+  net::LinkModel link;
+  link.drop_probability = setting.drop_probability;
+  link.jitter_mean_us = setting.jitter_mean_us;
+  auto simnet = std::make_unique<net::SimNetwork>(
+      node_count, link, net::RetryPolicy{},
+      StreamSeed(net_seed, static_cast<uint64_t>(trial.index)));
+  simnet->set_step_crash_probability(setting.step_crash_probability);
+  simnet->set_trace(trial.trace);
+  simnet->set_metrics(trial.metrics);
+  return simnet;
+}
+
 }  // namespace
 
-void PrepareRecorders(const SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->recorders == nullptr) return;
-  const int count = std::clamp(observers->trace_trials, 0, trials);
-  observers->recorders->clear();
-  observers->recorders->resize(static_cast<size_t>(count));
-}
-
-obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
-                                size_t point, int t) {
-  if (observers == nullptr || observers->recorders == nullptr ||
-      point != 0 || t < 0 ||
-      static_cast<size_t>(t) >= observers->recorders->size()) {
-    return nullptr;
+Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
+                     size_t point, int trials, uint64_t seed,
+                     const std::function<Status(const SweepTrial&)>& body,
+                     const std::function<void(int)>& epoch) {
+  std::vector<obs::TraceRecorder>* recorders =
+      observers != nullptr && point == 0 ? observers->recorders : nullptr;
+  if (recorders != nullptr) {
+    // The only step that touches more than one slot, so it runs before
+    // any trial does.
+    recorders->clear();
+    recorders->resize(std::clamp(observers->trace_trials, 0, trials));
   }
-  return &(*observers->recorders)[static_cast<size_t>(t)];
-}
+  obs::MetricsRegistry* metrics =
+      observers != nullptr ? observers->metrics : nullptr;
+  std::vector<obs::MetricsRegistry> shard_metrics(
+      metrics != nullptr ? TrialRunner::ShardCount(trials) : 0);
 
-std::vector<obs::MetricsRegistry> MakeShardMetrics(
-    const SweepObservers* observers, int trials) {
-  if (observers == nullptr || observers->metrics == nullptr) return {};
-  return std::vector<obs::MetricsRegistry>(
-      static_cast<size_t>(TrialRunner::ShardCount(trials)));
-}
-
-void FoldShardMetrics(const SweepObservers* observers,
-                      const std::vector<obs::MetricsRegistry>& shards) {
-  if (observers == nullptr || observers->metrics == nullptr) return;
-  for (const obs::MetricsRegistry& shard : shards) {
-    observers->metrics->Merge(shard);
+  auto run_shard = [&](int shard, int begin, int end) {
+    obs::MetricsRegistry* met =
+        shard_metrics.empty() ? nullptr : &shard_metrics[shard];
+    for (int t = begin; t < end; ++t) {
+      util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(t)));
+      if (met != nullptr) met->Inc(obs::Counter::kTrials);
+      obs::TraceRecorder* trace =
+          recorders != nullptr && static_cast<size_t>(t) < recorders->size()
+              ? &(*recorders)[t]
+              : nullptr;
+      Status status = body(SweepTrial{t, shard, t + 1 == end, rng, trace, met});
+      if (!status.ok()) return status;
+    }
+    return Status::Ok();
+  };
+  Status status = Status::Ok();
+  if (epoch) {
+    for (int e = 0; status.ok() && e < TrialRunner::ShardCount(trials);
+         ++e) {
+      epoch(e);
+      const int begin = e * TrialRunner::kShardSize;
+      status = run_shard(e, begin,
+                         std::min(begin + TrialRunner::kShardSize, trials));
+    }
+  } else {
+    status = runner.RunShards(trials, run_shard);
   }
+  if (!status.ok()) return status;
+  for (const obs::MetricsRegistry& shard : shard_metrics) {
+    metrics->Merge(shard);
+  }
+  return Status::Ok();
 }
 
 Result<std::vector<StrategyPoint>> RunStrategyComparison(
@@ -70,7 +130,6 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
     const SweepObservers* observers) {
   std::vector<StrategyPoint> points;
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   for (size_t ci = 0; ci < c_fractions.size(); ++ci) {
     Parameters params = base;
@@ -82,10 +141,13 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
     for (size_t si = 0; si < strategy_names.size(); ++si) {
       const std::string& name = strategy_names[si];
       core::ProtocolContext ctx = net.context();
-      strategies::AdversaryConfig adversary;  // full covert adversary
-      // One strategy per point: its epochs run one after another, each
-      // on a single worker (one epoch = one shard), so the strategy's
-      // protocol object and transport are never shared between threads.
+      // The baselines' covert adversary: colluders claim the execution
+      // setter and stuff the actor list. SEP2P has no deviation here,
+      // so its SLs run honestly (strategies/adversary.h).
+      strategies::AdversaryConfig adversary;
+      // One strategy per point: its epochs run one after another on the
+      // calling thread, so the strategy's protocol object and transport
+      // are never shared between threads.
       std::unique_ptr<strategies::Strategy> strategy =
           strategies::MakeStrategy(name, ctx, adversary);
       if (strategy == nullptr) {
@@ -93,8 +155,7 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
       }
 
       // One slot per trial: each trial writes only its own slot, and the
-      // slots are folded in trial order afterwards, so the point is
-      // bit-identical for any thread count.
+      // slots are folded in trial order afterwards.
       struct TrialResult {
         double corrupted = 0;
         double verification = 0;
@@ -105,57 +166,39 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
         double relocations = 0;
       };
       std::vector<TrialResult> slots(trials);
-      const uint64_t trial_seed =
-          MixSeed(params.seed, kStrategyTrialSalt, ci, si);
       const uint64_t colluder_seed =
           MixSeed(params.seed, kStrategyColluderSalt, ci, si);
-      const size_t point_index = ci * strategy_names.size() + si;
-      std::vector<obs::MetricsRegistry> shard_metrics =
-          MakeShardMetrics(observers, trials);
 
       // Fresh colluder placement every kShardSize trials decorrelates
       // the "is a colluder near hash(RND_T)" events. Reassignment
-      // mutates the shared Directory, so it happens at epoch barriers;
-      // within an epoch the assignment is frozen and trials run in
-      // parallel against read-only state.
-      for (int begin = 0; begin < trials;
-           begin += TrialRunner::kShardSize) {
-        const int epoch = begin / TrialRunner::kShardSize;
-        util::Rng colluder_rng(
-            StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-        net.ReassignColluders(colluder_rng);
-
-        const int end = std::min(begin + TrialRunner::kShardSize, trials);
-        Status status = runner.RunTrialRange(
-            begin, end, trial_seed, [&](int t, util::Rng& rng) {
-              // One epoch = one shard (kShardSize trials on one
-              // worker), so indexing by t / kShardSize is race-free.
-              obs::MetricsRegistry* met =
-                  shard_metrics.empty()
-                      ? nullptr
-                      : &shard_metrics[static_cast<size_t>(
-                            t / TrialRunner::kShardSize)];
-              strategy->set_observers(
-                  RecorderFor(observers, point_index, t), met);
-              if (met != nullptr) met->Inc(obs::Counter::kTrials);
-              uint32_t trigger = static_cast<uint32_t>(
-                  rng.NextUint64(net.directory().size()));
-              Result<strategies::StrategyOutcome> run =
-                  strategy->Run(trigger, rng);
-              if (!run.ok()) return run.status();
-              TrialResult& slot = slots[t];
-              slot.corrupted = run->corrupted_actors;
-              slot.verification = run->verification_cost;
-              slot.crypto_lat = run->setup_cost.crypto_latency;
-              slot.crypto_work = run->setup_cost.crypto_work;
-              slot.msg_lat = run->setup_cost.msg_latency;
-              slot.msg_work = run->setup_cost.msg_work;
-              slot.relocations = run->relocations;
-              return Status::Ok();
-            });
-        if (!status.ok()) return status;
-      }
-      FoldShardMetrics(observers, shard_metrics);
+      // mutates the shared Directory, so each epoch reassigns before
+      // its trials run, and the epochs run serially.
+      Status status = RunSweepPoint(
+          runner, observers, ci * strategy_names.size() + si, trials,
+          MixSeed(params.seed, kStrategyTrialSalt, ci, si),
+          [&](const SweepTrial& trial) {
+            strategy->set_observers(trial.trace, trial.metrics);
+            uint32_t trigger = static_cast<uint32_t>(
+                trial.rng.NextUint64(net.directory().size()));
+            Result<strategies::StrategyOutcome> run =
+                strategy->Run(trigger, trial.rng);
+            if (!run.ok()) return run.status();
+            TrialResult& slot = slots[trial.index];
+            slot.corrupted = run->corrupted_actors;
+            slot.verification = run->verification_cost;
+            slot.crypto_lat = run->setup_cost.crypto_latency;
+            slot.crypto_work = run->setup_cost.crypto_work;
+            slot.msg_lat = run->setup_cost.msg_latency;
+            slot.msg_work = run->setup_cost.msg_work;
+            slot.relocations = run->relocations;
+            return Status::Ok();
+          },
+          [&](int epoch) {
+            util::Rng colluder_rng(
+                StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
+            net.ReassignColluders(colluder_rng);
+          });
+      if (!status.ok()) return status;
 
       OnlineStats corrupted, verification, crypto_lat, crypto_work, msg_lat,
           msg_work, relocations;
@@ -213,33 +256,30 @@ KCurvePoint ComputeAverageK(uint64_t n, double c_fraction, double alpha,
   // accumulates into its shard's stats; shards merge in shard order.
   TrialRunner runner(threads);
   std::vector<OnlineStats> shard_ks(TrialRunner::ShardCount(samples));
-  runner.RunShards(samples, [&](int shard, int begin, int end) {
-    std::vector<double> thresholds;
-    for (int s = begin; s < end; ++s) {
-      util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(s)));
-      double sum = 0;
-      thresholds.clear();
-      thresholds.reserve(table.k_max() + 1);
-      for (int i = 0; i < table.k_max(); ++i) {
-        sum += -std::log(1.0 - rng.NextDouble());
-        thresholds.push_back(sum / static_cast<double>(n - 1));
-      }
-      int chosen = table.k_max();
-      for (const core::KTable::Entry& entry : table.entries()) {
-        // Number of neighbors within region size entry.rs.
-        size_t count = static_cast<size_t>(
-            std::upper_bound(thresholds.begin(), thresholds.end(),
-                             entry.rs) -
-            thresholds.begin());
-        if (count >= static_cast<size_t>(entry.k)) {
-          chosen = entry.k;
-          break;
+  RunSweepPoint(
+      runner, nullptr, 0, samples, seed, [&](const SweepTrial& trial) {
+        std::vector<double> thresholds;
+        thresholds.reserve(table.k_max());
+        double sum = 0;
+        for (int i = 0; i < table.k_max(); ++i) {
+          sum += -std::log(1.0 - trial.rng.NextDouble());
+          thresholds.push_back(sum / static_cast<double>(n - 1));
         }
-      }
-      shard_ks[shard].Add(chosen);
-    }
-    return Status::Ok();
-  });
+        int chosen = table.k_max();
+        for (const core::KTable::Entry& entry : table.entries()) {
+          // Number of neighbors within region size entry.rs.
+          size_t count = static_cast<size_t>(
+              std::upper_bound(thresholds.begin(), thresholds.end(),
+                               entry.rs) -
+              thresholds.begin());
+          if (count >= static_cast<size_t>(entry.k)) {
+            chosen = entry.k;
+            break;
+          }
+        }
+        shard_ks[trial.shard].Add(chosen);
+        return Status::Ok();
+      });
 
   OnlineStats ks;
   for (const OnlineStats& shard : shard_ks) ks.Merge(shard);
@@ -255,7 +295,6 @@ Result<std::vector<CachePoint>> RunCacheSweep(
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<CachePoint> points;
   for (size_t pi = 0; pi < cache_sizes.size(); ++pi) {
@@ -266,52 +305,39 @@ Result<std::vector<CachePoint>> RunCacheSweep(
     // With tiny caches the selection may relocate many times before
     // accumulating A candidates.
     ctx.max_relocations = 64;
-    const uint64_t trial_seed = MixSeed(base.seed, kCacheTrialSalt, pi);
 
     struct Shard {
+      std::unique_ptr<strategies::Sep2pStrategy> strategy;
       OnlineStats reloc, crypto_lat, crypto_work, msg_lat, msg_work;
       int relocated_runs = 0;
       int failed_runs = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          strategies::Sep2pStrategy strategy(
-              ctx, strategies::AdversaryConfig::Passive());
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            strategy.set_observers(RecorderFor(observers, pi, t), met);
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
-            uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<strategies::StrategyOutcome> run =
-                strategy.Run(trigger, rng);
-            if (!run.ok()) {
-              // A cache smaller than A can make the selection
-              // impossible; that is a data point (the paper's "sparse
-              // regions cannot fully take part"), not a harness error.
-              if (run.status().code() == StatusCode::kResourceExhausted) {
-                ++sh.failed_runs;
-                continue;
-              }
-              return run.status();
+    Status status = RunSweepPoint(
+        runner, observers, pi, trials, MixSeed(base.seed, kCacheTrialSalt, pi),
+        [&](const SweepTrial& trial) {
+          Shard& sh = shards[trial.shard];
+          Result<strategies::StrategyOutcome> run =
+              RunSep2p(ctx, net, trial, sh.strategy);
+          if (!run.ok()) {
+            // A cache smaller than A can make the selection impossible;
+            // that is a data point (the paper's "sparse regions cannot
+            // fully take part"), not a harness error.
+            if (run.status().code() == StatusCode::kResourceExhausted) {
+              ++sh.failed_runs;
+              return Status::Ok();
             }
-            sh.reloc.Add(run->relocations);
-            if (run->relocations > 0) ++sh.relocated_runs;
-            sh.crypto_lat.Add(run->setup_cost.crypto_latency);
-            sh.crypto_work.Add(run->setup_cost.crypto_work);
-            sh.msg_lat.Add(run->setup_cost.msg_latency);
-            sh.msg_work.Add(run->setup_cost.msg_work);
+            return run.status();
           }
+          sh.reloc.Add(run->relocations);
+          if (run->relocations > 0) ++sh.relocated_runs;
+          sh.crypto_lat.Add(run->setup_cost.crypto_latency);
+          sh.crypto_work.Add(run->setup_cost.crypto_work);
+          sh.msg_lat.Add(run->setup_cost.msg_latency);
+          sh.msg_work.Add(run->setup_cost.msg_work);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats reloc, crypto_lat, crypto_work, msg_lat, msg_work;
     int relocated_runs = 0;
@@ -350,7 +376,6 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
   if (!network.ok()) return network.status();
   Network& net = *network.value();
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<ActorsPoint> points;
   for (size_t pi = 0; pi < actor_counts.size(); ++pi) {
@@ -360,38 +385,25 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
     // Keep R3 populated for the largest sweeps.
     ctx.rs3 = std::max(ctx.rs3, 4.0 * actor_count / static_cast<double>(
                                                         base.n));
-    const uint64_t trial_seed = MixSeed(base.seed, kActorTrialSalt, pi);
 
     struct Shard {
+      std::unique_ptr<strategies::Sep2pStrategy> strategy;
       OnlineStats crypto_work, msg_work, verification;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          strategies::Sep2pStrategy strategy(
-              ctx, strategies::AdversaryConfig::Passive());
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            strategy.set_observers(RecorderFor(observers, pi, t), met);
-            if (met != nullptr) met->Inc(obs::Counter::kTrials);
-            uint32_t trigger = static_cast<uint32_t>(
-                rng.NextUint64(net.directory().size()));
-            Result<strategies::StrategyOutcome> run =
-                strategy.Run(trigger, rng);
-            if (!run.ok()) return run.status();
-            sh.crypto_work.Add(run->setup_cost.crypto_work);
-            sh.msg_work.Add(run->setup_cost.msg_work);
-            sh.verification.Add(run->verification_cost);
-          }
+    Status status = RunSweepPoint(
+        runner, observers, pi, trials, MixSeed(base.seed, kActorTrialSalt, pi),
+        [&](const SweepTrial& trial) {
+          Shard& sh = shards[trial.shard];
+          Result<strategies::StrategyOutcome> run =
+              RunSep2p(ctx, net, trial, sh.strategy);
+          if (!run.ok()) return run.status();
+          sh.crypto_work.Add(run->setup_cost.crypto_work);
+          sh.msg_work.Add(run->setup_cost.msg_work);
+          sh.verification.Add(run->verification_cost);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats crypto_work, msg_work, verification;
     for (const Shard& sh : shards) {
@@ -433,56 +445,50 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   }
 
   core::ProtocolContext ctx = net.context();
-  const uint64_t trial_seed = MixSeed(base.seed, kExhaustiveTrialSalt);
   const int trials = static_cast<int>(setters.size());
 
   struct Shard {
+    // One protocol object (and ideal transport) per shard, made by its
+    // first trial and dropped after its last: shards run on different
+    // workers.
+    std::unique_ptr<core::SelectionProtocol> protocol;
     OnlineStats verif, cw, mw, cl, ml;
   };
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
   std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-  std::vector<obs::MetricsRegistry> shard_metrics =
-      MakeShardMetrics(observers, trials);
-  Status status = runner.RunShards(
-      trials, [&](int shard, int begin, int end) {
-        Shard& sh = shards[shard];
-        obs::MetricsRegistry* met =
-            shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-        // One protocol object (and ideal transport) per shard: shards
-        // run on different workers.
-        core::SelectionProtocol protocol(ctx);
-        net::Transport& transport = protocol.ideal_transport();
-        transport.set_metrics(met);
-        for (int t = begin; t < end; ++t) {
-          util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-          // Force the setter point onto this node's exact position.
-          crypto::Hash256 point = crypto::Hash256::FromRingPos(
-              net.directory().pos(setters[t]));
-          core::SelectionOptions options;
-          options.forced_point = &point;
-          transport.set_trace(RecorderFor(observers, 0, t));
-          if (met != nullptr) met->Inc(obs::Counter::kTrials);
-          uint32_t trigger = static_cast<uint32_t>(
-              rng.NextUint64(net.directory().size()));
-          Result<core::SelectionProtocol::Outcome> run =
-              protocol.Run(trigger, rng, options);
-          if (!run.ok()) {
-            if (run.status().code() == StatusCode::kResourceExhausted) {
-              continue;
-            }
-            return run.status();
-          }
-          sh.verif.Add(2.0 * run->val.k());
-          sh.cw.Add(run->cost.crypto_work);
-          sh.mw.Add(run->cost.msg_work);
-          sh.cl.Add(run->cost.crypto_latency);
-          sh.ml.Add(run->cost.msg_latency);
+  Status status = RunSweepPoint(
+      runner, observers, 0, trials, MixSeed(base.seed, kExhaustiveTrialSalt),
+      [&](const SweepTrial& trial) {
+        Shard& sh = shards[trial.shard];
+        if (sh.protocol == nullptr) {
+          sh.protocol = std::make_unique<core::SelectionProtocol>(ctx);
         }
+        net::Transport& transport = sh.protocol->ideal_transport();
+        transport.set_trace(trial.trace);
+        transport.set_metrics(trial.metrics);
+        // Force the setter point onto this node's exact position.
+        crypto::Hash256 point = crypto::Hash256::FromRingPos(
+            net.directory().pos(setters[trial.index]));
+        core::SelectionOptions options;
+        options.forced_point = &point;
+        uint32_t trigger = static_cast<uint32_t>(
+            trial.rng.NextUint64(net.directory().size()));
+        Result<core::SelectionProtocol::Outcome> run =
+            sh.protocol->Run(trigger, trial.rng, options);
+        if (trial.shard_ends) sh.protocol.reset();
+        if (!run.ok()) {
+          return run.status().code() == StatusCode::kResourceExhausted
+                     ? Status::Ok()
+                     : run.status();
+        }
+        sh.verif.Add(2.0 * run->val.k());
+        sh.cw.Add(run->cost.crypto_work);
+        sh.mw.Add(run->cost.msg_work);
+        sh.cl.Add(run->cost.crypto_latency);
+        sh.ml.Add(run->cost.msg_latency);
         return Status::Ok();
       });
   if (!status.ok()) return status;
-  FoldShardMetrics(observers, shard_metrics);
 
   OnlineStats verif, cw, mw, cl, ml;
   for (const Shard& sh : shards) {
@@ -523,14 +529,12 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
   const uint32_t node_count =
       static_cast<uint32_t>(net.directory().size());
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
 
   std::vector<MessageFailurePoint> points;
   for (size_t pi = 0; pi < settings.size(); ++pi) {
     const MessageFailureSetting& setting = settings[pi];
     core::ProtocolContext ctx = net.context();
     core::SelectionProtocol protocol(ctx);
-    const uint64_t trial_seed = MixSeed(base.seed, kMessageTrialSalt, pi);
     const uint64_t net_seed = MixSeed(base.seed, kMessageNetSalt, pi);
 
     struct Shard {
@@ -545,72 +549,47 @@ Result<std::vector<MessageFailurePoint>> RunMessageFailureSweep(
       int gave_up = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            net::LinkModel link;
-            link.drop_probability = setting.drop_probability;
-            link.jitter_mean_us = setting.jitter_mean_us;
-            net::RetryPolicy retry;  // library defaults
-            // The network — and with it every latency/drop/crash draw —
-            // is trial-private, keeping trials embarrassingly parallel.
-            net::SimNetwork simnet(
-                node_count, link, retry,
-                StreamSeed(net_seed, static_cast<uint64_t>(t)));
-            simnet.set_step_crash_probability(
-                setting.step_crash_probability);
-            // Trial t of the first setting records into its own slot;
-            // observation is passive, so the observed trials' results
-            // are unchanged.
-            obs::TraceRecorder* rec = RecorderFor(observers, pi, t);
-            if (rec != nullptr) simnet.set_trace(rec);
-            if (met != nullptr) {
-              simnet.set_metrics(met);
-              met->Inc(obs::Counter::kTrials);
-            }
-            uint32_t trigger =
-                static_cast<uint32_t>(rng.NextUint64(node_count));
-            int attempt = 1;
-            for (; attempt <= max_attempts; ++attempt) {
-              core::SelectionOptions options;
-              options.network = &simnet;
-              Result<core::SelectionProtocol::Outcome> run =
-                  protocol.Run(trigger, rng, options);
-              if (run.ok()) break;
-              if (run.status().code() != StatusCode::kUnavailable) {
-                return run.status();
-              }
-            }
-            if (rec != nullptr) simnet.FinalizeTrace();
-            if (met != nullptr) {
-              met->Observe(obs::Hist::kTrialLatencyUs, simnet.now_us());
-            }
-            if (attempt > max_attempts) {
-              ++sh.gave_up;
-            } else {
-              if (attempt == 1) ++sh.first_try;
-              if (met != nullptr && attempt > 1) {
-                met->Inc(obs::Counter::kRestarts,
-                         static_cast<uint64_t>(attempt - 1));
-              }
-              sh.restarts.Add(attempt - 1);
-              sh.retries.Add(static_cast<double>(simnet.stats().retries));
-              sh.replacements.Add(
-                  static_cast<double>(simnet.stats().quorum_replacements));
-              sh.latencies_ms.push_back(
-                  static_cast<double>(simnet.now_us()) / 1000.0);
-            }
+    Status status = RunSweepPoint(
+        runner, observers, pi, trials,
+        MixSeed(base.seed, kMessageTrialSalt, pi),
+        [&](const SweepTrial& trial) {
+          Shard& sh = shards[trial.shard];
+          std::unique_ptr<net::SimNetwork> simnet =
+              FaultyNetwork(setting, node_count, net_seed, trial);
+          uint32_t trigger =
+              static_cast<uint32_t>(trial.rng.NextUint64(node_count));
+          core::SelectionOptions options;
+          options.network = simnet.get();
+          int restarts = 0;
+          Result<core::SelectionProtocol::Outcome> run =
+              protocol.RunWithRestarts(trigger, trial.rng, options,
+                                       max_attempts, &restarts);
+          if (!run.ok() && run.status().code() != StatusCode::kUnavailable) {
+            return run.status();
           }
+          simnet->FinalizeTrace();
+          if (trial.metrics != nullptr) {
+            trial.metrics->Observe(obs::Hist::kTrialLatencyUs,
+                                   simnet->now_us());
+          }
+          if (!run.ok()) {
+            ++sh.gave_up;
+            return Status::Ok();
+          }
+          if (restarts == 0) ++sh.first_try;
+          if (trial.metrics != nullptr && restarts > 0) {
+            trial.metrics->Inc(obs::Counter::kRestarts,
+                               static_cast<uint64_t>(restarts));
+          }
+          sh.restarts.Add(restarts);
+          sh.retries.Add(static_cast<double>(simnet->stats().retries));
+          sh.replacements.Add(
+              static_cast<double>(simnet->stats().quorum_replacements));
+          sh.latencies_ms.push_back(static_cast<double>(simnet->now_us()) /
+                                    1000.0);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats retries, replacements, restarts;
     std::vector<double> latencies_ms;
@@ -652,7 +631,6 @@ Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
   const uint32_t node_count =
       static_cast<uint32_t>(net.directory().size());
   TrialRunner runner(base.threads);
-  PrepareRecorders(observers, trials);
   // Deterministic workload shape: a tenth of the network contributes.
   const int sources = std::max(1, static_cast<int>(node_count / 10));
   const int readings_per_source = 3;
@@ -660,7 +638,6 @@ Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
   std::vector<AppFailurePoint> points;
   for (size_t pi = 0; pi < settings.size(); ++pi) {
     const MessageFailureSetting& setting = settings[pi];
-    const uint64_t trial_seed = MixSeed(base.seed, kAppTrialSalt, pi);
     const uint64_t net_seed = MixSeed(base.seed, kAppNetSalt, pi);
 
     struct Shard {
@@ -674,79 +651,56 @@ Result<std::vector<AppFailurePoint>> RunAppFailureSweep(
       int gave_up = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-    std::vector<obs::MetricsRegistry> shard_metrics =
-        MakeShardMetrics(observers, trials);
-    Status status = runner.RunShards(
-        trials, [&](int shard, int begin, int end) {
-          Shard& sh = shards[shard];
-          obs::MetricsRegistry* met =
-              shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-          for (int t = begin; t < end; ++t) {
-            util::Rng rng(StreamSeed(trial_seed, static_cast<uint64_t>(t)));
-            net::LinkModel link;
-            link.drop_probability = setting.drop_probability;
-            link.jitter_mean_us = setting.jitter_mean_us;
-            net::RetryPolicy retry;  // library defaults
-            net::SimNetwork simnet(
-                node_count, link, retry,
-                StreamSeed(net_seed, static_cast<uint64_t>(t)));
-            simnet.set_step_crash_probability(
-                setting.step_crash_probability);
-            // Observed trials of the first setting; see the message
-            // sweep.
-            obs::TraceRecorder* rec = RecorderFor(observers, pi, t);
-            if (rec != nullptr) simnet.set_trace(rec);
-            if (met != nullptr) {
-              simnet.set_metrics(met);
-              met->Inc(obs::Counter::kTrials);
-            }
-            node::AppRuntime runtime(&simnet);
+    Status status = RunSweepPoint(
+        runner, observers, pi, trials, MixSeed(base.seed, kAppTrialSalt, pi),
+        [&](const SweepTrial& trial) {
+          Shard& sh = shards[trial.shard];
+          // Trial-private PDMSs: the handlers write into them, so they
+          // cannot be shared across parallel trials.
+          std::unique_ptr<net::SimNetwork> simnet =
+              FaultyNetwork(setting, node_count, net_seed, trial);
+          node::AppRuntime runtime(simnet.get());
+          std::vector<node::PdmsNode> pdms;
+          pdms.reserve(node_count);
+          for (uint32_t i = 0; i < node_count; ++i) pdms.emplace_back(i);
 
-            // Trial-private PDMSs: the handlers write into them, so they
-            // cannot be shared across parallel trials.
-            std::vector<node::PdmsNode> pdms;
-            pdms.reserve(node_count);
-            for (uint32_t i = 0; i < node_count; ++i) pdms.emplace_back(i);
-
-            apps::ParticipatorySensingApp::Config config;
-            config.max_selection_attempts = max_attempts;
-            apps::ParticipatorySensingApp app(&net, &pdms, &runtime,
-                                              config);
-            app.GenerateWorkload(sources, readings_per_source, rng);
-            uint32_t trigger =
-                static_cast<uint32_t>(rng.NextUint64(node_count));
-            Result<apps::ParticipatorySensingApp::RoundResult> round =
-                app.RunRound(trigger, rng);
-            if (rec != nullptr) simnet.FinalizeTrace();
-            if (met != nullptr) {
-              met->Observe(obs::Hist::kTrialLatencyUs, simnet.now_us());
-            }
-            if (!round.ok()) {
-              if (round.status().code() != StatusCode::kUnavailable) {
-                return round.status();
-              }
-              ++sh.gave_up;
-              continue;
-            }
-            const bool clean = round->selection_restarts == 0 &&
-                               round->readings_delivered ==
-                                   round->readings_sent &&
-                               round->published;
-            if (clean) ++sh.first_try;
-            sh.restarts.Add(round->selection_restarts);
-            sh.retries.Add(static_cast<double>(simnet.stats().retries));
-            sh.delivered.Add(
-                round->readings_sent == 0
-                    ? 1.0
-                    : static_cast<double>(round->readings_delivered) /
-                          static_cast<double>(round->readings_sent));
-            sh.latencies_ms.push_back(
-                static_cast<double>(round->round_latency_us) / 1000.0);
+          apps::ParticipatorySensingApp::Config config;
+          config.max_selection_attempts = max_attempts;
+          apps::ParticipatorySensingApp app(&net, &pdms, &runtime, config);
+          app.GenerateWorkload(sources, readings_per_source, trial.rng);
+          uint32_t trigger =
+              static_cast<uint32_t>(trial.rng.NextUint64(node_count));
+          Result<apps::ParticipatorySensingApp::RoundResult> round =
+              app.RunRound(trigger, trial.rng);
+          simnet->FinalizeTrace();
+          if (trial.metrics != nullptr) {
+            trial.metrics->Observe(obs::Hist::kTrialLatencyUs,
+                                   simnet->now_us());
           }
+          if (!round.ok()) {
+            if (round.status().code() != StatusCode::kUnavailable) {
+              return round.status();
+            }
+            ++sh.gave_up;
+            return Status::Ok();
+          }
+          const bool clean = round->selection_restarts == 0 &&
+                             round->readings_delivered ==
+                                 round->readings_sent &&
+                             round->published;
+          if (clean) ++sh.first_try;
+          sh.restarts.Add(round->selection_restarts);
+          sh.retries.Add(static_cast<double>(simnet->stats().retries));
+          sh.delivered.Add(
+              round->readings_sent == 0
+                  ? 1.0
+                  : static_cast<double>(round->readings_delivered) /
+                        static_cast<double>(round->readings_sent));
+          sh.latencies_ms.push_back(
+              static_cast<double>(round->round_latency_us) / 1000.0);
           return Status::Ok();
         });
     if (!status.ok()) return status;
-    FoldShardMetrics(observers, shard_metrics);
 
     OnlineStats retries, restarts, delivered;
     std::vector<double> latencies_ms;

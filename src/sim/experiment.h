@@ -7,6 +7,7 @@
 #ifndef SEP2P_SIM_EXPERIMENT_H_
 #define SEP2P_SIM_EXPERIMENT_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,8 @@
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/parameters.h"
+#include "sim/trial_runner.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace sep2p::sim {
@@ -25,40 +28,51 @@ namespace sep2p::sim {
 // for any Parameters::threads value.
 struct SweepObservers {
   // Record the first min(trace_trials, trials) trials of the FIRST
-  // sweep point, one recorder per trial: the harness resizes
+  // sweep point, one recorder per trial: RunSweepPoint resizes
   // `recorders` and trial t writes only slot t, so parallel sweeps stay
   // race-free and the slot order is the trial order. nullptr = off.
   int trace_trials = 1;
   std::vector<obs::TraceRecorder>* recorders = nullptr;
   // Merged metrics snapshot over EVERY trial of EVERY point. Trials
   // accumulate into shard-local registries which merge in shard order
-  // after each parallel section (MetricsRegistry::Merge is commutative
+  // after each sweep point (MetricsRegistry::Merge is commutative
   // anyway, with fixed histogram buckets), so the snapshot is
   // bit-identical for any thread count. nullptr = off.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-// Observer plumbing shared by every sweep harness (here and
-// attack/sweep.h). Each accepts a null `observers`.
+// ------------------------------------------------------- the trial loop
+// What RunSweepPoint hands the body for trial `index` of a sweep point.
+struct SweepTrial {
+  int index;  // in [0, trials)
+  // index / TrialRunner::kShardSize. A shard's trials run in index order
+  // on one thread, so per-shard state indexed by it needs no lock.
+  int shard;
+  bool shard_ends;  // the shard's last trial; its state may go after it
+  util::Rng& rng;   // Rng(StreamSeed(seed, index)), this trial's alone
+  // Slot `index` of observers->recorders on the first sweep point (its
+  // first trace_trials trials); nullptr otherwise or when tracing is off.
+  obs::TraceRecorder* trace;
+  // The shard's metrics registry, with this trial's kTrials already
+  // counted; nullptr when metering is off.
+  obs::MetricsRegistry* metrics;
+};
+
+// The one trial loop of every sweep harness (here and attack/sweep.h):
+// runs body(trial) for each of `trials` trials of sweep point `point`
+// (0 = the first point, which sizes observers->recorders) and, once all
+// succeeded, folds the shard registries into observers->metrics in
+// shard order. `observers` may be null. The shards go to the runner's
+// pool; the error of the lowest failing trial wins.
 //
-// Sizes observers->recorders so that trial t of the first sweep point
-// owns slot t; called before any parallel section (the resize is the
-// only operation that touches more than one slot).
-void PrepareRecorders(const SweepObservers* observers, int trials);
-
-// The recorder trial `t` of point `point` gets (nullptr = untraced):
-// only the first point's first trace_trials trials record, and each
-// traced trial is the sole writer of its slot.
-obs::TraceRecorder* RecorderFor(const SweepObservers* observers,
-                                size_t point, int t);
-
-// Shard-local registries for one parallel section of `trials` trials
-// (empty = metering off); FoldShardMetrics merges them into
-// observers->metrics in shard order afterwards.
-std::vector<obs::MetricsRegistry> MakeShardMetrics(
-    const SweepObservers* observers, int trials);
-void FoldShardMetrics(const SweepObservers* observers,
-                      const std::vector<obs::MetricsRegistry>& shards);
+// A harness that moves colluders between trials passes `epoch`: it runs
+// on the calling thread before each kShardSize-trial epoch e (one
+// shard), and the epochs then run one after another on that thread, so
+// such a point runs serially at any thread count.
+Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
+                     size_t point, int trials, uint64_t seed,
+                     const std::function<Status(const SweepTrial&)>& body,
+                     const std::function<void(int epoch)>& epoch = {});
 
 // ---------------------------------------------------------------- Fig 3-5
 // One point per (strategy, C%): security effectiveness, verification cost

@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "util/rng.h"
+
 namespace sep2p::sim {
 
 uint64_t StreamSeed(uint64_t seed, uint64_t index) {
@@ -50,26 +52,6 @@ Status TrialRunner::RunShards(
     }
   });
   return error;
-}
-
-Status TrialRunner::RunTrials(
-    int trials, uint64_t seed,
-    const std::function<Status(int, util::Rng&)>& fn) {
-  return RunTrialRange(0, trials, seed, fn);
-}
-
-Status TrialRunner::RunTrialRange(
-    int begin, int end, uint64_t seed,
-    const std::function<Status(int, util::Rng&)>& fn) {
-  return RunShards(end - begin, [&](int /*shard*/, int lo, int hi) {
-    for (int local = lo; local < hi; ++local) {
-      const int t = begin + local;
-      util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(t)));
-      Status status = fn(t, rng);
-      if (!status.ok()) return status;
-    }
-    return Status::Ok();
-  });
 }
 
 }  // namespace sep2p::sim

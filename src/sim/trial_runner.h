@@ -17,9 +17,9 @@
 //     thread count). Each shard owns its OnlineStats et al.; shards are
 //     merged serially in shard order after the parallel section
 //     (OnlineStats::Merge is the parallel-safe combine);
-//   * shared simulator state (Network, Directory): read-only during a
-//     parallel section. Mutations (ReassignColluders) happen at barrier
-//     points between sections;
+//   * shared simulator state (Network, Directory): read-only while
+//     trials run in parallel. Harnesses that mutate it between trials
+//     (ReassignColluders) run their epochs one after another;
 //   * errors: the failing trial with the lowest index wins, matching
 //     what a serial loop would have reported first.
 
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -49,9 +48,9 @@ uint64_t MixSeed(uint64_t seed, uint64_t salt, uint64_t a = 0,
 
 class TrialRunner {
  public:
-  // Fixed shard width for per-shard accumulation. 16 matches the
-  // colluder-reassignment epoch historically used by the strategy
-  // comparison, so an epoch is a whole number of shards.
+  // Fixed shard width for per-shard accumulation. It is also the
+  // colluder-reassignment epoch of the harnesses that move colluders:
+  // one epoch is one shard.
   static constexpr int kShardSize = 16;
 
   // `threads` as in Parameters::threads: >= 1 literal, else one per
@@ -66,26 +65,13 @@ class TrialRunner {
     return (trials + kShardSize - 1) / kShardSize;
   }
 
-  // Runs fn(t, rng) for every t in [0, trials), where rng is a fresh
-  // Rng(StreamSeed(seed, t)). Shards of kShardSize trials are the unit
-  // of scheduling. Returns the error of the lowest-indexed failing
-  // trial, or OK. `fn` must confine writes to per-trial or per-shard
-  // state it owns.
-  Status RunTrials(int trials, uint64_t seed,
-                   const std::function<Status(int, util::Rng&)>& fn);
-
-  // As RunTrials, but over the trial range [begin, end). Stream seeds use
-  // the *global* trial index, so running [0, 16) and [16, 32) as two
-  // calls (e.g. with a barrier between epochs) produces exactly the
-  // trials a single [0, 32) run would.
-  Status RunTrialRange(int begin, int end, uint64_t seed,
-                       const std::function<Status(int, util::Rng&)>& fn);
-
-  // Shard-level variant for callers that accumulate into per-shard
-  // state: fn(shard, begin, end) with [begin, end) the trial range of
-  // `shard`. Per-trial seeding stays the caller's job (use
-  // StreamSeed(seed, t) per trial so shard width never leaks into the
-  // random stream).
+  // Runs fn(shard, begin, end) for every shard of `trials` trials, with
+  // [begin, end) the shard's trial range; shards are the unit of
+  // scheduling. Returns the error of the lowest-indexed failing shard,
+  // or OK. `fn` must confine writes to per-trial or per-shard state it
+  // owns. sim::RunSweepPoint (sim/experiment.h) builds every harness's
+  // trial loop on it, seeding trial t from StreamSeed(seed, t) so the
+  // shard width never leaks into the random stream.
   Status RunShards(int trials,
                    const std::function<Status(int, int, int)>& fn);
 

@@ -92,80 +92,85 @@ TEST(OnlineStatsMergeTest, MergeIntoEmptyCopies) {
   EXPECT_EQ(a.count(), 2u);
 }
 
-TEST(TrialRunnerTest, RunTrialsCoversEveryTrialExactlyOnce) {
+TEST(TrialRunnerTest, SweepPointRunsEveryTrialExactlyOnce) {
   TrialRunner runner(/*threads=*/4);
   constexpr int kTrials = 1003;  // not a multiple of kShardSize
   std::vector<std::atomic<int>> hits(kTrials);
-  Status status =
-      runner.RunTrials(kTrials, /*seed=*/7, [&](int t, util::Rng&) {
-        hits[t].fetch_add(1, std::memory_order_relaxed);
+  Status status = RunSweepPoint(
+      runner, nullptr, 0, kTrials, /*seed=*/7, [&](const SweepTrial& t) {
+        EXPECT_EQ(t.shard, t.index / TrialRunner::kShardSize);
+        EXPECT_EQ(t.shard_ends, t.index + 1 == kTrials ||
+                                    (t.index + 1) % TrialRunner::kShardSize ==
+                                        0);
+        hits[t.index].fetch_add(1, std::memory_order_relaxed);
         return Status::Ok();
       });
   ASSERT_TRUE(status.ok());
   for (int t = 0; t < kTrials; ++t) EXPECT_EQ(hits[t].load(), 1);
 }
 
+// Each trial's first draw in a sweep point of `trials` trials on
+// `runner`, in epoch mode when `epochs` is set.
+std::vector<uint64_t> FirstDraws(TrialRunner& runner, int trials,
+                                 uint64_t seed, bool epochs) {
+  std::vector<uint64_t> draws(trials);
+  std::vector<int> epochs_seen;
+  auto body = [&](const SweepTrial& trial) {
+    // Epochs run one after another, each after its own hook.
+    if (epochs) {
+      EXPECT_EQ(epochs_seen.empty() ? -1 : epochs_seen.back(), trial.shard);
+    }
+    draws[trial.index] = trial.rng.NextUint64();
+    return Status::Ok();
+  };
+  Status status =
+      epochs ? RunSweepPoint(runner, nullptr, 0, trials, seed, body,
+                             [&](int e) { epochs_seen.push_back(e); })
+             : RunSweepPoint(runner, nullptr, 0, trials, seed, body);
+  EXPECT_TRUE(status.ok());
+  if (epochs) {
+    EXPECT_EQ(epochs_seen.size(),
+              static_cast<size_t>(TrialRunner::ShardCount(trials)));
+  }
+  return draws;
+}
+
 TEST(TrialRunnerTest, PerTrialRngIndependentOfExecutionOrder) {
   // Record each trial's first draw under heavy threading, then compare
   // with a serial run: the streams must match exactly.
-  constexpr int kTrials = 256;
-  std::vector<uint64_t> parallel_draws(kTrials);
   TrialRunner parallel(8);
-  ASSERT_TRUE(parallel
-                  .RunTrials(kTrials, 42,
-                             [&](int t, util::Rng& rng) {
-                               parallel_draws[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
-                  .ok());
-
-  std::vector<uint64_t> serial_draws(kTrials);
   TrialRunner serial(1);
   EXPECT_EQ(serial.pool().workers(), 0);
-  ASSERT_TRUE(serial
-                  .RunTrials(kTrials, 42,
-                             [&](int t, util::Rng& rng) {
-                               serial_draws[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
-                  .ok());
-  EXPECT_EQ(parallel_draws, serial_draws);
+  EXPECT_EQ(FirstDraws(parallel, 256, 42, false),
+            FirstDraws(serial, 256, 42, false));
 }
 
 TEST(TrialRunnerTest, LowestIndexedFailingTrialWins) {
   TrialRunner runner(4);
-  Status status = runner.RunTrials(500, 1, [&](int t, util::Rng&) {
-    if (t == 77 || t == 402) {
-      return Status::Internal("trial " + std::to_string(t));
-    }
-    return Status::Ok();
-  });
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "trial 77");
+  for (bool epochs : {false, true}) {
+    std::function<void(int)> epoch;
+    if (epochs) epoch = [](int) {};
+    Status status = RunSweepPoint(
+        runner, nullptr, 0, 500, 1,
+        [&](const SweepTrial& trial) {
+          if (trial.index == 77 || trial.index == 402) {
+            return Status::Internal("trial " + std::to_string(trial.index));
+          }
+          return Status::Ok();
+        },
+        epoch);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.message(), "trial 77");
+  }
 }
 
-TEST(TrialRunnerTest, RunTrialRangeUsesGlobalTrialIndices) {
-  // Two epoch-style calls must produce exactly the trials of one big
-  // call: stream seeds key off the global index.
-  std::vector<uint64_t> split(64), whole(64);
+TEST(TrialRunnerTest, EpochModeRunsTheSameTrialsAsOneRun) {
+  // Epoch mode runs the shards one after another, each after its epoch
+  // hook, and must produce exactly the trials of one parallel run:
+  // stream seeds key off the global trial index.
   TrialRunner runner(4);
-  for (int begin : {0, 32}) {
-    ASSERT_TRUE(runner
-                    .RunTrialRange(begin, begin + 32, 5,
-                                   [&](int t, util::Rng& rng) {
-                                     split[t] = rng.NextUint64();
-                                     return Status::Ok();
-                                   })
-                    .ok());
-  }
-  ASSERT_TRUE(runner
-                  .RunTrials(64, 5,
-                             [&](int t, util::Rng& rng) {
-                               whole[t] = rng.NextUint64();
-                               return Status::Ok();
-                             })
-                  .ok());
-  EXPECT_EQ(split, whole);
+  EXPECT_EQ(FirstDraws(runner, 70, 5, /*epochs=*/true),
+            FirstDraws(runner, 70, 5, /*epochs=*/false));
 }
 
 TEST(TrialRunnerTest, NetworkBuildIsIdenticalForAnyThreadCount) {
