@@ -36,34 +36,49 @@ inline std::string BenchJsonPath(const char* name, bool quick) {
   return std::string("BENCH_") + name + (quick ? ".quick.json" : ".json");
 }
 
+// The value of flag NAME=V / NAME V (the first one given): nullptr when
+// the flag is absent, "" when it comes last with no value.
+inline const char* FlagValue(int argc, char** argv, const char* name) {
+  const size_t name_len = std::strlen(name);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, name_len) != 0) continue;
+    if (argv[i][name_len] == '=') return argv[i] + name_len + 1;
+    if (argv[i][name_len] == '\0') return i + 1 < argc ? argv[i + 1] : "";
+  }
+  return nullptr;
+}
+
 // The value of the integer flag NAME=V / NAME V (the first one given),
 // or `fallback` when it is absent. A value that is missing, not a whole
 // number or negative is reported on stderr and exits 2, as sep2p_cli
 // does for bad flags.
 inline int NonNegativeIntArg(int argc, char** argv, const char* name,
                              int fallback) {
-  const size_t name_len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, name_len) != 0) continue;
-    const char* value = nullptr;
-    if (argv[i][name_len] == '=') {
-      value = argv[i] + name_len + 1;
-    } else if (argv[i][name_len] == '\0') {
-      value = i + 1 < argc ? argv[i + 1] : "";
-    } else {
-      continue;
-    }
-    const char* end = value + std::strlen(value);
-    int parsed = 0;
-    auto [ptr, ec] = std::from_chars(value, end, parsed);
-    if (ec != std::errc() || ptr != end || parsed < 0) {
-      std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
-                   name, value);
-      std::exit(2);
-    }
-    return parsed;
+  const char* value = FlagValue(argc, argv, name);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  int parsed = 0;
+  auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end || parsed < 0) {
+    std::fprintf(stderr, "%s: expected a non-negative integer, got '%s'\n",
+                 name, value);
+    std::exit(2);
   }
-  return fallback;
+  return parsed;
+}
+
+// The file named by NAME=FILE / NAME FILE (the first one given), or ""
+// when the flag is absent. A missing or empty name is reported on
+// stderr and exits 2, so an output the caller asked for is never
+// silently skipped.
+inline std::string PathArg(int argc, char** argv, const char* name) {
+  const char* value = FlagValue(argc, argv, name);
+  if (value == nullptr) return "";
+  if (*value == '\0') {
+    std::fprintf(stderr, "%s: missing file name\n", name);
+    std::exit(2);
+  }
+  return value;
 }
 
 // --threads=N / --threads N caps the worker count for network build and
@@ -79,13 +94,7 @@ inline int ThreadsArg(int argc, char** argv) {
 // (deterministic names, so `sep2p_cli report <dir>` aggregates a
 // sweep's traces without a manifest).
 inline std::string TraceArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) return argv[i] + 8;
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-  }
-  return "";
+  return PathArg(argc, argv, "--trace");
 }
 
 // --trace-trials=N / --trace-trials N caps how many trials --trace
@@ -98,13 +107,7 @@ inline int TraceTrialsArg(int argc, char** argv) {
 // obs::MetricsRegistry snapshot as Prometheus text to FILE and JSON to
 // FILE.json.
 inline std::string MetricsArg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) return argv[i] + 10;
-    if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
-      return argv[i + 1];
-    }
-  }
-  return "";
+  return PathArg(argc, argv, "--metrics");
 }
 
 // One bundle per bench main: owns the recorders + registry and binds

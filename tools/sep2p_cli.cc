@@ -235,11 +235,16 @@ bool ParseFlags(int argc, char** argv, int first, Flags* flags) {
     } else if (arg == "--ed25519") {
       flags->params.provider = sim::Parameters::ProviderKind::kEd25519;
     } else if (arg == "--overlay") {
-      if (i + 1 >= argc) return false;
-      std::string overlay = argv[++i];
-      flags->params.overlay = overlay == "can"
-                                  ? sim::Parameters::OverlayKind::kCan
-                                  : sim::Parameters::OverlayKind::kChord;
+      const std::string overlay = TakeValue(argc, argv, &i);
+      if (overlay == "chord") {
+        params.overlay = sim::Parameters::OverlayKind::kChord;
+      } else if (overlay == "can") {
+        params.overlay = sim::Parameters::OverlayKind::kCan;
+      } else {
+        std::fprintf(stderr, "--overlay: expected chord or can, got '%s'\n",
+                     overlay.c_str());
+        std::exit(2);
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
