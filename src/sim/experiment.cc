@@ -36,16 +36,15 @@ constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 // trial and dropped after its last, since shards run on different
 // workers and a strategy's protocol object stays on one thread.
 Result<strategies::StrategyOutcome> RunSep2p(
-    const core::ProtocolContext& ctx, const Network& net,
-    const SweepTrial& trial,
+    const core::ProtocolContext& ctx, const SweepTrial& trial,
     std::unique_ptr<strategies::Sep2pStrategy>& strategy) {
   if (strategy == nullptr) {
     strategy = std::make_unique<strategies::Sep2pStrategy>(
         ctx, strategies::AdversaryConfig::Passive());
   }
   strategy->set_observers(trial.trace, trial.metrics);
-  uint32_t trigger = static_cast<uint32_t>(
-      trial.rng.NextUint64(net.directory().size()));
+  uint32_t trigger =
+      static_cast<uint32_t>(trial.rng.NextUint64(ctx.directory->size()));
   Result<strategies::StrategyOutcome> run = strategy->Run(trigger, trial.rng);
   if (trial.shard_ends) strategy.reset();
   return run;
@@ -318,7 +317,7 @@ Result<std::vector<CachePoint>> RunCacheSweep(
         [&](const SweepTrial& trial) {
           Shard& sh = shards[trial.shard];
           Result<strategies::StrategyOutcome> run =
-              RunSep2p(ctx, net, trial, sh.strategy);
+              RunSep2p(ctx, trial, sh.strategy);
           if (!run.ok()) {
             // A cache smaller than A can make the selection impossible;
             // that is a data point (the paper's "sparse regions cannot
@@ -396,7 +395,7 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
         [&](const SweepTrial& trial) {
           Shard& sh = shards[trial.shard];
           Result<strategies::StrategyOutcome> run =
-              RunSep2p(ctx, net, trial, sh.strategy);
+              RunSep2p(ctx, trial, sh.strategy);
           if (!run.ok()) return run.status();
           sh.crypto_work.Add(run->setup_cost.crypto_work);
           sh.msg_work.Add(run->setup_cost.msg_work);

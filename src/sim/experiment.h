@@ -48,7 +48,7 @@ struct SweepTrial {
   // index / TrialRunner::kShardSize. A shard's trials run in index order
   // on one thread, so per-shard state indexed by it needs no lock.
   int shard;
-  bool shard_ends;  // the shard's last trial; its state may go after it
+  bool shard_ends;  // the shard's last trial: per-shard state can go
   util::Rng& rng;   // Rng(StreamSeed(seed, index)), this trial's alone
   // Slot `index` of observers->recorders on the first sweep point (its
   // first trace_trials trials); nullptr otherwise or when tracing is off.
