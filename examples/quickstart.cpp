@@ -61,7 +61,7 @@ int main() {
     const uint32_t actor = outcome->actor_indices[i];
     std::printf("  actor %zu: node %u  id=%s...%s\n", i, actor,
                 net.directory().id(actor).ShortHex().c_str(),
-                net.directory().colluding(actor) ? "  [covert colluder]" : "");
+                ctx.Colludes(actor) ? "  [covert colluder]" : "");
   }
   std::printf("setup cost: %s\n", outcome->cost.ToString().c_str());
 

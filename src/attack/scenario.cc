@@ -91,7 +91,7 @@ void FinishSelection(const core::ProtocolContext& ctx,
   out.actor_count = static_cast<int>(run.actor_indices.size());
   int corrupted = 0;
   for (uint32_t idx : run.actor_indices) {
-    if (ctx.directory->colluding(idx)) ++corrupted;
+    if (ctx.Colludes(idx)) ++corrupted;
   }
   out.corrupted_actors = corrupted;
 }
@@ -130,7 +130,7 @@ class GrindHooks final : public core::AttackHooks {
 
   void OnTlQuorum(const std::vector<uint32_t>& tls) override {
     for (uint32_t tl : tls) {
-      if (ctx_.directory->colluding(tl)) {
+      if (ctx_.Colludes(tl)) {
         opportunity = true;
         return;
       }
@@ -140,12 +140,12 @@ class GrindHooks final : public core::AttackHooks {
   bool TlWithholdsReveal(uint32_t tl,
                          const crypto::Hash256& rnd_t) override {
     if (strikes >= kStrikeBudget) return false;
-    if (!ctx_.directory->colluding(tl)) return false;
+    if (!ctx_.Colludes(tl)) return false;
     const crypto::Hash256 p =
         crypto::Hash256::Of(rnd_t.bytes().data(), rnd_t.bytes().size());
     std::optional<uint32_t> setter =
         ctx_.directory->SuccessorIndex(p.ring_pos());
-    if (setter.has_value() && ctx_.directory->colluding(*setter)) {
+    if (setter.has_value() && ctx_.Colludes(*setter)) {
       return false;  // favourable outcome: reveal honestly
     }
     ++strikes;
@@ -179,7 +179,7 @@ class CsarGrindScenario final : public Scenario {
     }
     FinishSelection(ctx_, *run, metrics, out);
     out.succeeded =
-        out.accepted && ctx_.directory->colluding(run->setter_index);
+        out.accepted && ctx_.Colludes(run->setter_index);
     return out;
   }
 };
@@ -197,7 +197,7 @@ class BiasHooks final : public core::AttackHooks {
   void OnSlQuorum(const std::vector<uint32_t>& sls) override {
     int colluding = 0;
     for (uint32_t sl : sls) {
-      if (ctx_.directory->colluding(sl)) ++colluding;
+      if (ctx_.Colludes(sl)) ++colluding;
     }
     opportunity |= colluding > 0;
     all_colluding = colluding == static_cast<int>(sls.size());
@@ -247,14 +247,14 @@ class WithholdHooks final : public core::AttackHooks {
 
   bool SlWithholdsAttest(
       uint32_t sl, const std::vector<crypto::PublicKey>& actors) override {
-    if (!ctx_.directory->colluding(sl)) return false;
+    if (!ctx_.Colludes(sl)) return false;
     opportunity = true;
     if (strikes >= kStrikeBudget) return false;
     int corrupted = 0;
     for (const crypto::PublicKey& key : actors) {
       std::optional<uint32_t> idx =
           ctx_.directory->IndexOf(dht::NodeIdForKey(key));
-      if (idx.has_value() && ctx_.directory->colluding(*idx)) ++corrupted;
+      if (idx.has_value() && ctx_.Colludes(*idx)) ++corrupted;
     }
     const double ideal =
         static_cast<double>(actors.size()) * colluding_fraction_;
@@ -278,7 +278,7 @@ class SlWithholdScenario final : public Scenario {
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
     const double fraction =
-        static_cast<double>(colluders_.size()) /
+        static_cast<double>(ctx_.colluders->size()) /
         static_cast<double>(ctx_.directory->alive_count());
     WithholdHooks hooks(ctx_, fraction);
     AttackOutcome out;
@@ -312,13 +312,11 @@ class SlWithholdScenario final : public Scenario {
 // the coalition, the event alpha bounds.
 class ForgeHooks final : public core::AttackHooks {
  public:
-  ForgeHooks(const core::ProtocolContext& ctx,
-             const std::vector<uint32_t>& colluders)
-      : ctx_(ctx), colluders_(colluders) {}
+  explicit ForgeHooks(const core::ProtocolContext& ctx) : ctx_(ctx) {}
 
   void OnSlQuorum(const std::vector<uint32_t>& sls) override {
     for (uint32_t sl : sls) {
-      if (ctx_.directory->colluding(sl)) {
+      if (ctx_.Colludes(sl)) {
         opportunity = true;
         return;
       }
@@ -328,15 +326,14 @@ class ForgeHooks final : public core::AttackHooks {
   bool SlForgesAttest(
       uint32_t sl, const std::vector<crypto::PublicKey>& actors,
       std::vector<crypto::PublicKey>* forged_actors) override {
-    if (!ctx_.directory->colluding(sl)) return false;
+    if (!ctx_.Colludes(sl)) return false;
     ++forged;
-    *forged_actors =
-        CoalitionList(*ctx_.directory, colluders_, actors.size());
+    *forged_actors = CoalitionList(*ctx_.directory,
+                                   ctx_.colluders->handles(), actors.size());
     return true;
   }
 
   const core::ProtocolContext& ctx_;
-  const std::vector<uint32_t>& colluders_;
   bool opportunity = false;
   int forged = 0;  // attestations forged in the final attempt
 };
@@ -349,7 +346,7 @@ class SlForgeScenario final : public Scenario {
   Result<AttackOutcome> Run(uint32_t trigger, util::Rng& rng,
                             obs::TraceRecorder* trace,
                             obs::MetricsRegistry* metrics) override {
-    ForgeHooks hooks(ctx_, colluders_);
+    ForgeHooks hooks(ctx_);
     AttackOutcome out;
     Result<core::SelectionProtocol::Outcome> run = RunWithRestarts(
         protocol_, trigger, rng, &hooks, trace, metrics, &out.restarts);
@@ -361,9 +358,9 @@ class SlForgeScenario final : public Scenario {
     // coalition ships the stuffed list with k matching signatures — the
     // sub-alpha event the k-table sizing is chosen against.
     if (hooks.forged == run->val.k() && hooks.forged > 0 &&
-        ctx_.directory->colluding(run->setter_index)) {
+        ctx_.Colludes(run->setter_index)) {
       core::VerifiableActorList captured = run->val;
-      captured.actor_keys = CoalitionList(*ctx_.directory, colluders_,
+      captured.actor_keys = CoalitionList(*ctx_.directory, colluders(),
                                           run->val.actor_keys.size());
       out.cost = run->cost;
       out.relocations = run->relocations;
@@ -444,8 +441,8 @@ class SybilJoinScenario final : public Scenario {
     if (landed) {
       crypto::Certificate forged;
       forged.subject = ground.pub;
-      if (!colluders_.empty()) {
-        const crypto::Certificate donor = dir.cert(colluders_[0]);
+      if (!colluders().empty()) {
+        const crypto::Certificate donor = dir.cert(colluders()[0]);
         forged.serial = donor.serial;
         forged.ca_signature = donor.ca_signature;
       }
@@ -460,8 +457,8 @@ class SybilJoinScenario final : public Scenario {
     // no tolerance in the announce check — so the spoof is rejected
     // unless the colluder's true identity already lies in the target.
     bool spoof_passed = false;
-    if (!colluders_.empty()) {
-      const crypto::Certificate cert = dir.cert(colluders_[0]);
+    if (!colluders().empty()) {
+      const crypto::Certificate cert = dir.cert(colluders()[0]);
       out.verification_cost += 1;
       if (metrics != nullptr) metrics->Inc(obs::Counter::kCryptoVerify);
       spoof_passed = target.Contains(cert.NodeIdFromSubject());
@@ -493,13 +490,13 @@ class OmitHooks final : public core::AttackHooks {
     // The newcomer checks every cache it is served at 2k+1 ops.
     verify_ops += 2.0 * static_cast<double>(attestors.size()) + 1;
     const dht::Directory& dir = *ctx_.directory;
-    if (!dir.colluding(owner)) return;
+    if (!ctx_.Colludes(owner)) return;
     std::erase_if(*entries, [&](uint32_t idx) {
       const bool vouched = std::ranges::any_of(attestors, [&](uint32_t a) {
         return dht::Region::Centered(dir.pos(a), ctx_.rs3)
             .Contains(dir.pos(idx));
       });
-      if (dir.colluding(idx) || vouched) return false;
+      if (ctx_.Colludes(idx) || vouched) return false;
       ++hidden;  // nobody can disprove the omission
       return true;
     });
@@ -527,14 +524,14 @@ class EclipseScenario final : public Scenario {
     (void)trigger;
     AttackOutcome out;
     const dht::Directory& dir = *ctx_.directory;
-    if (colluders_.empty()) return out;
+    if (colluders().empty()) return out;
 
     // Victim: the honest successor of a random colluder — the node that
     // would ask that colluder for an attested cache on join.
-    const uint32_t poisoner = colluders_[static_cast<size_t>(
-        rng.NextUint64(colluders_.size()))];
+    const uint32_t poisoner = colluders()[static_cast<size_t>(
+        rng.NextUint64(colluders().size()))];
     std::optional<uint32_t> vic = dir.SuccessorIndex(dir.pos(poisoner) + 1);
-    if (!vic.has_value() || *vic == poisoner || dir.colluding(*vic)) {
+    if (!vic.has_value() || *vic == poisoner || ctx_.Colludes(*vic)) {
       return out;
     }
     const uint32_t victim = *vic;
@@ -554,14 +551,14 @@ class EclipseScenario final : public Scenario {
       forged.owner_cert = dir.cert(poisoner);
       forged.timestamp = ctx_.now;
       forged.rs1 = choice.entry.rs;
-      for (uint32_t idx : colluders_) {
+      for (uint32_t idx : colluders()) {
         if (idx != poisoner) forged.entries.push_back(dir.pub(idx));
       }
       const std::vector<uint8_t> bytes = forged.SignedBytes();
       const crypto::Hash256 digest =
           crypto::Hash256::Of(bytes.data(), bytes.size());
       int signed_count = 0;
-      for (uint32_t idx : colluders_) {
+      for (uint32_t idx : colluders()) {
         if (idx == poisoner) continue;
         if (signed_count == k) break;
         Result<crypto::Signature> sig = ctx_.SignAs(idx, digest);
@@ -642,16 +639,16 @@ class EquivocateScenario final : public Scenario {
     out.attempts = out.restarts + 1;
 
     const dht::Directory& dir = *ctx_.directory;
-    bool distributor = dir.colluding(run->setter_index);
+    bool distributor = ctx_.Colludes(run->setter_index);
     for (uint32_t sl : run->sl_indices) {
-      distributor |= dir.colluding(sl);
+      distributor |= ctx_.Colludes(sl);
     }
     FinishSelection(ctx_, *run, metrics, out);
     if (!distributor || !out.accepted) return out;
 
     out.attempted = true;
     core::VerifiableActorList doctored = run->val;
-    doctored.actor_keys = CoalitionList(dir, colluders_,
+    doctored.actor_keys = CoalitionList(dir, colluders(),
                                         run->val.actor_keys.size());
     int caught = 0;
     for (int v = 0; v < kEquivocateVerifiers; ++v) {
@@ -677,42 +674,21 @@ class EquivocateScenario final : public Scenario {
 int Scenario::CountCorrupted(const std::vector<uint32_t>& actors) const {
   int corrupted = 0;
   for (uint32_t idx : actors) {
-    if (ctx_.directory->colluding(idx)) ++corrupted;
+    if (ctx_.Colludes(idx)) ++corrupted;
   }
   return corrupted;
 }
 
-bool Scenario::ColluderKey(const crypto::PublicKey& key) const {
-  std::optional<uint32_t> idx =
-      ctx_.directory->IndexOf(dht::NodeIdForKey(key));
-  return idx.has_value() && ctx_.directory->colluding(*idx);
-}
-
-std::unique_ptr<Scenario> MakeScenario(
-    const std::string& name, const core::ProtocolContext& ctx,
-    const std::vector<uint32_t>& colluders) {
-  if (name == "none") return std::make_unique<NoneScenario>(ctx, colluders);
-  if (name == "csar-grind") {
-    return std::make_unique<CsarGrindScenario>(ctx, colluders);
-  }
-  if (name == "sl-bias") {
-    return std::make_unique<SlBiasScenario>(ctx, colluders);
-  }
-  if (name == "sl-withhold") {
-    return std::make_unique<SlWithholdScenario>(ctx, colluders);
-  }
-  if (name == "sl-forge") {
-    return std::make_unique<SlForgeScenario>(ctx, colluders);
-  }
-  if (name == "sybil-join") {
-    return std::make_unique<SybilJoinScenario>(ctx, colluders);
-  }
-  if (name == "eclipse") {
-    return std::make_unique<EclipseScenario>(ctx, colluders);
-  }
-  if (name == "equivocate") {
-    return std::make_unique<EquivocateScenario>(ctx, colluders);
-  }
+std::unique_ptr<Scenario> MakeScenario(const std::string& name,
+                                       const core::ProtocolContext& ctx) {
+  if (name == "none") return std::make_unique<NoneScenario>(ctx);
+  if (name == "csar-grind") return std::make_unique<CsarGrindScenario>(ctx);
+  if (name == "sl-bias") return std::make_unique<SlBiasScenario>(ctx);
+  if (name == "sl-withhold") return std::make_unique<SlWithholdScenario>(ctx);
+  if (name == "sl-forge") return std::make_unique<SlForgeScenario>(ctx);
+  if (name == "sybil-join") return std::make_unique<SybilJoinScenario>(ctx);
+  if (name == "eclipse") return std::make_unique<EclipseScenario>(ctx);
+  if (name == "equivocate") return std::make_unique<EquivocateScenario>(ctx);
   return nullptr;
 }
 

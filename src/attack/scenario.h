@@ -24,9 +24,9 @@
 // security-effectiveness bound.
 //
 // Determinism: scenarios draw exclusively from the per-trial RNG stream
-// they are handed and read epoch-frozen shared state (directory +
-// colluder set), so attacked sweeps are bit-identical for any
-// --threads value (sim/trial_runner.h contract).
+// they are handed and read only immutable state (the directory and the
+// context's colluder set, core/colluder_set.h), so attacked sweeps are
+// bit-identical for any --threads value (sim/trial_runner.h contract).
 
 #ifndef SEP2P_ATTACK_SCENARIO_H_
 #define SEP2P_ATTACK_SCENARIO_H_
@@ -64,14 +64,12 @@ struct AttackOutcome {
 
 class Scenario {
  public:
-  // `colluders` is the ascending directory-index view of the coalition
-  // (sim::Network::colluder_indices(), sampled by
-  // strategies::SampleColluders); it is frozen for the scenario's
-  // lifetime (at most one reassignment epoch). A scenario owns one
-  // selection protocol object, so it must stay on one thread at a time.
-  Scenario(const core::ProtocolContext& ctx,
-           const std::vector<uint32_t>& colluders)
-      : ctx_(ctx), colluders_(colluders), protocol_(ctx) {}
+  // The coalition is ctx.colluders, read at every Run, so a sweep can
+  // point the context at a new placement between runs. A scenario owns
+  // one selection protocol object, so it must stay on one thread at a
+  // time.
+  explicit Scenario(const core::ProtocolContext& ctx)
+      : ctx_(ctx), protocol_(ctx) {}
   virtual ~Scenario() = default;
 
   virtual const char* name() const = 0;
@@ -84,12 +82,18 @@ class Scenario {
                                     obs::TraceRecorder* trace,
                                     obs::MetricsRegistry* metrics) = 0;
 
+  // Returns the protocol object's ideal transport to its fresh state
+  // (core::SelectionProtocol::RestartIdealTransport).
+  void RestartIdealTransport() const { protocol_.RestartIdealTransport(); }
+
  protected:
   int CountCorrupted(const std::vector<uint32_t>& actors) const;
-  bool ColluderKey(const crypto::PublicKey& key) const;
+  // The coalition's directory handles, ascending.
+  const std::vector<uint32_t>& colluders() const {
+    return ctx_.colluders->handles();
+  }
 
   const core::ProtocolContext& ctx_;
-  const std::vector<uint32_t>& colluders_;
   // Selections and eclipse's join run on its ideal transport, which
   // carries the trial's trace and metrics.
   core::SelectionProtocol protocol_;
@@ -113,9 +117,8 @@ class Scenario {
 //                 omission during the victim's real join).
 //   equivocate  — a colluding distributor hands doctored VAL copies to
 //                 some verifiers and genuine ones to the rest.
-std::unique_ptr<Scenario> MakeScenario(
-    const std::string& name, const core::ProtocolContext& ctx,
-    const std::vector<uint32_t>& colluders);
+std::unique_ptr<Scenario> MakeScenario(const std::string& name,
+                                       const core::ProtocolContext& ctx);
 
 // All registry names, baseline first — the order the ablation table
 // prints and the CI smoke iterates.

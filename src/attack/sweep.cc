@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "sim/network.h"
 #include "sim/trial_runner.h"
+#include "strategies/adversary.h"
 #include "util/rng.h"
 
 namespace sep2p::attack {
@@ -49,9 +50,21 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
 
   for (size_t si = 0; si < scenario_names.size(); ++si) {
     const std::string& name = scenario_names[si];
-    core::ProtocolContext ctx = net.context();
-    if (MakeScenario(name, ctx, net.ColluderIndices()) == nullptr) {
-      return Status::InvalidArgument("unknown attack scenario: " + name);
+    // Per worker: the colluder placement of the shard it runs, and a
+    // context and scenario that read it.
+    struct Worker {
+      core::ColluderSet colluders;
+      core::ProtocolContext ctx;
+      std::unique_ptr<Scenario> scenario;
+    };
+    std::vector<Worker> workers(runner.threads());
+    for (Worker& w : workers) {
+      w.ctx = net.context();
+      w.ctx.colluders = &w.colluders;
+      w.scenario = MakeScenario(name, w.ctx);
+      if (w.scenario == nullptr) {
+        return Status::InvalidArgument("unknown attack scenario: " + name);
+      }
     }
 
     // One slot per trial: each trial writes only its own slot and the
@@ -77,15 +90,20 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     const uint64_t colluder_seed =
         sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
 
-    // Colluder placement refreshes every kShardSize trials: each epoch
-    // reassigns the shared Directory and makes the epoch's scenario
-    // before its trials run, and the epochs run serially, so the
-    // scenario's protocol object stays on one thread.
-    std::unique_ptr<Scenario> scenario;
+    // Colluder placement refreshes every kShardSize trials: each shard
+    // draws its own on its first trial.
     Status status = sim::RunSweepPoint(
         runner, observers, si, trials,
         sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si),
         [&](const sim::SweepTrial& trial) {
+          Worker& w = workers[trial.worker];
+          if (trial.first_in_shard()) {
+            util::Rng colluder_rng(sim::StreamSeed(
+                colluder_seed, static_cast<uint64_t>(trial.shard)));
+            w.colluders = strategies::SampleColluders(
+                net.directory(), params.c(), colluder_rng);
+            w.scenario->RestartIdealTransport();
+          }
           // Every trial records into a trace so the oracle can replay the
           // checker invariants; the observers' slot (when this trial owns
           // one) doubles as that recorder.
@@ -98,7 +116,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
           const uint32_t trigger = static_cast<uint32_t>(
               trial.rng.NextUint64(net.directory().size()));
           Result<AttackOutcome> run =
-              scenario->Run(trigger, trial.rng, &rec, trial.metrics);
+              w.scenario->Run(trigger, trial.rng, &rec, trial.metrics);
           if (!run.ok()) return run.status();
 
           const Verdict verdict = Judge(*run, &rec.trace());
@@ -118,12 +136,6 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
           slot.msg_work = run->cost.msg_work;
           slot.checker_violations = verdict.checker_violations;
           return Status::Ok();
-        },
-        [&](int epoch) {
-          util::Rng colluder_rng(
-              sim::StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-          net.ReassignColluders(colluder_rng);
-          scenario = MakeScenario(name, ctx, net.ColluderIndices());
         });
     if (!status.ok()) return status;
 

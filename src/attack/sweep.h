@@ -9,12 +9,12 @@
 //
 // Determinism mirrors sim::RunStrategyComparison exactly: the trials run
 // through sim::RunSweepPoint with per-trial SplitMix64 streams from a
-// sweep-private salt family, colluder reassignment before each
-// kShardSize-trial epoch (epochs run serially) through the SAME
-// strategies::SampleColluders rule the closed-form model uses,
-// slot-per-trial results folded in trial order, and a per-point FNV-1a
-// digest over every trial's outcome fields — bit-identical for any
-// --threads value, which bench/ablation_adversary audits.
+// sweep-private salt family, a colluder placement per kShardSize-trial
+// shard drawn by the SAME strategies::SampleColluders rule the
+// closed-form model uses, scenarios kept per worker and restarted per
+// shard, slot-per-trial results folded in trial order, and a per-point
+// FNV-1a digest over every trial's outcome fields — bit-identical for
+// any --threads value, which bench/ablation_adversary audits.
 
 #ifndef SEP2P_ATTACK_SWEEP_H_
 #define SEP2P_ATTACK_SWEEP_H_

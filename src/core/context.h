@@ -1,14 +1,15 @@
 // ProtocolContext: the dependencies a protocol execution needs.
 //
 // The simulator (sim/network.h) owns the directory, overlay, signature
-// provider, CA and k-table and hands protocols a non-owning context.
-// Everything here must outlive the protocol run.
+// provider, CA, k-table and colluder placement and hands protocols a
+// non-owning context. Everything here must outlive the protocol run.
 
 #ifndef SEP2P_CORE_CONTEXT_H_
 #define SEP2P_CORE_CONTEXT_H_
 
 #include <cstdint>
 
+#include "core/colluder_set.h"
 #include "core/ktable.h"
 #include "crypto/certificate.h"
 #include "crypto/signature_provider.h"
@@ -25,6 +26,10 @@ struct ProtocolContext {
   crypto::SignatureProvider* provider = nullptr;
   crypto::CertificateAuthority* ca = nullptr;
   const KTable* ktable = nullptr;
+  // Who colludes: read by the adversary models, the attack scenarios and
+  // the covert deviations, never by an honest participant. Sweeps point
+  // each worker's context at the placement of the shard it runs.
+  const ColluderSet* colluders = nullptr;
 
   // Number of actors to select (A).
   int actor_count = 32;
@@ -46,6 +51,8 @@ struct ProtocolContext {
   // and the engine folds batched verdicts back per task). When null —
   // every pre-engine caller — checks run synchronously as before.
   crypto::VerifySink* verify_sink = nullptr;
+
+  bool Colludes(uint32_t index) const { return colluders->contains(index); }
 
   // Convenience: signs `msg` with the private key of the node at `index`.
   Result<crypto::Signature> SignAs(uint32_t index,

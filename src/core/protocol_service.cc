@@ -63,13 +63,13 @@ SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
   const dht::Directory& dir = *ctx.directory;
   SlState state;
   dht::Region coverage = dht::Region::Centered(dir.pos(sl_index), ctx.rs3);
-  const bool hide = hide_honest && dir.colluding(sl_index);
+  const bool hide = hide_honest && ctx.Colludes(sl_index);
   // Candidate lists top out at the R3 scan size; reserving up front
   // keeps the per-SL loop free of regrowth copies.
   state.cl_keys.reserve(r3_nodes.size());
   for (uint32_t idx : r3_nodes) {
     if (!coverage.Contains(dir.pos(idx))) continue;
-    if (hide && !dir.colluding(idx)) continue;  // covert deviation
+    if (hide && !ctx.Colludes(idx)) continue;  // covert deviation
     state.cl_keys.push_back(dir.pub(idx));
   }
   state.rnd = crypto::Hash256(crypto::Digest(rng.NextBytes32()));

@@ -77,8 +77,8 @@ struct SlState {
 // Builds an SL's engagement state: intersect `r3_nodes` with the SL's
 // cache coverage (CL_j keeps the scan order), draw RND_j from `rng`, and
 // commit to (RND_j, CL_j).
-// With `hide_honest` a colluding SL applies the covert deviation of
-// §3.5 and reports only colluding entries (AttackHooks::
+// With `hide_honest` an SL in ctx.colluders applies the covert
+// deviation of §3.5 and reports only colluding entries (AttackHooks::
 // SlBiasesCandidates decides it per SL); honest SLs ignore the flag.
 SlState BuildSlState(const ProtocolContext& ctx, uint32_t sl_index,
                      const std::vector<uint32_t>& r3_nodes, bool hide_honest,

@@ -42,7 +42,6 @@ void Directory::AppendColumns(const NodeRecord& record) {
     flags |= kAliveBit;
     ++alive_count_;
   }
-  if (record.colluding) flags |= kColludingBit;
 
   if (!record.priv.data.empty()) {
     if (priv_stride_ == 0) {
@@ -95,14 +94,6 @@ crypto::Certificate Directory::cert(uint32_t index) const {
     cert.ca_signature.assign(base, base + sig_stride_);
   }
   return cert;
-}
-
-void Directory::SetColluding(uint32_t index, bool colluding) {
-  if (colluding) {
-    flags_[index] |= kColludingBit;
-  } else {
-    flags_[index] &= static_cast<uint8_t>(~kColludingBit);
-  }
 }
 
 void Directory::SetCertSignature(uint32_t index,

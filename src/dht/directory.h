@@ -57,7 +57,6 @@ struct NodeRecord {
   crypto::PublicKey pub{};
   crypto::PrivateKey priv;  // simulator convenience: nodes sign locally
   crypto::Certificate cert;
-  bool colluding = false;
   bool alive = true;
 };
 
@@ -79,9 +78,6 @@ class Directory {
   bool alive(uint32_t index) const {
     return (flags_[index] & kAliveBit) != 0;
   }
-  bool colluding(uint32_t index) const {
-    return (flags_[index] & kColludingBit) != 0;
-  }
   bool crashed(uint32_t index) const {
     return (flags_[index] & kCrashedBit) != 0;
   }
@@ -98,7 +94,6 @@ class Directory {
   crypto::PrivateKey priv(uint32_t index) const;
   crypto::Certificate cert(uint32_t index) const;
 
-  void SetColluding(uint32_t index, bool colluding);
   // Records the CA signature for a node provisioned without one (churn
   // pool issuance at join time). The signature length must match the
   // directory's uniform signature stride.
@@ -165,9 +160,8 @@ class Directory {
 
  private:
   static constexpr uint8_t kAliveBit = 1;
-  static constexpr uint8_t kColludingBit = 2;
-  static constexpr uint8_t kCrashedBit = 4;
-  static constexpr uint8_t kCertBit = 8;
+  static constexpr uint8_t kCrashedBit = 2;
+  static constexpr uint8_t kCertBit = 4;
 
   // First ring rank with position >= `pos` (possibly size()).
   size_t RankLowerBound(RingPos pos) const;

@@ -1,6 +1,7 @@
 #include "net/sim_network.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace sep2p::net {
@@ -36,6 +37,13 @@ void SimNetwork::FinalizeTrace() {
   if (trace_ == nullptr) return;
   trace_->Mark(obs::kNoNode, "shutdown",
                static_cast<uint64_t>(in_flight_.size()));
+}
+
+void SimNetwork::Restart() {
+  assert(in_flight_.empty());
+  RestartCounters();
+  now_us_ = 0;
+  next_seq_ = 0;
 }
 
 bool SimNetwork::IsUp(uint32_t node, uint64_t at_us) const {

@@ -16,9 +16,9 @@
 // step-crash, backoff jitter) draws from the transport's single Rng,
 // and the protocol drivers issue calls in a fixed order, so a
 // SimNetwork seeded identically replays the exact same trace. Parallel
-// experiment harnesses give each trial (or each TrialRunner shard) its
-// OWN SimNetwork (sim/trial_runner.h); a SimNetwork must never be
-// shared across threads.
+// experiment harnesses give each trial its OWN SimNetwork, or restart
+// a worker's ideal one at each TrialRunner shard (sim/experiment.h); a
+// SimNetwork must never be shared across threads.
 //
 // The cost model (net/cost.h) keeps counting the *logical* protocol
 // messages of the paper's figures; SimNetwork's Stats count transport
@@ -86,6 +86,13 @@ class SimNetwork : public Transport {
   void set_step_crash_probability(double p) { step_crash_probability_ = p; }
 
   bool IsUp(uint32_t node, uint64_t at_us) const;
+
+  // Returns an idle network to the state of a fresh one built with the
+  // same arguments: virtual clock, message and RPC numbering, Rng and
+  // Stats, in O(1) where a fresh one allocates N endpoints. Idle means
+  // nothing in flight and no node crashed, which holds for the ideal
+  // link between calls. Observers and handlers stay attached.
+  void Restart();
 
   // Attaches an observability recorder: the network binds it to its
   // virtual clock, stamps its meta (node count, retry budget) and emits

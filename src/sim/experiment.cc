@@ -32,9 +32,8 @@ constexpr uint64_t kAppTrialSalt = 0xa9905a17;
 constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 
 // One SEP2P selection from a random trigger, as the cache and actor
-// sweeps run it. `strategy` is the trial's shard's: made by its first
-// trial and dropped after its last, since shards run on different
-// workers and a strategy's protocol object stays on one thread.
+// sweeps run it. `strategy` is the trial's worker's: made by the
+// worker's first trial and restarted by each shard's first.
 Result<strategies::StrategyOutcome> RunSep2p(
     const core::ProtocolContext& ctx, const SweepTrial& trial,
     std::unique_ptr<strategies::Sep2pStrategy>& strategy) {
@@ -42,12 +41,11 @@ Result<strategies::StrategyOutcome> RunSep2p(
     strategy = std::make_unique<strategies::Sep2pStrategy>(
         ctx, strategies::AdversaryConfig::Passive());
   }
+  if (trial.first_in_shard()) strategy->RestartIdealTransport();
   strategy->set_observers(trial.trace, trial.metrics);
   uint32_t trigger =
       static_cast<uint32_t>(trial.rng.NextUint64(ctx.directory->size()));
-  Result<strategies::StrategyOutcome> run = strategy->Run(trigger, trial.rng);
-  if (trial.shard_ends) strategy.reset();
-  return run;
+  return strategy->Run(trigger, trial.rng);
 }
 
 // The trial's own network in the failure sweeps, so every latency, drop
@@ -74,8 +72,7 @@ std::unique_ptr<net::SimNetwork> FaultyNetwork(
 
 Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
                      size_t point, int trials, uint64_t seed,
-                     const std::function<Status(const SweepTrial&)>& body,
-                     const std::function<void(int)>& epoch) {
+                     const std::function<Status(const SweepTrial&)>& body) {
   std::vector<obs::TraceRecorder>* recorders =
       observers != nullptr && point == 0 ? observers->recorders : nullptr;
   if (recorders != nullptr) {
@@ -89,33 +86,23 @@ Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
   std::vector<obs::MetricsRegistry> shard_metrics(
       metrics != nullptr ? TrialRunner::ShardCount(trials) : 0);
 
-  auto run_shard = [&](int shard, int begin, int end) {
-    obs::MetricsRegistry* met =
-        shard_metrics.empty() ? nullptr : &shard_metrics[shard];
-    for (int t = begin; t < end; ++t) {
-      util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(t)));
-      if (met != nullptr) met->Inc(obs::Counter::kTrials);
-      obs::TraceRecorder* trace =
-          recorders != nullptr && static_cast<size_t>(t) < recorders->size()
-              ? &(*recorders)[t]
-              : nullptr;
-      Status status = body(SweepTrial{t, shard, t + 1 == end, rng, trace, met});
-      if (!status.ok()) return status;
-    }
-    return Status::Ok();
-  };
-  Status status = Status::Ok();
-  if (epoch) {
-    for (int e = 0; status.ok() && e < TrialRunner::ShardCount(trials);
-         ++e) {
-      epoch(e);
-      const int begin = e * TrialRunner::kShardSize;
-      status = run_shard(e, begin,
-                         std::min(begin + TrialRunner::kShardSize, trials));
-    }
-  } else {
-    status = runner.RunShards(trials, run_shard);
-  }
+  Status status = runner.RunShards(
+      trials, [&](int shard, int begin, int end, int worker) {
+        obs::MetricsRegistry* met =
+            shard_metrics.empty() ? nullptr : &shard_metrics[shard];
+        for (int t = begin; t < end; ++t) {
+          util::Rng rng(StreamSeed(seed, static_cast<uint64_t>(t)));
+          if (met != nullptr) met->Inc(obs::Counter::kTrials);
+          obs::TraceRecorder* trace =
+              recorders != nullptr &&
+                      static_cast<size_t>(t) < recorders->size()
+                  ? &(*recorders)[t]
+                  : nullptr;
+          Status trial = body(SweepTrial{t, shard, worker, rng, trace, met});
+          if (!trial.ok()) return trial;
+        }
+        return Status::Ok();
+      });
   if (!status.ok()) return status;
   for (const obs::MetricsRegistry& shard : shard_metrics) {
     metrics->Merge(shard);
@@ -139,18 +126,25 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
 
     for (size_t si = 0; si < strategy_names.size(); ++si) {
       const std::string& name = strategy_names[si];
-      core::ProtocolContext ctx = net.context();
       // The baselines' covert adversary: colluders claim the execution
       // setter and stuff the actor list. SEP2P has no deviation here,
       // so its SLs run honestly (strategies/adversary.h).
       strategies::AdversaryConfig adversary;
-      // One strategy per point: its epochs run one after another on the
-      // calling thread, so the strategy's protocol object and transport
-      // are never shared between threads.
-      std::unique_ptr<strategies::Strategy> strategy =
-          strategies::MakeStrategy(name, ctx, adversary);
-      if (strategy == nullptr) {
-        return Status::InvalidArgument("unknown strategy: " + name);
+      // Per worker: the colluder placement of the shard it runs, and a
+      // context and strategy that read it.
+      struct Worker {
+        core::ColluderSet colluders;
+        core::ProtocolContext ctx;
+        std::unique_ptr<strategies::Strategy> strategy;
+      };
+      std::vector<Worker> workers(runner.threads());
+      for (Worker& w : workers) {
+        w.ctx = net.context();
+        w.ctx.colluders = &w.colluders;
+        w.strategy = strategies::MakeStrategy(name, w.ctx, adversary);
+        if (w.strategy == nullptr) {
+          return Status::InvalidArgument("unknown strategy: " + name);
+        }
       }
 
       // One slot per trial: each trial writes only its own slot, and the
@@ -168,19 +162,25 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
       const uint64_t colluder_seed =
           MixSeed(params.seed, kStrategyColluderSalt, ci, si);
 
-      // Fresh colluder placement every kShardSize trials decorrelates
-      // the "is a colluder near hash(RND_T)" events. Reassignment
-      // mutates the shared Directory, so each epoch reassigns before
-      // its trials run, and the epochs run serially.
+      // A fresh colluder placement every kShardSize trials decorrelates
+      // the "is a colluder near hash(RND_T)" events.
       Status status = RunSweepPoint(
           runner, observers, ci * strategy_names.size() + si, trials,
           MixSeed(params.seed, kStrategyTrialSalt, ci, si),
           [&](const SweepTrial& trial) {
-            strategy->set_observers(trial.trace, trial.metrics);
+            Worker& w = workers[trial.worker];
+            if (trial.first_in_shard()) {
+              util::Rng colluder_rng(StreamSeed(
+                  colluder_seed, static_cast<uint64_t>(trial.shard)));
+              w.colluders = strategies::SampleColluders(
+                  net.directory(), params.c(), colluder_rng);
+              w.strategy->RestartIdealTransport();
+            }
+            w.strategy->set_observers(trial.trace, trial.metrics);
             uint32_t trigger = static_cast<uint32_t>(
                 trial.rng.NextUint64(net.directory().size()));
             Result<strategies::StrategyOutcome> run =
-                strategy->Run(trigger, trial.rng);
+                w.strategy->Run(trigger, trial.rng);
             if (!run.ok()) return run.status();
             TrialResult& slot = slots[trial.index];
             slot.corrupted = run->corrupted_actors;
@@ -191,11 +191,6 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
             slot.msg_work = run->setup_cost.msg_work;
             slot.relocations = run->relocations;
             return Status::Ok();
-          },
-          [&](int epoch) {
-            util::Rng colluder_rng(
-                StreamSeed(colluder_seed, static_cast<uint64_t>(epoch)));
-            net.ReassignColluders(colluder_rng);
           });
       if (!status.ok()) return status;
 
@@ -306,18 +301,19 @@ Result<std::vector<CachePoint>> RunCacheSweep(
     ctx.max_relocations = 64;
 
     struct Shard {
-      std::unique_ptr<strategies::Sep2pStrategy> strategy;
       OnlineStats reloc, crypto_lat, crypto_work, msg_lat, msg_work;
       int relocated_runs = 0;
       int failed_runs = 0;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
+    std::vector<std::unique_ptr<strategies::Sep2pStrategy>> strategies(
+        runner.threads());
     Status status = RunSweepPoint(
         runner, observers, pi, trials, MixSeed(base.seed, kCacheTrialSalt, pi),
         [&](const SweepTrial& trial) {
           Shard& sh = shards[trial.shard];
           Result<strategies::StrategyOutcome> run =
-              RunSep2p(ctx, trial, sh.strategy);
+              RunSep2p(ctx, trial, strategies[trial.worker]);
           if (!run.ok()) {
             // A cache smaller than A can make the selection impossible;
             // that is a data point (the paper's "sparse regions cannot
@@ -386,16 +382,17 @@ Result<std::vector<ActorsPoint>> RunActorSweep(
                                                         base.n));
 
     struct Shard {
-      std::unique_ptr<strategies::Sep2pStrategy> strategy;
       OnlineStats crypto_work, msg_work, verification;
     };
     std::vector<Shard> shards(TrialRunner::ShardCount(trials));
+    std::vector<std::unique_ptr<strategies::Sep2pStrategy>> strategies(
+        runner.threads());
     Status status = RunSweepPoint(
         runner, observers, pi, trials, MixSeed(base.seed, kActorTrialSalt, pi),
         [&](const SweepTrial& trial) {
           Shard& sh = shards[trial.shard];
           Result<strategies::StrategyOutcome> run =
-              RunSep2p(ctx, trial, sh.strategy);
+              RunSep2p(ctx, trial, strategies[trial.worker]);
           if (!run.ok()) return run.status();
           sh.crypto_work.Add(run->setup_cost.crypto_work);
           sh.msg_work.Add(run->setup_cost.msg_work);
@@ -447,22 +444,25 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   const int trials = static_cast<int>(setters.size());
 
   struct Shard {
-    // One protocol object (and ideal transport) per shard, made by its
-    // first trial and dropped after its last: shards run on different
-    // workers.
-    std::unique_ptr<core::SelectionProtocol> protocol;
     OnlineStats verif, cw, mw, cl, ml;
   };
   TrialRunner runner(base.threads);
   std::vector<Shard> shards(TrialRunner::ShardCount(trials));
+  // One protocol object (and ideal transport) per worker, made by its
+  // first trial and restarted by each shard's first.
+  std::vector<std::unique_ptr<core::SelectionProtocol>> protocols(
+      runner.threads());
   Status status = RunSweepPoint(
       runner, observers, 0, trials, MixSeed(base.seed, kExhaustiveTrialSalt),
       [&](const SweepTrial& trial) {
         Shard& sh = shards[trial.shard];
-        if (sh.protocol == nullptr) {
-          sh.protocol = std::make_unique<core::SelectionProtocol>(ctx);
+        std::unique_ptr<core::SelectionProtocol>& protocol =
+            protocols[trial.worker];
+        if (protocol == nullptr) {
+          protocol = std::make_unique<core::SelectionProtocol>(ctx);
         }
-        net::Transport& transport = sh.protocol->ideal_transport();
+        if (trial.first_in_shard()) protocol->RestartIdealTransport();
+        net::Transport& transport = protocol->ideal_transport();
         transport.set_trace(trial.trace);
         transport.set_metrics(trial.metrics);
         // Force the setter point onto this node's exact position.
@@ -473,8 +473,7 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
         uint32_t trigger = static_cast<uint32_t>(
             trial.rng.NextUint64(net.directory().size()));
         Result<core::SelectionProtocol::Outcome> run =
-            sh.protocol->Run(trigger, trial.rng, options);
-        if (trial.shard_ends) sh.protocol.reset();
+            protocol->Run(trigger, trial.rng, options);
         if (!run.ok()) {
           return run.status().code() == StatusCode::kResourceExhausted
                      ? Status::Ok()
@@ -753,16 +752,19 @@ Result<AlphaPoint> ProbeAlpha(const Parameters& base, double alpha,
   point.rs = entry.rs;
   point.networks_tested = network_count;
 
-  // Colluder reassignment mutates the shared Directory, so the
-  // assignments are generated serially (barrier per round) and only the
-  // sorted colluder positions are snapshotted; the O(C^2)-ish
-  // concentration scans then run in parallel over the snapshots.
+  // Round 0 takes the network's placement and every later round draws
+  // the next from one stream, so the placements are drawn serially and
+  // only their sorted colluder positions are kept; the O(C^2)-ish
+  // concentration scans then run in parallel over them.
   std::vector<std::vector<dht::RingPos>> rounds(
       std::max(0, network_count));
   for (int round = 0; round < network_count; ++round) {
-    if (round > 0) net.ReassignColluders(rng);
+    const core::ColluderSet placement =
+        round == 0 ? net.colluders()
+                   : strategies::SampleColluders(net.directory(), params.c(),
+                                                 rng);
     std::vector<dht::RingPos>& colluders = rounds[round];
-    for (uint32_t idx : net.ColluderIndices()) {
+    for (uint32_t idx : placement.handles()) {
       colluders.push_back(net.directory().pos(idx));
     }
     std::sort(colluders.begin(), colluders.end());

@@ -48,14 +48,20 @@ struct SweepTrial {
   // index / TrialRunner::kShardSize. A shard's trials run in index order
   // on one thread, so per-shard state indexed by it needs no lock.
   int shard;
-  bool shard_ends;  // the shard's last trial: per-shard state can go
-  util::Rng& rng;   // Rng(StreamSeed(seed, index)), this trial's alone
+  // In [0, runner.threads()): the worker slot the shard holds while it
+  // runs, so per-worker state indexed by it needs no lock either.
+  int worker;
+  util::Rng& rng;  // Rng(StreamSeed(seed, index)), this trial's alone
   // Slot `index` of observers->recorders on the first sweep point (its
   // first trace_trials trials); nullptr otherwise or when tracing is off.
   obs::TraceRecorder* trace;
   // The shard's metrics registry, with this trial's kTrials already
   // counted; nullptr when metering is off.
   obs::MetricsRegistry* metrics;
+
+  bool first_in_shard() const {
+    return index == shard * TrialRunner::kShardSize;
+  }
 };
 
 // The one trial loop of every sweep harness (here and attack/sweep.h):
@@ -65,19 +71,23 @@ struct SweepTrial {
 // shard order. `observers` may be null. The shards go to the runner's
 // pool; the error of the lowest failing trial wins.
 //
-// A harness that moves colluders between trials passes `epoch`: it runs
-// on the calling thread before each kShardSize-trial epoch e (one
-// shard), and the epochs then run one after another on that thread, so
-// such a point runs serially at any thread count.
+// Protocol objects (strategies, scenarios, core::SelectionProtocol)
+// are not thread-safe and their ideal transport is costly to build, so
+// the harnesses keep them per worker, at most runner.threads() per
+// point. A worker runs many shards, and the shard's first trial returns
+// what it reuses to a fresh state: it restarts the ideal transport
+// (net::SimNetwork::Restart) and draws the shard's colluder placement
+// where the harness varies it. A trial then replays what it would on a
+// fresh object, whichever worker runs it and whatever ran there before.
 Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
                      size_t point, int trials, uint64_t seed,
-                     const std::function<Status(const SweepTrial&)>& body,
-                     const std::function<void(int epoch)>& epoch = {});
+                     const std::function<Status(const SweepTrial&)>& body);
 
 // ---------------------------------------------------------------- Fig 3-5
 // One point per (strategy, C%): security effectiveness, verification cost
 // and setup costs, averaged over `trials` protocol executions with random
-// triggering nodes and re-randomized colluder assignments.
+// triggering nodes. Each kShardSize-trial shard draws its own colluder
+// placement from the point's colluder stream.
 struct StrategyPoint {
   std::string strategy;
   double c_fraction = 0;

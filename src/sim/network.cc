@@ -106,8 +106,8 @@ Result<std::unique_ptr<Network>> Network::Build(const Parameters& params) {
   network->chord_ =
       std::make_unique<dht::ChordOverlay>(network->directory_.get());
 
-  // Mark C colluders uniformly at random (their DHT spread is uniform by
-  // the imposed-location construction regardless of which are marked).
+  // Draw C colluders uniformly at random (their DHT spread is uniform by
+  // the imposed-location construction regardless of which are drawn).
   network->ReassignColluders(network->rng_);
 
   network->ktable_.emplace(
@@ -141,22 +141,16 @@ core::ProtocolContext Network::context() {
   ctx.rs3 = params_.rs3();
   ctx.tolerance_rs = tolerance_rs_;
   ctx.verify_sink = verify_sink_;
+  ctx.colluders = &colluders_;
   return ctx;
 }
 
 void Network::ReassignColluders(util::Rng& rng) {
-  for (uint32_t idx : colluder_indices_) {
-    directory_->SetColluding(idx, false);
-  }
   // The placement rule (and its exact RNG draw sequence) lives in
   // strategies::SampleColluders so the closed-form adversary model and
-  // the live attack scenarios mark the identical coalition for the same
+  // the live attack scenarios draw the identical coalition for the same
   // seed; attack_test pins the parity.
-  colluder_indices_ =
-      strategies::SampleColluders(*directory_, params_.c(), rng);
-  for (uint32_t idx : colluder_indices_) {
-    directory_->SetColluding(idx, true);
-  }
+  colluders_ = strategies::SampleColluders(*directory_, params_.c(), rng);
 }
 
 void Network::RefreshKTable(uint64_t population) {

@@ -2,7 +2,7 @@
 //
 // Provisioning follows the paper's architecture: each node gets a key
 // pair from the signature provider and a certificate from the offline
-// CA; its DHT id is imposed as hash(public key), so colluders — marked
+// CA; its DHT id is imposed as hash(public key), so colluders — drawn
 // uniformly at random — end up uniformly spread over the ring. The
 // network exposes a core::ProtocolContext that protocol runs borrow.
 
@@ -54,17 +54,18 @@ class Network {
   void set_verify_sink(crypto::VerifySink* sink) { verify_sink_ = sink; }
   crypto::VerifySink* verify_sink() const { return verify_sink_; }
 
-  // Directory indices of the colluding nodes, ascending.
+  // The network's colluder placement, which context() points at, and
+  // its directory indices, ascending.
+  const core::ColluderSet& colluders() const { return colluders_; }
   const std::vector<uint32_t>& ColluderIndices() const {
-    return colluder_indices_;
+    return colluders_.handles();
   }
 
-  // Re-randomizes which nodes collude (same C), for repeated trials.
-  // O(C): clears the previous sample and applies the new one instead of
-  // resetting all N flags — at N=10^6+ the full wipe dominated per-trial
-  // reset. Draws the same RNG stream as the historical full-wipe path,
-  // so assignments are bit-identical to it. Colluders are sampled among
-  // the initial population (churn-pool nodes never collude).
+  // Draws a new placement (same C) with strategies::SampleColluders and
+  // refills the set that every context() points at. Colluders are
+  // sampled among the alive population (churn-pool nodes never
+  // collude). Sweeps that vary the placement per shard draw their own
+  // sets instead (sim/experiment.h).
   void ReassignColluders(util::Rng& rng);
 
   // Rebuilds the k-table for a new effective population (churn drivers
@@ -84,7 +85,7 @@ class Network {
   std::optional<core::KTable> ktable_;
   double tolerance_rs_ = 0;
   crypto::VerifySink* verify_sink_ = nullptr;
-  std::vector<uint32_t> colluder_indices_;  // ascending
+  core::ColluderSet colluders_;
 };
 
 }  // namespace sep2p::sim

@@ -18,8 +18,10 @@
 //     merged serially in shard order after the parallel section
 //     (OnlineStats::Merge is the parallel-safe combine);
 //   * shared simulator state (Network, Directory): read-only while
-//     trials run in parallel. Harnesses that mutate it between trials
-//     (ReassignColluders) run their epochs one after another;
+//     trials run. What varies per shard, such as a colluder placement,
+//     is per-worker state that each shard sets up on its first trial
+//     (sim/experiment.h), together with a restart of the worker's
+//     reused protocol objects;
 //   * errors: the failing trial with the lowest index wins, matching
 //     what a serial loop would have reported first.
 
@@ -49,13 +51,14 @@ uint64_t MixSeed(uint64_t seed, uint64_t salt, uint64_t a = 0,
 class TrialRunner {
  public:
   // Fixed shard width for per-shard accumulation. It is also the
-  // colluder-reassignment epoch of the harnesses that move colluders:
-  // one epoch is one shard.
+  // colluder-placement epoch of the harnesses that vary colluders: each
+  // shard draws its own placement.
   static constexpr int kShardSize = 16;
 
   // `threads` as in Parameters::threads: >= 1 literal, else one per
-  // hardware thread. A resolved count of 1 uses no worker threads at
-  // all (inline execution).
+  // hardware thread. That many threads run shards: the calling thread
+  // and threads() - 1 pool workers, so a resolved count of 1 uses no
+  // worker threads at all (inline execution).
   explicit TrialRunner(int threads);
 
   int threads() const { return threads_; }
@@ -65,15 +68,17 @@ class TrialRunner {
     return (trials + kShardSize - 1) / kShardSize;
   }
 
-  // Runs fn(shard, begin, end) for every shard of `trials` trials, with
-  // [begin, end) the shard's trial range; shards are the unit of
-  // scheduling. Returns the error of the lowest-indexed failing shard,
-  // or OK. `fn` must confine writes to per-trial or per-shard state it
-  // owns. sim::RunSweepPoint (sim/experiment.h) builds every harness's
-  // trial loop on it, seeding trial t from StreamSeed(seed, t) so the
-  // shard width never leaks into the random stream.
+  // Runs fn(shard, begin, end, worker) for every shard of `trials`
+  // trials, with [begin, end) the shard's trial range and `worker` in
+  // [0, threads()) a slot that no other running shard holds; shards are
+  // the unit of scheduling. Returns the error of the lowest-indexed
+  // failing shard, or OK. `fn` must confine writes to per-trial,
+  // per-shard or per-worker state. sim::RunSweepPoint
+  // (sim/experiment.h) builds every harness's trial loop on it, seeding
+  // trial t from StreamSeed(seed, t) so neither the shard width nor the
+  // worker leaks into the random stream.
   Status RunShards(int trials,
-                   const std::function<Status(int, int, int)>& fn);
+                   const std::function<Status(int, int, int, int)>& fn);
 
  private:
   int threads_;

@@ -1,18 +1,20 @@
 #include "strategies/adversary.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "dht/region.h"
 
 namespace sep2p::strategies {
 
-std::optional<uint32_t> FindClaimingColluder(const dht::Directory& directory,
-                                             dht::RingPos p,
-                                             double tolerance_rs) {
-  dht::Region tolerance = dht::Region::Centered(p, tolerance_rs);
+std::optional<uint32_t> FindClaimingColluder(const core::ProtocolContext& ctx,
+                                             dht::RingPos p) {
+  dht::Region tolerance = dht::Region::Centered(p, ctx.tolerance_rs);
   std::optional<uint32_t> best;
   dht::RingPos best_distance = 0;
-  for (uint32_t idx : directory.NodesInRegion(tolerance)) {
-    if (!directory.colluding(idx)) continue;
-    dht::RingPos d = dht::RingDistance(directory.pos(idx), p);
+  for (uint32_t idx : ctx.directory->NodesInRegion(tolerance)) {
+    if (!ctx.Colludes(idx)) continue;
+    dht::RingPos d = dht::RingDistance(ctx.directory->pos(idx), p);
     if (!best.has_value() || d < best_distance) {
       best = idx;
       best_distance = d;
@@ -21,8 +23,8 @@ std::optional<uint32_t> FindClaimingColluder(const dht::Directory& directory,
   return best;
 }
 
-std::vector<uint32_t> SampleColluders(const dht::Directory& directory,
-                                      uint64_t count, util::Rng& rng) {
+core::ColluderSet SampleColluders(const dht::Directory& directory,
+                                  uint64_t count, util::Rng& rng) {
   // Sample over the alive population (pool/departed nodes never collude;
   // their handles are interleaved with alive ones because the directory
   // sorts by ring position). With no pool and no churn the k-th alive
@@ -37,7 +39,7 @@ std::vector<uint32_t> SampleColluders(const dht::Directory& directory,
     colluders.push_back(*directory.NthAlive(k));
   }
   std::sort(colluders.begin(), colluders.end());
-  return colluders;
+  return core::ColluderSet(std::move(colluders), directory.size());
 }
 
 }  // namespace sep2p::strategies

@@ -27,8 +27,9 @@
 #include <optional>
 #include <vector>
 
+#include "core/colluder_set.h"
+#include "core/context.h"
 #include "dht/directory.h"
-#include "dht/region.h"
 #include "util/rng.h"
 
 namespace sep2p::strategies {
@@ -40,22 +41,22 @@ struct AdversaryConfig {
   static AdversaryConfig Passive() { return {false, false}; }
 };
 
-// Returns a colluding node inside the tolerance region around `p` able to
-// impersonate the node responsible for `p`, if any.
-std::optional<uint32_t> FindClaimingColluder(const dht::Directory& directory,
-                                             dht::RingPos p,
-                                             double tolerance_rs);
+// Returns a member of ctx.colluders inside the tolerance region
+// (ctx.tolerance_rs) around `p`, able to impersonate the node
+// responsible for `p`, if any.
+std::optional<uint32_t> FindClaimingColluder(const core::ProtocolContext& ctx,
+                                             dht::RingPos p);
 
 // The ONE colluder-placement rule, shared by the live simulator
-// (sim::Network::ReassignColluders) and the closed-form adversary
-// model: sample min(count, alive) distinct nodes uniformly from the
-// alive population (standby/departed nodes never collude) and return
-// their directory indices in ascending order. The draw sequence is
-// exactly Rng::SampleIndices over the alive ranks, so both consumers
-// given the same seed mark the identical coalition — the parity the
-// attack sweep and the analytic effectiveness figures rely on.
-std::vector<uint32_t> SampleColluders(const dht::Directory& directory,
-                                      uint64_t count, util::Rng& rng);
+// (sim::Network::ReassignColluders, the sweeps' per-shard placements)
+// and the closed-form adversary model: sample min(count, alive)
+// distinct nodes uniformly from the alive population (standby/departed
+// nodes never collude). The draw sequence is exactly Rng::SampleIndices
+// over the alive ranks, so every consumer given the same seed gets the
+// identical coalition — the parity the attack sweep and the analytic
+// effectiveness figures rely on.
+core::ColluderSet SampleColluders(const dht::Directory& directory,
+                                  uint64_t count, util::Rng& rng);
 
 }  // namespace sep2p::strategies
 

@@ -38,10 +38,10 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
   // effect.
   std::optional<uint32_t> setter;
   if (adversary_.claim_execution_setter) {
-    setter = FindClaimingColluder(dir, p, ctx_.tolerance_rs);
+    setter = FindClaimingColluder(ctx_, p);
   }
   if (!setter.has_value()) setter = route->dest_index;
-  const bool setter_corrupted = dir.colluding(*setter);
+  const bool setter_corrupted = ctx_.Colludes(*setter);
 
   if (setter_corrupted && adversary_.stuff_actor_list) {
     outcome.attacker_controlled = true;
@@ -57,20 +57,15 @@ Result<StrategyOutcome> EsStrategyBase::Run(uint32_t trigger_index,
     dht::Region r3 = dht::Region::Centered(p, ctx_.rs3);
     std::vector<uint32_t> colluders, honest;
     for (uint32_t idx : dir.NodesInRegion(r3)) {
-      (dir.colluding(idx) ? colluders : honest).push_back(idx);
+      (ctx_.Colludes(idx) ? colluders : honest).push_back(idx);
     }
     // Colluders anywhere in the network can be enrolled by the corrupted
-    // Setter — it freely chooses the list.
-    if (static_cast<int>(colluders.size()) < ctx_.actor_count) {
-      for (uint32_t idx = 0; idx < dir.size() &&
-                             static_cast<int>(colluders.size()) <
-                                 ctx_.actor_count;
-           ++idx) {
-        if (dir.colluding(idx) &&
-            std::find(colluders.begin(), colluders.end(), idx) ==
-                colluders.end()) {
-          colluders.push_back(idx);
-        }
+    // Setter — it freely chooses the list — in ascending handle order.
+    for (uint32_t idx : ctx_.colluders->handles()) {
+      if (static_cast<int>(colluders.size()) >= ctx_.actor_count) break;
+      if (std::find(colluders.begin(), colluders.end(), idx) ==
+          colluders.end()) {
+        colluders.push_back(idx);
       }
     }
     for (uint32_t idx : colluders) {

@@ -36,7 +36,7 @@ Result<StrategyOutcome> MHashStrategy::Run(uint32_t trigger_index,
     // beats the rightful nearest node; verifiers cannot tell.
     std::optional<uint32_t> actor;
     if (adversary_.claim_execution_setter) {
-      actor = FindClaimingColluder(dir, target, ctx_.tolerance_rs);
+      actor = FindClaimingColluder(ctx_, target);
     }
     if (!actor.has_value()) actor = dir.NearestIndex(target);
     if (!actor.has_value()) {

@@ -9,7 +9,7 @@ namespace sep2p::strategies {
 int Strategy::CountCorrupted(const std::vector<uint32_t>& actors) const {
   int corrupted = 0;
   for (uint32_t idx : actors) {
-    if (ctx_.directory->colluding(idx)) ++corrupted;
+    if (ctx_.Colludes(idx)) ++corrupted;
   }
   return corrupted;
 }

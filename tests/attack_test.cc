@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,31 +58,44 @@ TEST(AdversarySweepTest, AdversarySweepIsThreadInvariant) {
 
 // ------------------------------------------- colluder-sampling parity
 
-// The live network's epoch reassignment and the closed-form adversary
-// model must mark the IDENTICAL coalition for the same seed — the
-// attack sweep's bias figures are only comparable to the analytic
-// effectiveness curves under this parity.
+// The live network's placement and the closed-form adversary model must
+// draw the IDENTICAL coalition for the same seed — the attack sweep's
+// bias figures are only comparable to the analytic effectiveness curves
+// under this parity. With every node alive both are Rng::SampleIndices
+// over [0, n): C ascending handles, and a bitset that holds exactly them.
 TEST(AdversarySweepTest, ColluderSamplingParity) {
   auto network = test::MakeNetwork(/*n=*/1500, /*c_fraction=*/0.05);
   ASSERT_NE(network, nullptr);
+  const dht::Directory& dir = network->directory();
+  const uint64_t c = network->params().c();
+  ASSERT_GT(c, 0u);
 
-  util::Rng net_rng(123);
-  network->ReassignColluders(net_rng);
+  for (uint64_t seed : {123, 900, 901}) {
+    util::Rng net_rng(seed);
+    network->ReassignColluders(net_rng);
 
-  util::Rng model_rng(123);
-  std::vector<uint32_t> expected = strategies::SampleColluders(
-      network->directory(), network->params().c(), model_rng);
+    util::Rng model_rng(seed);
+    const core::ColluderSet expected =
+        strategies::SampleColluders(dir, c, model_rng);
+    EXPECT_EQ(network->ColluderIndices(), expected.handles());
 
-  EXPECT_EQ(network->ColluderIndices(), expected);
-  ASSERT_FALSE(expected.empty());
-  // The directory flags agree with the sampled set, and only with it.
-  size_t flagged = 0;
-  for (uint32_t i = 0; i < network->directory().size(); ++i) {
-    if (network->directory().colluding(i)) ++flagged;
-  }
-  EXPECT_EQ(flagged, expected.size());
-  for (uint32_t idx : expected) {
-    EXPECT_TRUE(network->directory().colluding(idx));
+    util::Rng raw_rng(seed);
+    std::vector<uint32_t> raw;
+    for (size_t idx : raw_rng.SampleIndices(network->params().n, c)) {
+      raw.push_back(static_cast<uint32_t>(idx));
+    }
+    std::sort(raw.begin(), raw.end());
+    EXPECT_EQ(expected.handles(), raw);
+    EXPECT_EQ(expected.size(), c);
+
+    size_t members = 0;
+    for (uint32_t i = 0; i < dir.size(); ++i) {
+      if (network->colluders().contains(i)) ++members;
+    }
+    EXPECT_EQ(members, c);
+    for (uint32_t idx : expected.handles()) {
+      EXPECT_TRUE(network->colluders().contains(idx));
+    }
   }
 }
 
@@ -134,8 +148,7 @@ class ScenarioContractTest : public ::testing::Test {
     std::vector<attack::AttackOutcome> outcomes;
     util::Rng rng(31);
     for (int t = 0; t < trials; ++t) {
-      auto scenario =
-          attack::MakeScenario(name, ctx_, network_->ColluderIndices());
+      auto scenario = attack::MakeScenario(name, ctx_);
       EXPECT_NE(scenario, nullptr) << name;
       obs::TraceRecorder rec;
       rec.meta().node_count =
@@ -162,14 +175,11 @@ TEST_F(ScenarioContractTest, RegistryCoversEveryNameOnce) {
   ASSERT_GE(names.size(), 6u);  // "none" + at least five attacks
   EXPECT_EQ(names.front(), "none");
   for (const std::string& name : names) {
-    auto scenario =
-        attack::MakeScenario(name, ctx_, network_->ColluderIndices());
+    auto scenario = attack::MakeScenario(name, ctx_);
     ASSERT_NE(scenario, nullptr) << name;
     EXPECT_EQ(scenario->name(), name);
   }
-  EXPECT_EQ(attack::MakeScenario("no-such-attack", ctx_,
-                                 network_->ColluderIndices()),
-            nullptr);
+  EXPECT_EQ(attack::MakeScenario("no-such-attack", ctx_), nullptr);
 }
 
 TEST_F(ScenarioContractTest, HonestBaselineIsCleanAndAccepted) {

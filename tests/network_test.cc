@@ -109,9 +109,8 @@ TEST(NetworkTest, SameSeedSameNetwork) {
   ASSERT_NE(b, nullptr);
   for (uint32_t i = 0; i < a->directory().size(); ++i) {
     EXPECT_EQ(a->directory().id(i), b->directory().id(i));
-    EXPECT_EQ(a->directory().colluding(i),
-              b->directory().colluding(i));
   }
+  EXPECT_EQ(a->ColluderIndices(), b->ColluderIndices());
 }
 
 TEST(NetworkTest, CanOverlayIsLazilyAvailable) {

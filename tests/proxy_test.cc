@@ -107,8 +107,8 @@ TEST(ProxyTest, BothPartiesColludingIsRare) {
     auto delivery = ForwardViaProxy(runtime, *network, 7,
                                     dir.pub(recipient_index), {1}, rng);
     ASSERT_TRUE(delivery.ok());
-    if (dir.colluding(delivery->proxy_index) &&
-        dir.colluding(recipient_index)) {
+    if (network->colluders().contains(delivery->proxy_index) &&
+        network->colluders().contains(recipient_index)) {
       ++both_colluding;
     }
   }

@@ -9,8 +9,6 @@
 //    rebuild of the surviving population.
 //  - CAN incremental join/leave keeps a valid partition equal (as an
 //    owner set) to a from-scratch rebuild.
-//  - O(C) ReassignColluders is bit-identical to the historical
-//    clear-all-then-sample path.
 //  - The ChurnDriver is deterministic for any build thread count, and
 //    churn-pool nodes get genuine CA certificates at join time.
 
@@ -429,43 +427,6 @@ TEST(CanChurnTest, RemoveDownToOneAndRegrow) {
   std::set<uint32_t> members;
   for (uint32_t i = 0; i < 16; ++i) members.insert(i);
   ExpectValidPartition(can, members);
-}
-
-// ---------------------------------------------------------------------
-// Satellite (c): O(C) colluder reassignment parity.
-
-TEST(ColluderReassignTest, IncrementalMatchesClearAllPath) {
-  auto network = test::MakeNetwork(2000, 0.03);
-  ASSERT_NE(network, nullptr);
-  const dht::Directory& dir = network->directory();
-  const uint64_t c = network->params().c();
-
-  for (uint64_t round = 0; round < 5; ++round) {
-    // Historical path, simulated on the side: wipe everything, then
-    // sample the same count from the same stream.
-    util::Rng historical(900 + round);
-    std::vector<bool> expected(dir.size(), false);
-    for (size_t idx :
-         historical.SampleIndices(network->params().n, c)) {
-      expected[idx] = true;
-    }
-
-    util::Rng incremental(900 + round);
-    network->ReassignColluders(incremental);
-
-    size_t marked = 0;
-    for (uint32_t i = 0; i < dir.size(); ++i) {
-      EXPECT_EQ(dir.colluding(i), expected[i]) << "node " << i;
-      marked += dir.colluding(i) ? 1 : 0;
-    }
-    EXPECT_EQ(marked, c);
-
-    // ColluderIndices is the ascending list of marked nodes.
-    const std::vector<uint32_t>& listed = network->ColluderIndices();
-    EXPECT_EQ(listed.size(), c);
-    EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
-    for (uint32_t idx : listed) EXPECT_TRUE(dir.colluding(idx));
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -232,10 +232,10 @@ TEST_F(SelectionTest, CollusionHidingCacheEntriesIsDefeated) {
     EXPECT_EQ(b->val.actor_count(), ctx_.actor_count);
     EXPECT_TRUE(VerifyActorList(ctx_, b->val).ok());
     for (uint32_t actor : a->actor_indices) {
-      honest_corrupted += network_->directory().colluding(actor);
+      honest_corrupted += ctx_.Colludes(actor);
     }
     for (uint32_t actor : b->actor_indices) {
-      hiding_corrupted += network_->directory().colluding(actor);
+      hiding_corrupted += ctx_.Colludes(actor);
     }
   }
   // 15 runs x 8 actors at C% = 1%: ideal ~1.2 corrupted in total. The

@@ -96,12 +96,21 @@ TEST(TrialRunnerTest, SweepPointRunsEveryTrialExactlyOnce) {
   TrialRunner runner(/*threads=*/4);
   constexpr int kTrials = 1003;  // not a multiple of kShardSize
   std::vector<std::atomic<int>> hits(kTrials);
+  // Shards holding each worker slot right now: never more than one.
+  std::vector<std::atomic<int>> holders(runner.threads());
   Status status = RunSweepPoint(
       runner, nullptr, 0, kTrials, /*seed=*/7, [&](const SweepTrial& t) {
         EXPECT_EQ(t.shard, t.index / TrialRunner::kShardSize);
-        EXPECT_EQ(t.shard_ends, t.index + 1 == kTrials ||
-                                    (t.index + 1) % TrialRunner::kShardSize ==
-                                        0);
+        EXPECT_EQ(t.first_in_shard(), t.index % TrialRunner::kShardSize == 0);
+        EXPECT_GE(t.worker, 0);
+        EXPECT_LT(t.worker, runner.threads());
+        if (t.first_in_shard()) {
+          EXPECT_EQ(holders[t.worker].fetch_add(1), 0);
+        }
+        if (t.index + 1 == kTrials ||
+            (t.index + 1) % TrialRunner::kShardSize == 0) {
+          holders[t.worker].fetch_sub(1);
+        }
         hits[t.index].fetch_add(1, std::memory_order_relaxed);
         return Status::Ok();
       });
@@ -110,28 +119,16 @@ TEST(TrialRunnerTest, SweepPointRunsEveryTrialExactlyOnce) {
 }
 
 // Each trial's first draw in a sweep point of `trials` trials on
-// `runner`, in epoch mode when `epochs` is set.
+// `runner`.
 std::vector<uint64_t> FirstDraws(TrialRunner& runner, int trials,
-                                 uint64_t seed, bool epochs) {
+                                 uint64_t seed) {
   std::vector<uint64_t> draws(trials);
-  std::vector<int> epochs_seen;
-  auto body = [&](const SweepTrial& trial) {
-    // Epochs run one after another, each after its own hook.
-    if (epochs) {
-      EXPECT_EQ(epochs_seen.empty() ? -1 : epochs_seen.back(), trial.shard);
-    }
-    draws[trial.index] = trial.rng.NextUint64();
-    return Status::Ok();
-  };
-  Status status =
-      epochs ? RunSweepPoint(runner, nullptr, 0, trials, seed, body,
-                             [&](int e) { epochs_seen.push_back(e); })
-             : RunSweepPoint(runner, nullptr, 0, trials, seed, body);
+  Status status = RunSweepPoint(
+      runner, nullptr, 0, trials, seed, [&](const SweepTrial& trial) {
+        draws[trial.index] = trial.rng.NextUint64();
+        return Status::Ok();
+      });
   EXPECT_TRUE(status.ok());
-  if (epochs) {
-    EXPECT_EQ(epochs_seen.size(),
-              static_cast<size_t>(TrialRunner::ShardCount(trials)));
-  }
   return draws;
 }
 
@@ -141,36 +138,20 @@ TEST(TrialRunnerTest, PerTrialRngIndependentOfExecutionOrder) {
   TrialRunner parallel(8);
   TrialRunner serial(1);
   EXPECT_EQ(serial.pool().workers(), 0);
-  EXPECT_EQ(FirstDraws(parallel, 256, 42, false),
-            FirstDraws(serial, 256, 42, false));
+  EXPECT_EQ(FirstDraws(parallel, 256, 42), FirstDraws(serial, 256, 42));
 }
 
 TEST(TrialRunnerTest, LowestIndexedFailingTrialWins) {
   TrialRunner runner(4);
-  for (bool epochs : {false, true}) {
-    std::function<void(int)> epoch;
-    if (epochs) epoch = [](int) {};
-    Status status = RunSweepPoint(
-        runner, nullptr, 0, 500, 1,
-        [&](const SweepTrial& trial) {
-          if (trial.index == 77 || trial.index == 402) {
-            return Status::Internal("trial " + std::to_string(trial.index));
-          }
-          return Status::Ok();
-        },
-        epoch);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.message(), "trial 77");
-  }
-}
-
-TEST(TrialRunnerTest, EpochModeRunsTheSameTrialsAsOneRun) {
-  // Epoch mode runs the shards one after another, each after its epoch
-  // hook, and must produce exactly the trials of one parallel run:
-  // stream seeds key off the global trial index.
-  TrialRunner runner(4);
-  EXPECT_EQ(FirstDraws(runner, 70, 5, /*epochs=*/true),
-            FirstDraws(runner, 70, 5, /*epochs=*/false));
+  Status status = RunSweepPoint(
+      runner, nullptr, 0, 500, 1, [&](const SweepTrial& trial) {
+        if (trial.index == 77 || trial.index == 402) {
+          return Status::Internal("trial " + std::to_string(trial.index));
+        }
+        return Status::Ok();
+      });
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.message(), "trial 77");
 }
 
 TEST(TrialRunnerTest, NetworkBuildIsIdenticalForAnyThreadCount) {
@@ -184,8 +165,8 @@ TEST(TrialRunnerTest, NetworkBuildIsIdenticalForAnyThreadCount) {
   for (uint32_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.pub(i), b.pub(i)) << "node " << i;
     EXPECT_TRUE(a.pos(i) == b.pos(i)) << "node " << i;
-    EXPECT_EQ(a.colluding(i), b.colluding(i)) << "node " << i;
   }
+  EXPECT_EQ((*serial)->ColluderIndices(), (*parallel)->ColluderIndices());
 }
 
 // The flagship guarantee: a whole experiment harness produces
@@ -250,19 +231,20 @@ TEST(TrialRunnerTest, CacheSweepBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Every TrialRunner shard of the exhaustive sweep owns its selection
-// protocol object, whose ideal transport carries the shard's metrics
-// registry and the traced trials' recorders. Under heavy threading (the
-// TSan build runs the 'TrialRunner' filter) the observed sweep must
-// stay race-free, and its metrics snapshot and traces must equal a
-// serial run's byte for byte.
+// Every worker of the exhaustive sweep owns a selection protocol object,
+// whose ideal transport carries the running shard's metrics registry
+// and the traced trials' recorders, and restarts at each shard. Under
+// heavy threading (the TSan build runs the 'TrialRunner' filter) the
+// observed sweep must stay race-free, and its metrics snapshot and the
+// traces of 20 trials (past the first shard) must equal a serial run's
+// byte for byte.
 TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
   auto run = [](int threads, std::string* metrics_json,
                 std::string* traces) {
     std::vector<obs::TraceRecorder> recorders;
     obs::MetricsRegistry metrics;
     SweepObservers observers;
-    observers.trace_trials = 3;
+    observers.trace_trials = 20;
     observers.recorders = &recorders;
     observers.metrics = &metrics;
     auto stats =
@@ -284,9 +266,12 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
 
 // The same guarantee for the six other harnesses that take
 // SweepObservers, including RunAppFailureSweep, which no bench observes.
-// Each sweep has two points of 20 trials (two shards, and two colluder
-// epochs where the harness moves colluders), so the shard registries
-// fold across shards and points.
+// Each sweep has two points of 20 trials (two shards, each with its own
+// colluder placement where the harness varies it), so the shard
+// registries fold across shards and points, and every trial of the
+// first point is traced: a reused protocol object that did not restart
+// at the second shard would number its RPCs by what its worker ran
+// before.
 TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
   using Sweep =
       std::function<Status(const Parameters&, const SweepObservers*)>;
@@ -329,12 +314,12 @@ TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
       std::vector<obs::TraceRecorder> recorders;
       obs::MetricsRegistry metrics;
       SweepObservers observers;
-      observers.trace_trials = 3;
+      observers.trace_trials = 20;
       observers.recorders = &recorders;
       observers.metrics = &metrics;
       Status status = sweep(SmallNet(threads[i]), &observers);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      ASSERT_EQ(recorders.size(), 3u);
+      ASSERT_EQ(recorders.size(), 20u);
       metrics_json[i] = metrics.ToJson();
       for (const obs::TraceRecorder& rec : recorders) {
         traces[i] += obs::ToJsonl(rec.trace());
