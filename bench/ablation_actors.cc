@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   bench::Observers obs(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 10000 : 50000;
   params.colluding_fraction = 0.01;
   params.cache_size = 1024;  // keep R3 populated for the largest A

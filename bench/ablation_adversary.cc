@@ -61,6 +61,7 @@ int main(int argc, char** argv) {
   bench::Observers obs(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 3000 : 20000;
   params.colluding_fraction = 0.10;
   params.actor_count = 32;

@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 10000 : 50000;
   params.colluding_fraction = 0.01;
   const int networks = quick ? 25 : 100;

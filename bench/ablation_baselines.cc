@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   bench::Observers obs(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 5000 : 20000;
   params.actor_count = 32;
   params.cache_size = 512;

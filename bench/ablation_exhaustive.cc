@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   bench::Observers obs(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 4000 : 20000;
   params.colluding_fraction = 0.01;
   params.actor_count = 32;

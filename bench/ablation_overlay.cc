@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
 
   sim::Parameters base;
   base.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   base.n = quick ? 5000 : 20000;
   base.colluding_fraction = 0.01;
   base.actor_count = 32;

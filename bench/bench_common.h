@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -20,9 +21,17 @@
 
 namespace sep2p::bench {
 
+// Every flag name the harness has looked up so far, mapped to whether
+// it takes a value; RejectUnknownFlags checks argv against it.
+inline std::map<std::string, bool>& ReadFlags() {
+  static std::map<std::string, bool> names;
+  return names;
+}
+
 // --quick shrinks sweeps so a full `for b in build/bench/*` run stays
 // fast; the defaults reproduce the paper-scale series.
 inline bool QuickMode(int argc, char** argv) {
+  ReadFlags()["--quick"] = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) return true;
   }
@@ -39,6 +48,7 @@ inline std::string BenchJsonPath(const char* name, bool quick) {
 // The value of flag NAME=V / NAME V (the first one given): nullptr when
 // the flag is absent, "" when it comes last with no value.
 inline const char* FlagValue(int argc, char** argv, const char* name) {
+  ReadFlags()[name] = true;
   const size_t name_len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], name, name_len) != 0) continue;
@@ -79,6 +89,25 @@ inline std::string PathArg(int argc, char** argv, const char* name) {
     std::exit(2);
   }
   return value;
+}
+
+// Exits 2 naming the first argument that is not a flag the harness has
+// read (with its value, for a flag that takes one), as sep2p_cli does
+// for unknown flags: a misspelled --metrics or --trace-trials must not
+// run the harness without the output it asked for. Call it once every
+// flag has been read.
+inline void RejectUnknownFlags(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const char* eq = std::strchr(argv[i], '=');
+    const std::string name =
+        eq != nullptr ? std::string(argv[i], eq - argv[i]) : argv[i];
+    auto it = ReadFlags().find(name);
+    if (it == ReadFlags().end() || (eq != nullptr && !it->second)) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      std::exit(2);
+    }
+    if (it->second && eq == nullptr) ++i;  // NAME VALUE: skip the value
+  }
 }
 
 // --threads=N / --threads N caps the worker count for network build and

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   bench::Observers obs(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 10000 : 50000;
   params.actor_count = 32;
   params.cache_size = 512;

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   const int samples = quick ? 2000 : 20000;
   const int threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
 
   sim::Parameters defaults;  // only for the header
   defaults.threads = threads;

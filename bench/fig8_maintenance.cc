@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   sim::Parameters params;
   params.threads = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   params.n = quick ? 4000 : 10000;
   params.colluding_fraction = 0.01;
 

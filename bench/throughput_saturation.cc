@@ -156,6 +156,7 @@ std::string Json(const std::vector<Row>& rows, int workers,
 int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   int workers = bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
   if (workers <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     workers = hw > 1 ? static_cast<int>(hw > 8 ? 8 : hw - 1) : 1;
