@@ -2,9 +2,9 @@
 //
 // The protocol layers identify nodes by Directory index; PdmsNode is the
 // personal-data side of the same node: a small local store for the data
-// the three use cases of the paper exercise — arbitrary records (the
-// user's "digital life"), profile concepts (use case 2), and
-// geo-localized sensor readings (use case 1). All data stays local until
+// the three use cases of the paper exercise — profile concepts (use
+// case 2), geo-localized sensor readings (use case 1) and numeric
+// attributes for aggregate queries (use case 3). All data stays local until
 // an application-level protocol, gated by VerifyBeforeDisclosure,
 // releases a specific, minimal piece of it to verified actors.
 
@@ -35,17 +35,6 @@ class PdmsNode {
 
   uint32_t directory_index() const { return directory_index_; }
 
-  // --- generic personal records ---------------------------------------
-  void PutRecord(const std::string& key, const std::string& value) {
-    records_[key] = value;
-  }
-  std::optional<std::string> GetRecord(const std::string& key) const {
-    auto it = records_.find(key);
-    if (it == records_.end()) return std::nullopt;
-    return it->second;
-  }
-  size_t record_count() const { return records_.size(); }
-
   // --- profile concepts (use case 2) -----------------------------------
   void AddConcept(const std::string& concept_name) {
     concepts_.insert(concept_name);
@@ -60,7 +49,6 @@ class PdmsNode {
     readings_.push_back(reading);
   }
   const std::vector<SensorReading>& readings() const { return readings_; }
-  void ClearReadings() { readings_.clear(); }
 
   // --- numeric attributes for aggregate queries (use case 3) -----------
   void SetAttribute(const std::string& name, double value) {
@@ -78,7 +66,6 @@ class PdmsNode {
 
  private:
   uint32_t directory_index_;
-  std::map<std::string, std::string> records_;
   std::set<std::string> concepts_;
   std::vector<SensorReading> readings_;
   std::map<std::string, double> attributes_;

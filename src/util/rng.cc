@@ -50,13 +50,6 @@ double Rng::NextDouble() {
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<int64_t>(NextUint64());  // full range
-  return lo + static_cast<int64_t>(NextUint64(span));
-}
-
 bool Rng::NextBool(double p) {
   if (p <= 0) return false;
   if (p >= 1) return true;
@@ -91,7 +84,5 @@ std::vector<size_t> Rng::SampleIndices(size_t population, size_t count) {
   }
   return std::vector<size_t>(chosen.begin(), chosen.end());
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 }  // namespace sep2p::util

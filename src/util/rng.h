@@ -32,9 +32,6 @@ class Rng {
   // Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble();
 
-  // Uniform value in [lo, hi] inclusive; requires lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBool(double p);
 
@@ -55,9 +52,6 @@ class Rng {
   // Draws `count` distinct indices from [0, population) in O(count) expected
   // time (Floyd's algorithm); the result is sorted.
   std::vector<size_t> SampleIndices(size_t population, size_t count);
-
-  // Forks an independent stream; the child is seeded from this generator.
-  Rng Fork();
 
  private:
   std::array<uint64_t, 4> s_;

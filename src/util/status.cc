@@ -12,8 +12,6 @@ const char* StatusCodeName(StatusCode code) {
       return "NOT_FOUND";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
     case StatusCode::kInternal:
       return "INTERNAL";
     case StatusCode::kUnavailable:

@@ -19,7 +19,6 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kFailedPrecondition,
-  kOutOfRange,
   kInternal,
   kUnavailable,
   kPermissionDenied,
@@ -46,9 +45,6 @@ class Status {
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
