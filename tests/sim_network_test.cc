@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/messages.h"
 #include "core/selection.h"
 #include "core/verification.h"
+#include "obs/export.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace sep2p {
@@ -81,6 +85,30 @@ TEST(SimNetworkTest, SameSeedReplaysIdenticalTrace) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));  // and the seed actually matters
+}
+
+// Restart returns an idle network to a fresh one's state (clock, RPC
+// and message numbering, Rng, stats), so the same calls replay the same
+// trace; the sweeps' reused ideal transports rely on it
+// (sim/experiment.h).
+TEST(SimNetworkTest, RestartReplaysAFreshNetwork) {
+  LinkModel link = ExactLink();
+  link.drop_probability = 0.3;  // drops and backoff jitter draw the Rng
+  auto calls = [](SimNetwork& net) {
+    obs::TraceRecorder rec;
+    net.set_trace(&rec);
+    for (uint32_t s = 1; s < 8; ++s) net.Call(0, s, {0x01, 0x02}, Echo());
+    net.set_trace(nullptr);
+    return std::make_tuple(obs::ToJsonl(rec.trace()), net.now_us(),
+                           net.stats().messages_sent, net.stats().retries);
+  };
+  SimNetwork fresh(8, link, RetryPolicy(), /*seed=*/7);
+  const auto expected = calls(fresh);
+  SimNetwork reused(8, link, RetryPolicy(), /*seed=*/7);
+  calls(reused);
+  EXPECT_NE(calls(reused), expected);  // without a restart, history shows
+  reused.Restart();
+  EXPECT_EQ(calls(reused), expected);
 }
 
 TEST(SimNetworkTest, AllDropsExhaustRetryBudgetWithExactBackoff) {
@@ -289,6 +317,28 @@ TEST_F(SelectionOverNetworkTest, PerfectNetworkSucceedsAndVerifies) {
   // ...and a perfect link needed no retries or replacements.
   EXPECT_EQ(simnet.stats().retries, 0u);
   EXPECT_EQ(simnet.stats().quorum_replacements, 0u);
+}
+
+// A reused protocol object whose ideal transport restarts replays a
+// fresh object's run byte for byte, RPC numbering included: the rule
+// behind the sweeps' per-worker protocol objects (sim/experiment.h).
+TEST_F(SelectionOverNetworkTest, RestartedIdealTransportReplaysAFreshObject) {
+  auto traced = [](const core::SelectionProtocol& protocol,
+                   uint32_t trigger) {
+    obs::TraceRecorder rec;
+    protocol.ideal_transport().set_trace(&rec);
+    util::Rng rng(trigger);
+    auto run = protocol.Run(trigger, rng);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    protocol.ideal_transport().set_trace(nullptr);
+    return obs::ToJsonl(rec.trace());
+  };
+  const std::string fresh = traced(core::SelectionProtocol(ctx_), 9);
+  core::SelectionProtocol reused(ctx_);
+  traced(reused, 3);
+  EXPECT_NE(traced(reused, 9), fresh);
+  reused.RestartIdealTransport();
+  EXPECT_EQ(traced(reused, 9), fresh);
 }
 
 TEST_F(SelectionOverNetworkTest, IdenticalSeedsGiveIdenticalSelections) {
