@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/messages.h"
+#include "core/wire_format.h"
 #include "crypto/hash256.h"
 
 namespace sep2p::apps {
@@ -19,7 +20,7 @@ ConceptIndex::ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
       msg::kTagConceptStore,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::ConceptStore> store = msg::DecodeConceptStore(request);
+        auto store = msg::Decode<msg::ConceptStore>(request);
         if (!store.ok()) return std::nullopt;
         std::string key(store->share_key.begin(), store->share_key.end());
         std::vector<StoredShare>& list = storage_[server][key];
@@ -41,7 +42,7 @@ ConceptIndex::ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
       msg::kTagConceptQuery,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::ConceptQuery> query = msg::DecodeConceptQuery(request);
+        auto query = msg::Decode<msg::ConceptQuery>(request);
         if (!query.ok()) return std::nullopt;
         msg::ConceptShares reply;
         auto store_it = storage_.find(server);
@@ -65,18 +66,16 @@ std::string ConceptIndex::ShareKey(const std::string& concept_name,
 }
 
 std::vector<uint8_t> ConceptIndex::EncodePosting(uint32_t node_index) {
-  return {static_cast<uint8_t>(node_index >> 24),
-          static_cast<uint8_t>(node_index >> 16),
-          static_cast<uint8_t>(node_index >> 8),
-          static_cast<uint8_t>(node_index)};
+  core::wire::Writer out;
+  out.U32(node_index);
+  return out.Take();
 }
 
 uint32_t ConceptIndex::DecodePosting(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() != 4) return 0xffffffffu;
-  return (static_cast<uint32_t>(bytes[0]) << 24) |
-         (static_cast<uint32_t>(bytes[1]) << 16) |
-         (static_cast<uint32_t>(bytes[2]) << 8) |
-         static_cast<uint32_t>(bytes[3]);
+  core::wire::Reader in(bytes);
+  uint32_t node_index = 0;
+  if (!in.U32(&node_index).ok() || !in.ExpectEnd().ok()) return 0xffffffffu;
+  return node_index;
 }
 
 Result<uint32_t> ConceptIndex::IndexerFor(const std::string& concept_name,
@@ -149,7 +148,7 @@ Result<ConceptIndex::LookupResult> ConceptIndex::Lookup(
       result.cost = net::Cost::Delta(runtime_->measured_cost(), before);
       return result;
     }
-    Result<msg::ConceptShares> reply = msg::DecodeConceptShares(rpc.reply);
+    auto reply = msg::Decode<msg::ConceptShares>(rpc.reply);
     if (!reply.ok()) return reply.status();
     replies.push_back(std::move(reply.value()));
   }

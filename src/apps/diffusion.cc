@@ -29,7 +29,7 @@ DiffusionApp::DiffusionApp(sim::Network* network,
       msg::kTagDiffusionOffer,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::DiffusionOffer> offer = msg::DecodeDiffusionOffer(request);
+        auto offer = msg::Decode<msg::DiffusionOffer>(request);
         if (!offer.ok()) return std::nullopt;
         if (server >= pdms_->size()) return std::nullopt;
         std::string text(offer->expression.begin(), offer->expression.end());
@@ -135,7 +135,7 @@ Result<DiffusionApp::DiffusionResult> DiffusionApp::Diffuse(
       continue;
     }
     Result<msg::DiffusionAccept> accept =
-        msg::DecodeDiffusionAccept(replies[i].reply);
+        msg::Decode<msg::DiffusionAccept>(replies[i].reply);
     if (accept.ok() && accept->accepted != 0) {
       result.targets.push_back(offered_to[i]);
     }

@@ -15,7 +15,7 @@ void EnsureProxyHandlers(node::AppRuntime& runtime) {
   runtime.Register(msg::kTagProxyRelay,
                    [](uint32_t, const std::vector<uint8_t>& request)
                        -> std::optional<std::vector<uint8_t>> {
-                     if (!msg::DecodeProxyRelay(request).ok()) {
+                     if (!msg::Decode<msg::ProxyRelay>(request).ok()) {
                        return std::nullopt;
                      }
                      return msg::Encode(msg::AppAck{});
@@ -25,7 +25,7 @@ void EnsureProxyHandlers(node::AppRuntime& runtime) {
   runtime.Register(msg::kTagSealedDelivery,
                    [](uint32_t, const std::vector<uint8_t>& request)
                        -> std::optional<std::vector<uint8_t>> {
-                     if (!msg::DecodeSealedDelivery(request).ok()) {
+                     if (!msg::Decode<msg::SealedDelivery>(request).ok()) {
                        return std::nullopt;
                      }
                      return msg::Encode(msg::AppAck{});
@@ -54,7 +54,7 @@ Result<ProxyDelivery> ForwardViaProxy(
   EnsureProxyHandlers(runtime);
   ProxyDelivery delivery;
   delivery.proxy_index = proxy;
-  delivery.delivered = SealForRecipient(recipient_key, plaintext, rng);
+  delivery.delivered = crypto::SealForRecipient(recipient_key, plaintext, rng);
   delivery.proxy_saw_sender = true;    // P receives directly from TN
   delivery.proxy_saw_payload = false;  // but only ciphertext
   delivery.recipient_saw_sender = false;  // DA sees the proxy's address
@@ -108,7 +108,7 @@ Result<ChainDelivery> ForwardViaProxyChain(
     delivery.chain.push_back(relay);
   }
 
-  delivery.delivered = SealForRecipient(recipient_key, plaintext, rng);
+  delivery.delivered = crypto::SealForRecipient(recipient_key, plaintext, rng);
   for (int i = 0; i < chain_length; ++i) {
     delivery.relay_saw_sender.push_back(i == 0);
     delivery.relay_saw_recipient.push_back(i == chain_length - 1);

@@ -11,8 +11,7 @@
 // and P collude is ~(C/N)^2.
 //
 // Sealing itself lives in crypto/sealed.h (the wire messages carry
-// crypto::SealedMessage payloads); the aliases below keep the historical
-// apps-level names working.
+// crypto::SealedMessage payloads).
 
 #ifndef SEP2P_APPS_PROXY_H_
 #define SEP2P_APPS_PROXY_H_
@@ -31,10 +30,6 @@
 
 namespace sep2p::apps {
 
-using SealedMessage = crypto::SealedMessage;
-using crypto::OpenSealed;
-using crypto::SealForRecipient;
-
 // Installs the global relay handler (a relay acknowledges a ProxyRelay
 // and holds the sealed payload for its own onward leg — any node can
 // serve as proxy) plus a default SealedDelivery acknowledgement for
@@ -46,13 +41,13 @@ void EnsureProxyHandlers(node::AppRuntime& runtime);
 // assert the knowledge separation.
 struct ProxyDelivery {
   uint32_t proxy_index = 0;
-  SealedMessage delivered;          // what the DA receives
-  bool relayed = false;             // TN -> P leg succeeded
-  bool delivered_ok = false;        // P -> DA leg succeeded
-  bool proxy_saw_sender = false;    // P knows TN
-  bool proxy_saw_payload = false;   // P could read the data
+  crypto::SealedMessage delivered;    // what the DA receives
+  bool relayed = false;               // TN -> P leg succeeded
+  bool delivered_ok = false;          // P -> DA leg succeeded
+  bool proxy_saw_sender = false;      // P knows TN
+  bool proxy_saw_payload = false;     // P could read the data
   bool recipient_saw_sender = false;  // DA learned TN's identity
-  net::Cost cost;                   // two messages: TN->P, P->DA
+  net::Cost cost;                     // two messages: TN->P, P->DA
 };
 
 // Sends `plaintext` from `sender_index` to the node owning
@@ -77,7 +72,7 @@ Result<ProxyDelivery> ForwardViaProxy(
 // recipient, probability ~ (C/N)^(chain_length+1).
 struct ChainDelivery {
   std::vector<uint32_t> chain;  // relay directory indices, in order
-  SealedMessage delivered;
+  crypto::SealedMessage delivered;
   bool delivered_ok = false;  // every hop succeeded
   net::Cost cost;  // chain_length + 1 messages
   // Knowledge trace per relay position for the privacy tests.

@@ -40,7 +40,7 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
       msg::kTagQueryDeploy,
       [this](uint32_t, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::QueryDeploy> deploy = msg::DecodeQueryDeploy(request);
+        auto deploy = msg::Decode<msg::QueryDeploy>(request);
         if (!deploy.ok()) return std::nullopt;
         if (round_ != nullptr && round_->round_id == deploy->round_id) {
           return msg::Encode(msg::AppAck{});  // re-deploy: idempotent
@@ -66,7 +66,7 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
       msg::kTagQueryFlush,
       [this](uint32_t, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::QueryFlush> flush = msg::DecodeQueryFlush(request);
+        Result<msg::QueryFlush> flush = msg::Decode<msg::QueryFlush>(request);
         if (!flush.ok()) return std::nullopt;
         if (round_ == nullptr || round_->round_id != flush->round_id) {
           return std::nullopt;
@@ -111,13 +111,13 @@ void QueryApp::InstallRound(uint64_t round_id, uint32_t querier_index,
       [this](uint32_t server, const std::vector<uint8_t>& request)
       -> std::optional<std::vector<uint8_t>> {
     Result<msg::SealedDelivery> delivery =
-        msg::DecodeSealedDelivery(request);
+        msg::Decode<msg::SealedDelivery>(request);
     if (!delivery.ok()) return std::nullopt;
     auto slot_it = round_->slot_of.find(server);
     if (slot_it == round_->slot_of.end()) return std::nullopt;
     if (round_->seen_contributions.insert(delivery->contribution_id).second) {
       Result<std::vector<uint8_t>> opened =
-          OpenSealed(network_->provider(), delivery->sealed,
+          crypto::OpenSealed(network_->provider(), delivery->sealed,
                      network_->directory().priv(server));
       if (!opened.ok() || opened->size() != sizeof(double)) {
         return std::nullopt;
@@ -140,7 +140,7 @@ void QueryApp::InstallRound(uint64_t round_id, uint32_t querier_index,
   auto answer_handler =
       [this](uint32_t, const std::vector<uint8_t>& request)
       -> std::optional<std::vector<uint8_t>> {
-    Result<msg::QueryAnswer> answer = msg::DecodeQueryAnswer(request);
+    Result<msg::QueryAnswer> answer = msg::Decode<msg::QueryAnswer>(request);
     if (!answer.ok()) return std::nullopt;
     if (answer->da_slot == msg::kMergedSlot) {
       round_->answered = true;
@@ -326,7 +326,7 @@ Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
       return Status::Unavailable("query: MDA unreachable at merge");
     }
     Result<msg::QueryAnswer> final_answer =
-        msg::DecodeQueryAnswer(flushed.reply);
+        msg::Decode<msg::QueryAnswer>(flushed.reply);
     if (!final_answer.ok()) return final_answer.status();
     merged = {final_answer->count, final_answer->sum, final_answer->min,
               final_answer->max};

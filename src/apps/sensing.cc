@@ -104,13 +104,13 @@ ParticipatorySensingApp::RunRound(uint32_t trigger_index, util::Rng& rng) {
       [this](uint32_t server, const std::vector<uint8_t>& request)
       -> std::optional<std::vector<uint8_t>> {
     Result<msg::SensingContribution> tuple =
-        msg::DecodeSensingContribution(request);
+        msg::Decode<msg::SensingContribution>(request);
     if (!tuple.ok()) return std::nullopt;
     auto slot_it = round_->slot_of.find(server);
     if (slot_it == round_->slot_of.end()) return std::nullopt;
     if (round_->seen_contributions.insert(tuple->contribution_id).second) {
       Result<std::vector<uint8_t>> opened =
-          OpenSealed(network_->provider(), tuple->sealed,
+          crypto::OpenSealed(network_->provider(), tuple->sealed,
                      network_->directory().priv(server));
       if (!opened.ok() || opened->size() != sizeof(double)) {
         return std::nullopt;
@@ -133,7 +133,7 @@ ParticipatorySensingApp::RunRound(uint32_t trigger_index, util::Rng& rng) {
   auto partial_handler =
       [this](uint32_t, const std::vector<uint8_t>& request)
       -> std::optional<std::vector<uint8_t>> {
-    Result<msg::SensingPartial> partial = msg::DecodeSensingPartial(request);
+    auto partial = msg::Decode<msg::SensingPartial>(request);
     if (!partial.ok()) return std::nullopt;
     if (partial->da_slot == msg::kMergedSlot) {
       round_->published = true;
@@ -203,7 +203,7 @@ ParticipatorySensingApp::RunRound(uint32_t trigger_index, util::Rng& rng) {
       msg::SensingContribution tuple;
       tuple.contribution_id = runtime_->NextMessageId();
       tuple.cell = static_cast<uint32_t>(cell);
-      tuple.sealed = SealForRecipient(
+      tuple.sealed = crypto::SealForRecipient(
           network_->directory().pub(result.aggregators[da]), payload,
           rng);
       contributions.push_back(

@@ -2,29 +2,7 @@
 
 #include <algorithm>
 
-#include "crypto/sha256.h"
-
 namespace sep2p::core {
-
-crypto::Hash256 CsarRandom::Value() const {
-  crypto::Hash256 value;
-  for (const VrandParticipant& p : participants) value = value.Xor(p.rnd);
-  return value;
-}
-
-std::vector<uint8_t> CsarRandom::SignedBytes() const {
-  std::vector<uint8_t> out;
-  out.reserve(participants.size() * 32 + 8);
-  for (const VrandParticipant& p : participants) {
-    crypto::Digest commitment =
-        crypto::Sha256Hash(p.rnd.bytes().data(), p.rnd.bytes().size());
-    out.insert(out.end(), commitment.begin(), commitment.end());
-  }
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(timestamp >> (8 * i)));
-  }
-  return out;
-}
 
 Result<CsarProtocol::Outcome> CsarProtocol::Generate(
     uint32_t trigger_index, int participant_count, util::Rng& rng) const {

@@ -28,17 +28,10 @@
 
 namespace sep2p::core {
 
-struct CsarRandom {
-  crypto::Certificate cert_t;
-  uint64_t timestamp = 0;
-  std::vector<VrandParticipant> participants;  // C+1 of them
-
-  int participant_count() const {
-    return static_cast<int>(participants.size());
-  }
-  crypto::Hash256 Value() const;
-  std::vector<uint8_t> SignedBytes() const;
-};
+// The CSAR random is SEP2P's artifact without a legitimacy region: the
+// same commitment list, signatures and XOR over C+1 participants, with
+// rs1 = 0.
+using CsarRandom = VerifiableRandom;
 
 class CsarProtocol {
  public:

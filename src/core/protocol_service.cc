@@ -10,15 +10,13 @@
 namespace sep2p::core {
 
 std::vector<uint8_t> SignedBytesFromList(const msg::CommitList& list) {
-  std::vector<uint8_t> out;
-  out.reserve(list.commitments.size() * 32 + 8);
+  wire::Writer out;
+  out.Reserve(list.commitments.size() * sizeof(crypto::Digest) + 8);
   for (const crypto::Hash256& c : list.commitments) {
-    out.insert(out.end(), c.bytes().begin(), c.bytes().end());
+    out.Raw(c.bytes().data(), c.bytes().size());
   }
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(list.timestamp >> (8 * i)));
-  }
-  return out;
+  out.U64(list.timestamp);
+  return out.Take();
 }
 
 std::vector<uint8_t> TlCommitReply(const crypto::Hash256& rnd) {
@@ -123,7 +121,7 @@ ProtocolService::ProtocolService(const ProtocolContext& ctx,
 
 std::optional<std::vector<uint8_t>> ProtocolService::OnVrandInvite(
     uint32_t server, const std::vector<uint8_t>& request) {
-  Result<msg::VrandInvite> invite = msg::DecodeVrandInvite(request);
+  Result<msg::VrandInvite> invite = msg::Decode<msg::VrandInvite>(request);
   // A resident TL keys its contribution by the engagement nonce; a
   // nonce-less (v1) invite has no session to attach to and is refused.
   if (!invite.ok() || invite->nonce == 0) return std::nullopt;
@@ -140,7 +138,7 @@ std::optional<std::vector<uint8_t>> ProtocolService::OnVrandInvite(
 
 std::optional<std::vector<uint8_t>> ProtocolService::OnCommitList(
     uint32_t server, const std::vector<uint8_t>& request) {
-  Result<msg::CommitList> list = msg::DecodeCommitList(request);
+  Result<msg::CommitList> list = msg::Decode<msg::CommitList>(request);
   if (!list.ok() || list->nonce == 0) return std::nullopt;
   auto key = std::make_pair(list->nonce, server);
   // The tag is shared by the TL-reveal and SL-reveal phases; which one
@@ -157,7 +155,7 @@ std::optional<std::vector<uint8_t>> ProtocolService::OnCommitList(
 
 std::optional<std::vector<uint8_t>> ProtocolService::OnSlEngage(
     uint32_t server, const std::vector<uint8_t>& request) {
-  Result<msg::SlEngage> engage = msg::DecodeSlEngage(request);
+  Result<msg::SlEngage> engage = msg::Decode<msg::SlEngage>(request);
   if (!engage.ok() || engage->nonce == 0) return std::nullopt;
   auto key = std::make_pair(engage->nonce, server);
   auto it = sl_state_.find(key);
@@ -182,7 +180,7 @@ std::optional<std::vector<uint8_t>> ProtocolService::OnSlEngage(
 
 std::optional<std::vector<uint8_t>> ProtocolService::OnAttestRequest(
     uint32_t server, const std::vector<uint8_t>& request) {
-  Result<msg::AttestRequest> req = msg::DecodeAttestRequest(request);
+  Result<msg::AttestRequest> req = msg::Decode<msg::AttestRequest>(request);
   if (!req.ok()) return std::nullopt;
   // A resident SL never signs a bare digest: it must see the preimage
   // and check the digest actually binds it before signing the digest.

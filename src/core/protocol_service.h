@@ -42,11 +42,13 @@ namespace sep2p::core {
 // encoded reply (or nullopt = refuse), exactly as the closures did.
 // ---------------------------------------------------------------------
 
-// Canonical signed bytes of a commitment list as RECEIVED off the wire:
-// concatenated commitments plus the big-endian timestamp. For an honest
-// engagement this equals VerifiableRandom::SignedBytes() byte for byte
-// (the commitments ARE hash(RND_i)), but a remote TL only holds the
-// list, not the reveals — so both paths sign this reconstruction.
+// The bytes every TL signs (§3.4 step 4), from a commitment list as
+// RECEIVED off the wire: the concatenated commitments, then the
+// big-endian timestamp. The only writer of this layout:
+// VerifiableRandom::SignedBytes() (and so the CSAR baseline's) rebuilds
+// the list from the reveals and calls it, so an honest engagement
+// yields the same bytes on both sides, while a remote TL, which holds
+// only the list, signs this reconstruction.
 std::vector<uint8_t> SignedBytesFromList(const msg::CommitList& list);
 
 // TL steps 1-2: commit to a drawn contribution.

@@ -86,7 +86,7 @@ Result<SlEngagement> EngageSls(const ProtocolContext& ctx,
         setter, sl_candidates, k, engage_bytes,
         [&](uint32_t server, const std::vector<uint8_t>& request)
             -> std::optional<std::vector<uint8_t>> {
-          if (!msg::DecodeSlEngage(request).ok()) return std::nullopt;
+          if (!msg::Decode<msg::SlEngage>(request).ok()) return std::nullopt;
           return msg::Encode(msg::CommitReply{sl_state(server).commitment});
         });
   }
@@ -101,7 +101,7 @@ Result<SlEngagement> EngageSls(const ProtocolContext& ctx,
   l1.nonce = nonce;
   l1.commitments.resize(k);
   for (int j = 0; j < k; ++j) {
-    Result<msg::CommitReply> commit = msg::DecodeCommitReply(quorum.replies[j]);
+    auto commit = msg::Decode<msg::CommitReply>(quorum.replies[j]);
     if (!commit.ok()) return commit.status();
     l1.commitments[j] = commit->commitment;
   }
@@ -113,7 +113,7 @@ Result<SlEngagement> EngageSls(const ProtocolContext& ctx,
         net::Transport::FanOut(setter, quorum.members, l1_bytes),
         [&](uint32_t server, const std::vector<uint8_t>& request)
             -> std::optional<std::vector<uint8_t>> {
-          Result<msg::CommitList> list = msg::DecodeCommitList(request);
+          Result<msg::CommitList> list = msg::Decode<msg::CommitList>(request);
           if (!list.ok()) return std::nullopt;
           return SlRevealReply(sl_state(server), *list);
         });
@@ -135,7 +135,7 @@ Result<SlEngagement> EngageSls(const ProtocolContext& ctx,
     if (!reveals[j].ok) {
       return Status::Unavailable("selection: SL failed during reveal");
     }
-    Result<msg::SlReveal> reveal = msg::DecodeSlReveal(reveals[j].reply);
+    Result<msg::SlReveal> reveal = msg::Decode<msg::SlReveal>(reveals[j].reply);
     if (!reveal.ok()) return reveal.status();
     if (SlCommitment(reveal->rnd, reveal->candidates) != l1.commitments[j]) {
       return Status::SecurityViolation(
@@ -167,19 +167,14 @@ crypto::Hash256 VerifiableActorList::SetterPoint() const {
 }
 
 std::vector<uint8_t> VerifiableActorList::SignedBytes() const {
-  std::vector<uint8_t> out;
-  out.reserve(32 + 12 + actor_keys.size() * 32);
-  out.insert(out.end(), rnd_t.bytes().begin(), rnd_t.bytes().end());
-  for (int i = 3; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(relocations >> (8 * i)));
-  }
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(timestamp >> (8 * i)));
-  }
-  for (const crypto::PublicKey& key : actor_keys) {
-    out.insert(out.end(), key.begin(), key.end());
-  }
-  return out;
+  const size_t key_bytes = actor_keys.size() * sizeof(crypto::PublicKey);
+  wire::Writer out;
+  out.Reserve(sizeof(crypto::Digest) + 12 + key_bytes);
+  out.Raw(rnd_t.bytes().data(), rnd_t.bytes().size());
+  out.U32(static_cast<uint32_t>(relocations));
+  out.U64(timestamp);
+  out.Raw(reinterpret_cast<const uint8_t*>(actor_keys.data()), key_bytes);
+  return out.Take();
 }
 
 std::vector<crypto::PublicKey> BuildActorList(
@@ -362,7 +357,7 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
             [&](uint32_t server, const std::vector<uint8_t>& request)
                 -> std::optional<std::vector<uint8_t>> {
               Result<msg::AttestRequest> decoded =
-                  msg::DecodeAttestRequest(request);
+                  msg::Decode<msg::AttestRequest>(request);
               if (!decoded.ok()) return std::nullopt;
               return AttestReply(ctx_, met, server, decoded->digest);
             });
@@ -520,7 +515,7 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
           [&](uint32_t server, const std::vector<uint8_t>& request)
               -> std::optional<std::vector<uint8_t>> {
             Result<msg::AttestRequest> decoded =
-                msg::DecodeAttestRequest(request);
+                msg::Decode<msg::AttestRequest>(request);
             if (!decoded.ok()) return std::nullopt;
             if (options.attack == nullptr) {
               return AttestReply(ctx_, met, server, decoded->digest);
@@ -535,7 +530,7 @@ Result<SelectionProtocol::Outcome> SelectionProtocol::Run(
           return Status::Unavailable("selection: SL failed before signing");
         }
         Result<msg::Attestation> att =
-            msg::DecodeAttestation(results[j].reply);
+            msg::Decode<msg::Attestation>(results[j].reply);
         if (!att.ok()) return att.status();
         // One kSignature per attestation S actually verified; a
         // completed selection carries exactly k of these in its span.

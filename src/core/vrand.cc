@@ -5,7 +5,6 @@
 
 #include "core/messages.h"
 #include "core/protocol_service.h"
-#include "crypto/sha256.h"
 #include "dht/region.h"
 #include "obs/trace.h"
 
@@ -20,17 +19,14 @@ crypto::Hash256 VerifiableRandom::Value() const {
 }
 
 std::vector<uint8_t> VerifiableRandom::SignedBytes() const {
-  std::vector<uint8_t> out;
-  out.reserve(participants.size() * 32 + 8);
+  msg::CommitList list;
+  list.timestamp = timestamp;
+  list.commitments.reserve(participants.size());
   for (const VrandParticipant& p : participants) {
-    crypto::Digest commitment =
-        crypto::Sha256Hash(p.rnd.bytes().data(), p.rnd.bytes().size());
-    out.insert(out.end(), commitment.begin(), commitment.end());
+    list.commitments.push_back(
+        crypto::Hash256::Of(p.rnd.bytes().data(), p.rnd.bytes().size()));
   }
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(timestamp >> (8 * i)));
-  }
-  return out;
+  return SignedBytesFromList(list);
 }
 
 net::Transport& VrandProtocol::ideal_transport() const {
@@ -103,7 +99,7 @@ Result<VrandProtocol::Outcome> VrandProtocol::Generate(
         trigger_index, candidates, k, invite_bytes,
         [&](uint32_t server, const std::vector<uint8_t>& request)
             -> std::optional<std::vector<uint8_t>> {
-          if (!msg::DecodeVrandInvite(request).ok()) return std::nullopt;
+          if (!msg::Decode<msg::VrandInvite>(request).ok()) return std::nullopt;
           return TlCommitReply(tl_rnd(server));
         });
   }
@@ -124,7 +120,7 @@ Result<VrandProtocol::Outcome> VrandProtocol::Generate(
   commit_list.nonce = nonce;
   commit_list.commitments.resize(k);
   for (int i = 0; i < k; ++i) {
-    Result<msg::CommitReply> commit = msg::DecodeCommitReply(quorum.replies[i]);
+    auto commit = msg::Decode<msg::CommitReply>(quorum.replies[i]);
     if (!commit.ok()) return commit.status();
     VrandParticipant& p = vrnd.participants[i];
     p.cert = dir.cert(quorum.members[i]);
@@ -166,7 +162,7 @@ Result<VrandProtocol::Outcome> VrandProtocol::Generate(
       net::Transport::FanOut(trigger_index, quorum.members, list_bytes),
       [&](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
-        Result<msg::CommitList> list = msg::DecodeCommitList(request);
+        Result<msg::CommitList> list = msg::Decode<msg::CommitList>(request);
         if (!list.ok() || withheld(server)) return std::nullopt;
         return TlRevealReply(ctx_, met, server, tl_rnd(server), *list);
       });
@@ -174,7 +170,7 @@ Result<VrandProtocol::Outcome> VrandProtocol::Generate(
     if (!reveals[i].ok) {
       return Status::Unavailable("vrand: TL failed during reveal");
     }
-    Result<msg::VrandReveal> reveal = msg::DecodeVrandReveal(reveals[i].reply);
+    auto reveal = msg::Decode<msg::VrandReveal>(reveals[i].reply);
     if (!reveal.ok()) return reveal.status();
     // T verified this TL's reveal + signature off the wire.
     if (rec != nullptr) rec->Signature(quorum.members[i], "tl-sign");

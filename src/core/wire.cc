@@ -1,156 +1,23 @@
 #include "core/wire.h"
 
-#include "core/wire_format.h"
-
 namespace sep2p::core::wire {
 
-namespace {
-
-constexpr uint8_t kMagic0 = 'S';
-constexpr uint8_t kMagic1 = '2';
-constexpr uint8_t kMagic2 = 'P';
-constexpr uint8_t kTagVrand = 0x01;
-constexpr uint8_t kTagActorList = 0x02;
-constexpr uint16_t kVersion = 1;
-
-Status CheckHeader(Reader& reader, uint8_t expected_tag) {
-  uint8_t m0, m1, m2, tag;
-  SEP2P_RETURN_IF_ERROR(reader.U8(&m0));
-  SEP2P_RETURN_IF_ERROR(reader.U8(&m1));
-  SEP2P_RETURN_IF_ERROR(reader.U8(&m2));
-  SEP2P_RETURN_IF_ERROR(reader.U8(&tag));
-  if (m0 != kMagic0 || m1 != kMagic1 || m2 != kMagic2) {
-    return Status::InvalidArgument("wire: bad magic");
-  }
-  if (tag != expected_tag) {
-    return Status::InvalidArgument("wire: wrong artifact tag");
-  }
-  uint16_t version = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U16(&version));
-  if (version != kVersion) {
-    return Status::InvalidArgument("wire: unsupported version");
-  }
-  return Status::Ok();
-}
-
-void WriteHeader(Writer& writer, uint8_t tag) {
-  writer.U8(kMagic0);
-  writer.U8(kMagic1);
-  writer.U8(kMagic2);
-  writer.U8(tag);
-  writer.U16(kVersion);
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeVerifiableRandom(const VerifiableRandom& vrnd) {
-  Writer writer;
-  WriteHeader(writer, kTagVrand);
-  writer.Cert(vrnd.cert_t);
-  writer.U64(vrnd.timestamp);
-  writer.F64(vrnd.rs1);
-  writer.U32(static_cast<uint32_t>(vrnd.participants.size()));
-  for (const VrandParticipant& p : vrnd.participants) {
-    writer.Cert(p.cert);
-    writer.Hash(p.rnd);
-    writer.Blob(p.sig);
-  }
-  return writer.Take();
+  return Encode(vrnd);
 }
 
 Result<VerifiableRandom> DecodeVerifiableRandom(
     const std::vector<uint8_t>& bytes) {
-  Reader reader(bytes);
-  SEP2P_RETURN_IF_ERROR(CheckHeader(reader, kTagVrand));
-
-  VerifiableRandom vrnd;
-  SEP2P_RETURN_IF_ERROR(reader.Cert(&vrnd.cert_t));
-  SEP2P_RETURN_IF_ERROR(reader.U64(&vrnd.timestamp));
-  SEP2P_RETURN_IF_ERROR(reader.F64(&vrnd.rs1));
-  uint32_t count = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U32(&count));
-  if (count == 0 || count > kMaxParticipants) {
-    return Status::InvalidArgument("wire: bad participant count");
-  }
-  vrnd.participants.resize(count);
-  for (VrandParticipant& p : vrnd.participants) {
-    SEP2P_RETURN_IF_ERROR(reader.Cert(&p.cert));
-    SEP2P_RETURN_IF_ERROR(reader.Hash(&p.rnd));
-    SEP2P_RETURN_IF_ERROR(reader.Blob(&p.sig));
-  }
-  SEP2P_RETURN_IF_ERROR(reader.ExpectEnd());
-  return vrnd;
+  return Decode<VerifiableRandom>(bytes);
 }
 
 std::vector<uint8_t> EncodeActorList(const VerifiableActorList& val) {
-  Writer writer;
-  WriteHeader(writer, kTagActorList);
-  writer.Hash(val.rnd_t);
-  writer.U64(val.timestamp);
-  writer.F64(val.rs2);
-  writer.U32(static_cast<uint32_t>(val.relocations));
-  writer.U32(static_cast<uint32_t>(val.actor_keys.size()));
-  for (const crypto::PublicKey& key : val.actor_keys) writer.Key(key);
-  writer.U32(static_cast<uint32_t>(val.actor_certs.size()));
-  for (const crypto::Certificate& cert : val.actor_certs) {
-    writer.Cert(cert);
-  }
-  writer.U32(static_cast<uint32_t>(val.attestations.size()));
-  for (const VerifiableActorList::Attestation& att : val.attestations) {
-    writer.Cert(att.cert);
-    writer.Blob(att.sig);
-  }
-  return writer.Take();
+  return Encode(val);
 }
 
 Result<VerifiableActorList> DecodeActorList(
     const std::vector<uint8_t>& bytes) {
-  Reader reader(bytes);
-  SEP2P_RETURN_IF_ERROR(CheckHeader(reader, kTagActorList));
-
-  VerifiableActorList val;
-  SEP2P_RETURN_IF_ERROR(reader.Hash(&val.rnd_t));
-  SEP2P_RETURN_IF_ERROR(reader.U64(&val.timestamp));
-  SEP2P_RETURN_IF_ERROR(reader.F64(&val.rs2));
-  uint32_t relocations = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U32(&relocations));
-  if (relocations > 1024) {
-    return Status::InvalidArgument("wire: absurd relocation count");
-  }
-  val.relocations = static_cast<int>(relocations);
-
-  uint32_t key_count = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U32(&key_count));
-  if (key_count == 0 || key_count > kMaxActors) {
-    return Status::InvalidArgument("wire: bad actor count");
-  }
-  val.actor_keys.resize(key_count);
-  for (crypto::PublicKey& key : val.actor_keys) {
-    SEP2P_RETURN_IF_ERROR(reader.Key(&key));
-  }
-
-  uint32_t cert_count = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U32(&cert_count));
-  if (cert_count > kMaxActors) {
-    return Status::InvalidArgument("wire: bad actor cert count");
-  }
-  val.actor_certs.resize(cert_count);
-  for (crypto::Certificate& cert : val.actor_certs) {
-    SEP2P_RETURN_IF_ERROR(reader.Cert(&cert));
-  }
-
-  uint32_t att_count = 0;
-  SEP2P_RETURN_IF_ERROR(reader.U32(&att_count));
-  if (att_count == 0 || att_count > kMaxParticipants) {
-    return Status::InvalidArgument("wire: bad attestation count");
-  }
-  val.attestations.resize(att_count);
-  for (VerifiableActorList::Attestation& att : val.attestations) {
-    SEP2P_RETURN_IF_ERROR(reader.Cert(&att.cert));
-    SEP2P_RETURN_IF_ERROR(reader.Blob(&att.sig));
-  }
-  SEP2P_RETURN_IF_ERROR(reader.ExpectEnd());
-  return val;
+  return Decode<VerifiableActorList>(bytes);
 }
 
 }  // namespace sep2p::core::wire

@@ -2,14 +2,12 @@
 //
 // In a deployment, verifiable randoms and actor lists travel between
 // nodes that do not trust each other, so the library ships a canonical,
-// versioned, length-checked binary encoding. Decoding is strict: any
+// versioned, length-checked binary encoding: the one codec of
+// core/wire_format.h, over the tag (0x01, 0x02) and field order each
+// artifact declares (VerifiableRandom in core/vrand.h,
+// VerifiableActorList in core/selection.h). Decoding is strict: any
 // truncation, trailing garbage, bad magic or oversized field count fails
 // with INVALID_ARGUMENT *before* any cryptographic check runs.
-//
-// Layout (all integers big-endian):
-//   [4] magic 'S''2''P' + artifact tag
-//   [2] version (currently 1)
-//   ... artifact-specific fields, variable-size ones length-prefixed.
 
 #ifndef SEP2P_CORE_WIRE_H_
 #define SEP2P_CORE_WIRE_H_
@@ -28,9 +26,8 @@ std::vector<uint8_t> EncodeVerifiableRandom(const VerifiableRandom& vrnd);
 Result<VerifiableRandom> DecodeVerifiableRandom(
     const std::vector<uint8_t>& bytes);
 
-// Serializes a verifiable actor list (§3.5 artifact). Actor
-// certificates are included so application layers can seal data to the
-// actors straight from the decoded VAL.
+// Serializes a verifiable actor list (§3.5 artifact), actor
+// certificates included.
 std::vector<uint8_t> EncodeActorList(const VerifiableActorList& val);
 Result<VerifiableActorList> DecodeActorList(
     const std::vector<uint8_t>& bytes);

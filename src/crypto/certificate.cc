@@ -1,15 +1,15 @@
 #include "crypto/certificate.h"
 
+#include "core/wire_format.h"
+
 namespace sep2p::crypto {
 
 std::vector<uint8_t> Certificate::SignedBytes() const {
-  std::vector<uint8_t> out;
-  out.reserve(subject.size() + 8);
-  out.insert(out.end(), subject.begin(), subject.end());
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(serial >> (8 * i)));
-  }
-  return out;
+  core::wire::Writer out;
+  out.Reserve(subject.size() + 8);
+  out.Raw(subject.data(), subject.size());
+  out.U64(serial);
+  return out.Take();
 }
 
 Result<CertificateAuthority> CertificateAuthority::Create(

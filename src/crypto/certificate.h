@@ -11,6 +11,7 @@
 #define SEP2P_CRYPTO_CERTIFICATE_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "crypto/hash256.h"
@@ -30,8 +31,13 @@ struct Certificate {
     return Hash256::Of(subject.data(), subject.size());
   }
 
-  // Canonical byte serialization of the signed portion.
+  // The signed portion, in the order the wire carries it: subject, then
+  // the big-endian serial.
   std::vector<uint8_t> SignedBytes() const;
+
+  // Wire order (core/wire_format.h).
+  static constexpr auto kFields = std::tuple(
+      &Certificate::subject, &Certificate::serial, &Certificate::ca_signature);
 };
 
 // True when two of `signers` carry certificates (`.cert`) for the same

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "crypto/signature_provider.h"
@@ -30,6 +31,11 @@ struct SealedMessage {
   PublicKey recipient{};
   std::array<uint8_t, 32> nonce{};
   std::vector<uint8_t> ciphertext;
+
+  // Wire order (core/wire_format.h).
+  static constexpr auto kFields =
+      std::tuple(&SealedMessage::recipient, &SealedMessage::nonce,
+                 &SealedMessage::ciphertext);
 };
 
 // Seals `plaintext` so only the holder of the private key matching

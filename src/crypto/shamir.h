@@ -10,6 +10,7 @@
 #define SEP2P_CRYPTO_SHAMIR_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "util/rng.h"
@@ -20,6 +21,10 @@ namespace sep2p::crypto {
 struct SecretShare {
   uint8_t x = 0;                // evaluation point (share index, 1..255)
   std::vector<uint8_t> data;    // one byte of polynomial value per secret byte
+
+  // Wire order (core/wire_format.h).
+  static constexpr auto kFields =
+      std::tuple(&SecretShare::x, &SecretShare::data);
 };
 
 // GF(2^8) arithmetic with the AES polynomial x^8+x^4+x^3+x+1.

@@ -7,15 +7,6 @@
 
 namespace sep2p::engine {
 
-const char* TaskKindName(TaskKind kind) {
-  switch (kind) {
-    case TaskKind::kSelection: return "selection";
-    case TaskKind::kDiffusion: return "diffusion";
-    case TaskKind::kQuery: return "query";
-  }
-  return "unknown";
-}
-
 uint64_t TaskMempool::Submit(TaskKind kind, uint32_t trigger,
                              uint64_t arrival_us, uint64_t seed) {
   Task t;

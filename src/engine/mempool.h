@@ -46,8 +46,6 @@ enum class TaskState : uint8_t {
   kFailed,       // protocol error, or a deferred verdict came back false
 };
 
-const char* TaskKindName(TaskKind kind);
-
 struct Task {
   uint64_t id = 0;
   TaskKind kind = TaskKind::kSelection;

@@ -1,91 +1,73 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include "core/wire_format.h"
 
 namespace sep2p::net {
 
-namespace {
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 3; i >= 0; --i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 7; i >= 0; --i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>((p[0] << 8) | p[1]);
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return (static_cast<uint32_t>(p[0]) << 24) |
-         (static_cast<uint32_t>(p[1]) << 16) |
-         (static_cast<uint32_t>(p[2]) << 8) | p[3];
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
+using core::wire::Reader;
+using core::wire::Writer;
 
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   // Version by content: correlation fields at their defaults encode the
   // 27-byte version-1 header, byte-identical to pre-observability
   // builds; a nonzero span or hlc upgrades the frame to version 2.
   const bool v2 = frame.span != 0 || frame.hlc != 0;
-  std::vector<uint8_t> out;
-  out.reserve((v2 ? kFrameHeaderLenV2 : kFrameHeaderLen) +
+  Writer out;
+  out.Reserve((v2 ? kFrameHeaderLenV2 : kFrameHeaderLen) +
               frame.payload.size());
-  out.push_back('S');
-  out.push_back('2');
-  out.push_back('P');
-  out.push_back(frame.type);
-  PutU16(out, v2 ? kFrameVersion2 : kFrameVersion);
-  PutU64(out, frame.rpc_id);
-  PutU32(out, frame.src);
-  PutU32(out, frame.dst);
-  out.push_back(frame.status);
+  core::wire::PutHeader(out, frame.type, v2 ? kFrameVersion2 : kFrameVersion);
+  out.U64(frame.rpc_id);
+  out.U32(frame.src);
+  out.U32(frame.dst);
+  out.U8(frame.status);
   if (v2) {
-    PutU64(out, frame.span);
-    PutU64(out, frame.hlc);
+    out.U64(frame.span);
+    out.U64(frame.hlc);
   }
-  PutU32(out, static_cast<uint32_t>(frame.payload.size()));
-  out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  return out;
+  out.Blob(frame.payload);
+  return out.Take();
 }
 
-Status FrameParser::ParseHeader(size_t header_len, Frame* frame,
-                                uint32_t* payload_len) const {
-  const uint8_t* p = buffer_.data();
-  frame->type = p[3];
-  frame->rpc_id = GetU64(p + 6);
-  frame->src = GetU32(p + 14);
-  frame->dst = GetU32(p + 18);
-  frame->status = p[22];
+namespace {
+
+// Vets a frame's prefix (magic, type, version) as soon as it arrives:
+// it decides the header length.
+Status ReadPrefix(Reader& in, uint8_t* type, uint16_t* version) {
+  SEP2P_RETURN_IF_ERROR(core::wire::GetHeader(in, type, version));
+  if (*type != kFrameRequest && *type != kFrameResponse &&
+      *type != kFrameControl) {
+    return Status::InvalidArgument("frame: unknown type");
+  }
+  if (*version != kFrameVersion && *version != kFrameVersion2) {
+    return Status::InvalidArgument("frame: unsupported version");
+  }
+  return Status::Ok();
+}
+
+// Reads the rest of a header whose bytes have all arrived, and rejects
+// an unknown status or an oversized length before any payload byte is
+// awaited or allocated.
+Status ReadRest(Reader& in, uint16_t version, Frame* frame,
+                uint32_t* payload_len) {
+  SEP2P_RETURN_IF_ERROR(in.U64(&frame->rpc_id));
+  SEP2P_RETURN_IF_ERROR(in.U32(&frame->src));
+  SEP2P_RETURN_IF_ERROR(in.U32(&frame->dst));
+  SEP2P_RETURN_IF_ERROR(in.U8(&frame->status));
   if (frame->status != kFrameOk && frame->status != kFrameRefused) {
     return Status::InvalidArgument("frame: unknown status");
   }
-  if (header_len == kFrameHeaderLenV2) {
-    frame->span = GetU64(p + 23);
-    frame->hlc = GetU64(p + 31);
-    *payload_len = GetU32(p + 39);
-  } else {
-    *payload_len = GetU32(p + 23);
+  if (version == kFrameVersion2) {
+    SEP2P_RETURN_IF_ERROR(in.U64(&frame->span));
+    SEP2P_RETURN_IF_ERROR(in.U64(&frame->hlc));
   }
+  SEP2P_RETURN_IF_ERROR(in.U32(payload_len));
   if (*payload_len > kMaxFramePayload) {
     return Status::InvalidArgument("frame: declared payload too large");
   }
   return Status::Ok();
 }
+
+}  // namespace
 
 Status FrameParser::Feed(const uint8_t* data, size_t len,
                          std::vector<Frame>* out) {
@@ -94,31 +76,17 @@ Status FrameParser::Feed(const uint8_t* data, size_t len,
   }
   buffer_.insert(buffer_.end(), data, data + len);
   while (buffer_.size() >= kFramePrefixLen) {
-    // Magic, type and version are vetted as soon as they arrive — they
-    // decide the header length; the rest of the header is validated as
-    // soon as it is complete, and an oversized or garbage length prefix
-    // is rejected BEFORE any payload bytes are awaited or allocated.
-    const uint8_t* p = buffer_.data();
-    if (p[0] != 'S' || p[1] != '2' || p[2] != 'P') {
-      poisoned_ = true;
-      return Status::InvalidArgument("frame: bad magic");
-    }
-    if (p[3] != kFrameRequest && p[3] != kFrameResponse &&
-        p[3] != kFrameControl) {
-      poisoned_ = true;
-      return Status::InvalidArgument("frame: unknown type");
-    }
-    const uint16_t version = GetU16(p + 4);
-    if (version != kFrameVersion && version != kFrameVersion2) {
-      poisoned_ = true;
-      return Status::InvalidArgument("frame: unsupported version");
-    }
+    Reader in(buffer_);
+    Frame frame;
+    uint16_t version = 0;
+    uint32_t payload_len = 0;
+    Status header = ReadPrefix(in, &frame.type, &version);
     const size_t header_len =
         version == kFrameVersion2 ? kFrameHeaderLenV2 : kFrameHeaderLen;
-    if (buffer_.size() < header_len) break;  // wait for the header
-    Frame frame;
-    uint32_t payload_len = 0;
-    Status header = ParseHeader(header_len, &frame, &payload_len);
+    if (header.ok()) {
+      if (buffer_.size() < header_len) break;  // wait for the header
+      header = ReadRest(in, version, &frame, &payload_len);
+    }
     if (!header.ok()) {
       poisoned_ = true;
       return header;

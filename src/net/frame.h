@@ -3,9 +3,10 @@
 // A frame is one request, response or control exchange travelling a
 // TCP stream:
 //
-//   magic   'S' '2' 'P'   (3 bytes — same magic as core/messages.h)
-//   type    u8            (1 = request, 2 = response, 3 = control)
-//   version u16           (frame-layer version, 1 or 2)
+//   magic   'S' '2' 'P'   (3 bytes; the header of core/wire_format.h,
+//   type    u8             with the frame type in the tag byte:
+//   version u16            1 = request, 2 = response, 3 = control;
+//                          frame-layer version 1 or 2)
 //   rpc_id  u64           (caller-assigned; responses echo it)
 //   src     u32           (logical sender node)
 //   dst     u32           (logical destination node)
@@ -19,22 +20,24 @@
 //                          ok-responses; empty for refusals; status
 //                          text for control responses)
 //
-// Version negotiation by content, exactly like the engagement-nonce
-// fields of core/messages.h: a frame whose span and hlc are BOTH zero
-// encodes as version 1 — byte-identical to pre-observability builds —
-// and only correlated frames (an obs::TraceRecorder attached) pay the
-// 16 extra header bytes. Both versions parse on receive.
+// Version negotiation by content, after the rule of core/wire_format.h:
+// a frame whose span and hlc are BOTH zero encodes as version 1 (a
+// 27-byte header, byte-identical to pre-observability builds), and only
+// correlated frames (an obs::TraceRecorder attached) pay the 16 extra
+// header bytes of version 2 (43 bytes). Span and hlc sit inside the
+// header, not at its end, so the frame writes its own fields rather
+// than a kFields list. Both versions parse on receive.
 //
 // Control frames (type 3) are the transport's status plane: a control
 // request (empty payload) asks the serving process for its live status
 // text; the control response carries it. They never enter protocol
 // dispatch, stats, or traces.
 //
-// All integers are big-endian (core/wire_format.h primitives). The
-// payload inside the frame is a self-describing protocol message with
-// its own magic/tag/version header — the frame layer never interprets
-// it; protocol versioning rules live in core/messages.h (DESIGN.md
-// §14).
+// The header is written and read with the core/wire_format.h Writer and
+// Reader (big-endian). The payload inside the frame is a
+// self-describing protocol message with its own magic/tag/version
+// header — the frame layer never interprets it; the versioning rule
+// lives in core/wire_format.h (DESIGN.md §14).
 //
 // FrameParser is a strict streaming decoder built for adversarial
 // input: it accumulates partial reads, validates the header before the
@@ -99,12 +102,6 @@ class FrameParser {
   size_t pending_bytes() const { return buffer_.size(); }
 
  private:
-  // Validates the header currently at the front of buffer_ (27 or 43
-  // bytes depending on the version byte already vetted by Feed) and
-  // fills `frame` (payload not yet attached) + `payload_len`.
-  Status ParseHeader(size_t header_len, Frame* frame,
-                     uint32_t* payload_len) const;
-
   std::vector<uint8_t> buffer_;
   bool poisoned_ = false;
 };

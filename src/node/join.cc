@@ -7,6 +7,7 @@
 
 #include "core/messages.h"
 #include "core/protocol_service.h"
+#include "core/wire_format.h"
 #include "crypto/hash256.h"
 #include "dht/region.h"
 #include "node/node_cache.h"
@@ -43,17 +44,13 @@ void DedupeKeys(std::vector<crypto::PublicKey>& keys) {
 }  // namespace
 
 std::vector<uint8_t> AttestedCache::SignedBytes() const {
-  std::vector<uint8_t> out;
-  out.reserve(32 + 8 + entries.size() * 32);
-  out.insert(out.end(), owner_cert.subject.begin(),
-             owner_cert.subject.end());
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<uint8_t>(timestamp >> (8 * i)));
-  }
-  for (const crypto::PublicKey& key : entries) {
-    out.insert(out.end(), key.begin(), key.end());
-  }
-  return out;
+  const size_t key_bytes = entries.size() * sizeof(crypto::PublicKey);
+  core::wire::Writer out;
+  out.Reserve(owner_cert.subject.size() + 8 + key_bytes);
+  out.Raw(owner_cert.subject.data(), owner_cert.subject.size());
+  out.U64(timestamp);
+  out.Raw(reinterpret_cast<const uint8_t*>(entries.data()), key_bytes);
+  return out.Take();
 }
 
 Result<AttestedCache> JoinProtocol::AttestCache(
@@ -105,7 +102,7 @@ Result<AttestedCache> JoinProtocol::AttestCache(
       [&](uint32_t server, const std::vector<uint8_t>& req)
           -> std::optional<std::vector<uint8_t>> {
         Result<core::msg::AttestRequest> decoded =
-            core::msg::DecodeAttestRequest(req);
+            core::msg::Decode<core::msg::AttestRequest>(req);
         if (!decoded.ok()) return std::nullopt;
         return core::AttestReply(ctx_, met, server, decoded->digest);
       });
@@ -113,7 +110,7 @@ Result<AttestedCache> JoinProtocol::AttestCache(
     return Status::Unavailable("attest: attestor quorum unreachable");
   }
   for (const std::vector<uint8_t>& reply : quorum.replies) {
-    Result<core::msg::Attestation> att = core::msg::DecodeAttestation(reply);
+    auto att = core::msg::Decode<core::msg::Attestation>(reply);
     if (!att.ok()) return att.status();
     cache.attestations.push_back({std::move(att->cert), std::move(att->sig)});
   }

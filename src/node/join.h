@@ -39,7 +39,8 @@ struct AttestedCache {
   std::vector<Attestation> attestations;  // k of them
 
   int k() const { return static_cast<int>(attestations.size()); }
-  // Canonical attested bytes: owner subject || timestamp || entry keys.
+  // Canonical attested bytes: owner subject || timestamp (u64) || entry
+  // keys.
   std::vector<uint8_t> SignedBytes() const;
 };
 

@@ -194,9 +194,6 @@ class MetricsRegistry {
   uint64_t counter(Counter c) const {
     return counters_[static_cast<size_t>(c)];
   }
-  const Histogram& hist(Hist h) const {
-    return hists_[static_cast<size_t>(h)];
-  }
   uint64_t node_counter(uint32_t node, NodeCounter c) const {
     const size_t idx =
         static_cast<size_t>(node) * kNodeCounterCount +

@@ -20,12 +20,7 @@ constexpr double kKTableRefreshFactor = 1.25;
 ChurnDriver::ChurnDriver(Network* network, net::Transport* transport,
                          Options options)
     : network_(network),
-      ideal_(transport != nullptr
-                 ? nullptr
-                 : std::make_unique<net::SimNetwork>(
-                       static_cast<uint32_t>(network->directory().size()),
-                       net::kIdealLink, net::RetryPolicy{}, /*seed=*/0)),
-      transport_(transport != nullptr ? transport : ideal_.get()),
+      transport_(transport),
       options_(options),
       rng_(MixSeed(network->params().seed, options.seed)),
       now_us_(transport_->now_us()),

@@ -31,9 +31,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 
-#include "net/sim_network.h"
+#include "net/transport.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -69,8 +68,7 @@ class ChurnDriver {
     uint64_t digest = 14695981039346656037ULL;
   };
 
-  // `network` and `transport` must outlive the driver; a nullptr
-  // `transport` makes the driver build a SimNetwork over net::kIdealLink.
+  // `network` and `transport` (non-null) must outlive the driver.
   // Clock contract: each event sets the transport's clock to its time
   // (SetVirtualTime), then a join's RPCs advance it by their latency, so
   // a SimNetwork's clock is never behind now_us() and equals it unless
@@ -96,7 +94,6 @@ class ChurnDriver {
   void Fold(Kind kind, uint32_t node, uint64_t detail);
 
   Network* network_;
-  std::unique_ptr<net::SimNetwork> ideal_;  // when built without transport
   net::Transport* transport_;
   Options options_;
   util::Rng rng_;

@@ -30,7 +30,7 @@ TEST(AppMessagesTest, SensingContributionRoundTrips) {
   m.contribution_id = 0x1122334455667788ull;
   m.cell = 13;
   m.sealed = MakeSealed(rng);
-  auto back = msg::DecodeSensingContribution(msg::Encode(m));
+  auto back = msg::Decode<msg::SensingContribution>(msg::Encode(m));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->contribution_id, m.contribution_id);
   EXPECT_EQ(back->cell, m.cell);
@@ -45,7 +45,7 @@ TEST(AppMessagesTest, SensingPartialRoundTripsIncludingMergedSlot) {
   m.grid = 4;
   m.sums = {1.5, -2.25, 0.0, 1e9};
   m.counts = {3, 0, 1, 7};
-  auto back = msg::DecodeSensingPartial(msg::Encode(m));
+  auto back = msg::Decode<msg::SensingPartial>(msg::Encode(m));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->da_slot, msg::kMergedSlot);
   EXPECT_EQ(back->grid, 4);
@@ -59,7 +59,7 @@ TEST(AppMessagesTest, ConceptMessagesRoundTrip) {
   store.share_key = {'p', 'i', 'l', 'o', 't', '#', '0'};
   store.share_x = 3;
   store.share_data = {9, 8, 7};
-  auto store_back = msg::DecodeConceptStore(msg::Encode(store));
+  auto store_back = msg::Decode<msg::ConceptStore>(msg::Encode(store));
   ASSERT_TRUE(store_back.ok());
   EXPECT_EQ(store_back->posting_id, 42u);
   EXPECT_EQ(store_back->share_key, store.share_key);
@@ -68,7 +68,7 @@ TEST(AppMessagesTest, ConceptMessagesRoundTrip) {
 
   msg::ConceptQuery query;
   query.share_key = store.share_key;
-  auto query_back = msg::DecodeConceptQuery(msg::Encode(query));
+  auto query_back = msg::Decode<msg::ConceptQuery>(msg::Encode(query));
   ASSERT_TRUE(query_back.ok());
   EXPECT_EQ(query_back->share_key, store.share_key);
 
@@ -76,7 +76,7 @@ TEST(AppMessagesTest, ConceptMessagesRoundTrip) {
   shares.posting_ids = {7, 9};
   shares.shares.push_back(crypto::SecretShare{1, {1, 2}});
   shares.shares.push_back(crypto::SecretShare{2, {3, 4}});
-  auto shares_back = msg::DecodeConceptShares(msg::Encode(shares));
+  auto shares_back = msg::Decode<msg::ConceptShares>(msg::Encode(shares));
   ASSERT_TRUE(shares_back.ok());
   EXPECT_EQ(shares_back->posting_ids, shares.posting_ids);
   ASSERT_EQ(shares_back->shares.size(), 2u);
@@ -90,7 +90,7 @@ TEST(AppMessagesTest, ProxyAndDeliveryRoundTrip) {
   relay.contribution_id = 5;
   relay.recipient_index = 77;
   relay.sealed = MakeSealed(rng);
-  auto relay_back = msg::DecodeProxyRelay(msg::Encode(relay));
+  auto relay_back = msg::Decode<msg::ProxyRelay>(msg::Encode(relay));
   ASSERT_TRUE(relay_back.ok());
   EXPECT_EQ(relay_back->recipient_index, 77u);
   EXPECT_EQ(relay_back->sealed.ciphertext, relay.sealed.ciphertext);
@@ -98,7 +98,7 @@ TEST(AppMessagesTest, ProxyAndDeliveryRoundTrip) {
   msg::SealedDelivery delivery;
   delivery.contribution_id = 5;
   delivery.sealed = relay.sealed;
-  auto delivery_back = msg::DecodeSealedDelivery(msg::Encode(delivery));
+  auto delivery_back = msg::Decode<msg::SealedDelivery>(msg::Encode(delivery));
   ASSERT_TRUE(delivery_back.ok());
   EXPECT_EQ(delivery_back->contribution_id, 5u);
   EXPECT_EQ(delivery_back->sealed.nonce, relay.sealed.nonce);
@@ -110,7 +110,7 @@ TEST(AppMessagesTest, DiffusionAndQueryMessagesRoundTrip) {
   std::string expr = "pilot AND NOT retired";
   offer.expression.assign(expr.begin(), expr.end());
   offer.message = {'h', 'i'};
-  auto offer_back = msg::DecodeDiffusionOffer(msg::Encode(offer));
+  auto offer_back = msg::Decode<msg::DiffusionOffer>(msg::Encode(offer));
   ASSERT_TRUE(offer_back.ok());
   EXPECT_EQ(offer_back->offer_id, 11u);
   EXPECT_EQ(offer_back->expression, offer.expression);
@@ -118,7 +118,7 @@ TEST(AppMessagesTest, DiffusionAndQueryMessagesRoundTrip) {
 
   msg::DiffusionAccept accept;
   accept.accepted = 1;
-  auto accept_back = msg::DecodeDiffusionAccept(msg::Encode(accept));
+  auto accept_back = msg::Decode<msg::DiffusionAccept>(msg::Encode(accept));
   ASSERT_TRUE(accept_back.ok());
   EXPECT_EQ(accept_back->accepted, 1);
 
@@ -128,7 +128,7 @@ TEST(AppMessagesTest, DiffusionAndQueryMessagesRoundTrip) {
   answer.sum = 33.5;
   answer.min = -1.0;
   answer.max = 9.0;
-  auto answer_back = msg::DecodeQueryAnswer(msg::Encode(answer));
+  auto answer_back = msg::Decode<msg::QueryAnswer>(msg::Encode(answer));
   ASSERT_TRUE(answer_back.ok());
   EXPECT_EQ(answer_back->count, 10u);
   EXPECT_DOUBLE_EQ(answer_back->sum, 33.5);
@@ -149,9 +149,9 @@ TEST(AppMessagesTest, PeekTagValidatesHeader) {
 
 TEST(AppMessagesTest, CrossDecodingIsRejected) {
   msg::DiffusionAccept accept;
-  EXPECT_FALSE(msg::DecodeQueryAnswer(msg::Encode(accept)).ok());
+  EXPECT_FALSE(msg::Decode<msg::QueryAnswer>(msg::Encode(accept)).ok());
   msg::AppAck ack;
-  EXPECT_FALSE(msg::DecodeSensingPartial(msg::Encode(ack)).ok());
+  EXPECT_FALSE(msg::Decode<msg::SensingPartial>(msg::Encode(ack)).ok());
 }
 
 TEST(AppRuntimeTest, NodeRegistrationWinsOverGlobal) {

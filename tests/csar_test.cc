@@ -29,7 +29,7 @@ TEST_F(CsarTest, GeneratesAndVerifies) {
   CsarProtocol protocol(ctx_);
   auto outcome = protocol.Generate(5, /*participant_count=*/21, rng_);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->random.participant_count(), 21);
+  EXPECT_EQ(outcome->random.k(), 21);
   auto cost = VerifyCsar(ctx_, outcome->random);
   ASSERT_TRUE(cost.ok());
   EXPECT_DOUBLE_EQ(cost->crypto_work, 2.0 * 21 + 1);

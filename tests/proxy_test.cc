@@ -14,8 +14,9 @@ TEST(SealedMessageTest, RecipientOpensSuccessfully) {
   util::Rng rng(1);
   auto pair = provider.GenerateKeyPair(rng);
   std::vector<uint8_t> payload{1, 2, 3, 4, 5, 6, 7};
-  SealedMessage sealed = SealForRecipient(pair->pub, payload, rng);
-  auto opened = OpenSealed(provider, sealed, pair->priv);
+  crypto::SealedMessage sealed =
+      crypto::SealForRecipient(pair->pub, payload, rng);
+  auto opened = crypto::OpenSealed(provider, sealed, pair->priv);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, payload);
 }
@@ -25,7 +26,8 @@ TEST(SealedMessageTest, CiphertextDiffersFromPlaintext) {
   util::Rng rng(2);
   auto pair = provider.GenerateKeyPair(rng);
   std::vector<uint8_t> payload(100, 0xab);
-  SealedMessage sealed = SealForRecipient(pair->pub, payload, rng);
+  crypto::SealedMessage sealed =
+      crypto::SealForRecipient(pair->pub, payload, rng);
   EXPECT_NE(sealed.ciphertext, payload);
 }
 
@@ -34,8 +36,8 @@ TEST(SealedMessageTest, FreshNoncePerMessage) {
   util::Rng rng(3);
   auto pair = provider.GenerateKeyPair(rng);
   std::vector<uint8_t> payload{9, 9};
-  SealedMessage a = SealForRecipient(pair->pub, payload, rng);
-  SealedMessage b = SealForRecipient(pair->pub, payload, rng);
+  crypto::SealedMessage a = crypto::SealForRecipient(pair->pub, payload, rng);
+  crypto::SealedMessage b = crypto::SealForRecipient(pair->pub, payload, rng);
   EXPECT_NE(a.nonce, b.nonce);
   EXPECT_NE(a.ciphertext, b.ciphertext);
 }
@@ -45,9 +47,9 @@ TEST(SealedMessageTest, WrongPrivateKeyDenied) {
   util::Rng rng(4);
   auto recipient = provider.GenerateKeyPair(rng);
   auto intruder = provider.GenerateKeyPair(rng);
-  SealedMessage sealed =
-      SealForRecipient(recipient->pub, {1, 2, 3}, rng);
-  auto opened = OpenSealed(provider, sealed, intruder->priv);
+  crypto::SealedMessage sealed =
+      crypto::SealForRecipient(recipient->pub, {1, 2, 3}, rng);
+  auto opened = crypto::OpenSealed(provider, sealed, intruder->priv);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kPermissionDenied);
 }
@@ -58,8 +60,9 @@ TEST(SealedMessageTest, MultiBlockPayloadRoundTrips) {
   auto pair = provider.GenerateKeyPair(rng);
   std::vector<uint8_t> payload(1000);
   rng.FillBytes(payload.data(), payload.size());
-  SealedMessage sealed = SealForRecipient(pair->pub, payload, rng);
-  auto opened = OpenSealed(provider, sealed, pair->priv);
+  crypto::SealedMessage sealed =
+      crypto::SealForRecipient(pair->pub, payload, rng);
+  auto opened = crypto::OpenSealed(provider, sealed, pair->priv);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, payload);
 }
@@ -84,7 +87,7 @@ TEST(ProxyTest, DeliveryEnforcesKnowledgeSeparation) {
   EXPECT_DOUBLE_EQ(delivery->cost.msg_work, 2.0);
 
   // Only the recipient opens the payload.
-  auto opened = OpenSealed(network->provider(), delivery->delivered,
+  auto opened = crypto::OpenSealed(network->provider(), delivery->delivered,
                            network->directory().priv(33));
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, (std::vector<uint8_t>{1, 2, 3}));
@@ -197,11 +200,11 @@ TEST(ProxyChainTest, PayloadStaysSealedAcrossChain) {
                                        payload, 2, rng);
   ASSERT_TRUE(delivery.ok());
   // A relay cannot open it...
-  EXPECT_FALSE(OpenSealed(network->provider(), delivery->delivered,
+  EXPECT_FALSE(crypto::OpenSealed(network->provider(), delivery->delivered,
                           network->directory().priv(delivery->chain[0]))
                    .ok());
   // ...the recipient can.
-  auto opened = OpenSealed(network->provider(), delivery->delivered,
+  auto opened = crypto::OpenSealed(network->provider(), delivery->delivered,
                            network->directory().priv(11));
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(*opened, payload);

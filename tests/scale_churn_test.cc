@@ -28,6 +28,7 @@
 #include "dht/directory.h"
 #include "dht/node_id.h"
 #include "gtest/gtest.h"
+#include "net/sim_network.h"
 #include "sim/churn_driver.h"
 #include "sim/network.h"
 #include "tests/test_util.h"
@@ -432,6 +433,13 @@ TEST(CanChurnTest, RemoveDownToOneAndRegrow) {
 // ---------------------------------------------------------------------
 // ChurnDriver: determinism, CA issuance at join, pool provisioning.
 
+// The transport a ChurnDriver test runs its joins over: the ideal link
+// over every directory node, seed 0.
+net::SimNetwork IdealLink(const sim::Network& network) {
+  return net::SimNetwork(static_cast<uint32_t>(network.directory().size()),
+                         net::kIdealLink, net::RetryPolicy{}, /*seed=*/0);
+}
+
 sim::Parameters PoolParams(int threads) {
   sim::Parameters params;
   params.n = 600;
@@ -488,7 +496,8 @@ TEST(ChurnDriverTest, JoinsIssueVerifiableCertificates) {
   options.join_rate_per_s = 3.0;
   options.leave_rate_per_s = 1.0;
   options.crash_rate_per_s = 1.0;
-  sim::ChurnDriver driver(network.value().get(), nullptr, options);
+  net::SimNetwork simnet = IdealLink(*network.value());
+  sim::ChurnDriver driver(network.value().get(), &simnet, options);
   ASSERT_EQ(driver.standby_count(), 60u);
 
   driver.Run(300);
@@ -523,7 +532,8 @@ TEST(ChurnDriverTest, DigestIsIdenticalForAnyBuildThreadCount) {
   for (int threads : {1, 2, 4}) {
     auto network = sim::Network::Build(PoolParams(threads));
     ASSERT_TRUE(network.ok());
-    sim::ChurnDriver driver(network.value().get(), nullptr, options);
+    net::SimNetwork simnet = IdealLink(*network.value());
+    sim::ChurnDriver driver(network.value().get(), &simnet, options);
     driver.Run(400);
     if (!reference.has_value()) {
       reference = driver.stats().digest;
@@ -550,7 +560,8 @@ TEST(ChurnDriverTest, ConcurrentDriversDoNotInterfere) {
     params.seed = seed;
     auto network = sim::Network::Build(params);
     if (!network.ok()) return uint64_t{0};
-    sim::ChurnDriver driver(network.value().get(), nullptr, options);
+    net::SimNetwork simnet = IdealLink(*network.value());
+    sim::ChurnDriver driver(network.value().get(), &simnet, options);
     driver.Run(250);
     return driver.stats().digest;
   };

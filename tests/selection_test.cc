@@ -406,7 +406,7 @@ TEST_F(SelectionTest, RevealAlteredAfterCommitmentIsRejected) {
           if (tampered || !reply || !HasTag(*reply, msg::kTagSlReveal)) {
             return;
           }
-          Result<msg::SlReveal> reveal = msg::DecodeSlReveal(*reply);
+          Result<msg::SlReveal> reveal = msg::Decode<msg::SlReveal>(*reply);
           if (!reveal.ok() || reveal->candidates.size() < 2) return;
           tampers[t](*reveal);
           *reply = msg::Encode(*reveal);
@@ -446,7 +446,7 @@ class MaliciousSlTest : public SelectionTest {
           if (HasTag(request, msg::kTagSlEngage)) {
             if (!liar) liar = server;
             if (server != *liar) return;
-            Result<msg::SlEngage> engage = msg::DecodeSlEngage(request);
+            Result<msg::SlEngage> engage = msg::Decode<msg::SlEngage>(request);
             ASSERT_TRUE(engage.ok());
             const std::vector<uint32_t> r3 =
                 dir.NodesInRegion(dht::Region::Centered(

@@ -218,28 +218,32 @@ TEST(MessagesTest, PlainMessagesRoundTrip) {
   core::msg::VrandInvite invite;
   invite.rs1 = 0.00125;
   invite.timestamp = 123456789;
-  auto invite2 = core::msg::DecodeVrandInvite(core::msg::Encode(invite));
+  auto invite2 =
+      core::msg::Decode<core::msg::VrandInvite>(core::msg::Encode(invite));
   ASSERT_TRUE(invite2.ok()) << invite2.status().ToString();
   EXPECT_DOUBLE_EQ(invite2->rs1, invite.rs1);
   EXPECT_EQ(invite2->timestamp, invite.timestamp);
 
   core::msg::CommitReply commit;
   commit.commitment = crypto::Hash256::Of("commitment");
-  auto commit2 = core::msg::DecodeCommitReply(core::msg::Encode(commit));
+  auto commit2 =
+      core::msg::Decode<core::msg::CommitReply>(core::msg::Encode(commit));
   ASSERT_TRUE(commit2.ok());
   EXPECT_EQ(commit2->commitment, commit.commitment);
 
   core::msg::CommitList list;
   list.commitments = {crypto::Hash256::Of("a"), crypto::Hash256::Of("b")};
   list.timestamp = 42;
-  auto list2 = core::msg::DecodeCommitList(core::msg::Encode(list));
+  auto list2 =
+      core::msg::Decode<core::msg::CommitList>(core::msg::Encode(list));
   ASSERT_TRUE(list2.ok());
   EXPECT_EQ(list2->commitments, list.commitments);
   EXPECT_EQ(list2->timestamp, list.timestamp);
 
   core::msg::AttestRequest att;
   att.digest = crypto::Hash256::Of("digest");
-  auto att2 = core::msg::DecodeAttestRequest(core::msg::Encode(att));
+  auto att2 =
+      core::msg::Decode<core::msg::AttestRequest>(core::msg::Encode(att));
   ASSERT_TRUE(att2.ok());
   EXPECT_EQ(att2->digest, att.digest);
 }
@@ -251,24 +255,25 @@ TEST(MessagesTest, StrictDecodeRejectsMangledBytes) {
 
   // Truncation.
   std::vector<uint8_t> trunc(bytes.begin(), bytes.end() - 1);
-  EXPECT_FALSE(core::msg::DecodeCommitReply(trunc).ok());
+  EXPECT_FALSE(core::msg::Decode<core::msg::CommitReply>(trunc).ok());
   // Trailing garbage.
   std::vector<uint8_t> trail = bytes;
   trail.push_back(0x00);
-  EXPECT_FALSE(core::msg::DecodeCommitReply(trail).ok());
+  EXPECT_FALSE(core::msg::Decode<core::msg::CommitReply>(trail).ok());
   // Wrong tag: a CommitReply is not an AttestRequest.
-  EXPECT_FALSE(core::msg::DecodeAttestRequest(bytes).ok());
+  EXPECT_FALSE(core::msg::Decode<core::msg::AttestRequest>(bytes).ok());
   // Wrong magic.
   std::vector<uint8_t> magic = bytes;
   magic[0] ^= 0xff;
-  EXPECT_FALSE(core::msg::DecodeCommitReply(magic).ok());
+  EXPECT_FALSE(core::msg::Decode<core::msg::CommitReply>(magic).ok());
   // Empty.
-  EXPECT_FALSE(core::msg::DecodeCommitReply({}).ok());
+  EXPECT_FALSE(core::msg::Decode<core::msg::CommitReply>({}).ok());
 }
 
 TEST(MessagesTest, EmptyCommitListRejected) {
   core::msg::CommitList list;  // zero commitments
-  EXPECT_FALSE(core::msg::DecodeCommitList(core::msg::Encode(list)).ok());
+  EXPECT_FALSE(
+      core::msg::Decode<core::msg::CommitList>(core::msg::Encode(list)).ok());
 }
 
 // --------------------------------------- selection over the simulation

@@ -376,7 +376,7 @@ TEST(TcpTransportTest, ResidentAttestorSignsTheRequestDigest) {
       cluster[0]->Call(0, attestor, core::msg::Encode(request));
   ASSERT_TRUE(signed_reply.ok);
   Result<core::msg::Attestation> att =
-      core::msg::DecodeAttestation(signed_reply.reply);
+      core::msg::Decode<core::msg::Attestation>(signed_reply.reply);
   ASSERT_TRUE(att.ok()) << att.status().ToString();
   EXPECT_EQ(att->cert.subject, dir.pub(attestor));
   EXPECT_TRUE(ctx.provider->Verify(dir.pub(attestor),
