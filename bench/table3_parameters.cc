@@ -7,7 +7,14 @@
 
 using namespace sep2p;
 
-int main() {
+int main(int argc, char** argv) {
+  // The table is the same at every size and thread count; the two flags
+  // every harness takes are read (so the golden run's --quick --threads 2
+  // is accepted) and anything else is refused.
+  bench::QuickMode(argc, argv);
+  bench::ThreadsArg(argc, argv);
+  bench::RejectUnknownFlags(argc, argv);
+
   sim::Parameters defaults;
   bench::PrintHeader("Table 3 — strategies, parameters and metrics",
                      "simulator configuration with bold defaults",
