@@ -35,6 +35,26 @@ Parameters SmallNet(int threads) {
   return p;
 }
 
+// The id of the first RPC a trace records (0 when it records none).
+uint64_t FirstRpc(const obs::Trace& trace) {
+  for (const obs::Event& e : trace.events) {
+    if (e.rpc != 0) return e.rpc;
+  }
+  return 0;
+}
+
+// At one thread every shard runs on worker slot 0, so trial 16, the
+// first trial of shard 1, reuses the protocol objects that ran shard 0.
+// A transport restarted at the shard numbers its first RPC as trial 0
+// does; one that was not continues from where shard 0 left off. This
+// holds however the threads are scheduled.
+void ExpectShardOneRestarts(const std::vector<obs::TraceRecorder>& serial) {
+  ASSERT_GT(serial.size(), 16u);
+  const uint64_t first = FirstRpc(serial[0].trace());
+  EXPECT_NE(first, 0u);
+  EXPECT_EQ(FirstRpc(serial[16].trace()), first);
+}
+
 TEST(StreamSeedTest, DistinctIndicesGiveDistinctWellMixedSeeds) {
   std::set<uint64_t> seeds;
   for (uint64_t i = 0; i < 10000; ++i) {
@@ -250,6 +270,7 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
     auto stats =
         RunExhaustiveSetters(SmallNet(threads), /*sample=*/96, &observers);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (threads == 1) ExpectShardOneRestarts(recorders);
     *metrics_json = metrics.ToJson();
     for (const obs::TraceRecorder& rec : recorders) {
       *traces += obs::ToJsonl(rec.trace());
@@ -271,7 +292,8 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
 // registries fold across shards and points, and every trial of the
 // first point is traced: a reused protocol object that did not restart
 // at the second shard would number its RPCs by what its worker ran
-// before.
+// before. The serial run checks that directly (ExpectShardOneRestarts),
+// so a forgotten restart fails whatever the parallel run's scheduling.
 TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
   using Sweep =
       std::function<Status(const Parameters&, const SweepObservers*)>;
@@ -320,6 +342,7 @@ TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
       Status status = sweep(SmallNet(threads[i]), &observers);
       ASSERT_TRUE(status.ok()) << status.ToString();
       ASSERT_EQ(recorders.size(), 20u);
+      if (threads[i] == 1) ExpectShardOneRestarts(recorders);
       metrics_json[i] = metrics.ToJson();
       for (const obs::TraceRecorder& rec : recorders) {
         traces[i] += obs::ToJsonl(rec.trace());
