@@ -10,6 +10,7 @@
 #include "sim/network.h"
 #include "sim/trial_runner.h"
 #include "strategies/adversary.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace sep2p::attack {
@@ -21,16 +22,6 @@ namespace {
 // even when Parameters::seed coincides.
 constexpr uint64_t kAdversaryTrialSalt = 0xadd5a17;
 constexpr uint64_t kAdversaryColluderSalt = 0xaddc011;
-
-// FNV-1a fold over one 64-bit word — the sweep's thread-invariance
-// digest accumulates per-trial outcome fields in trial order.
-uint64_t FnvFold(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -143,7 +134,9 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     point.scenario = name;
     point.c_fraction = c_fraction;
     point.trials = trials;
-    uint64_t digest = 14695981039346656037ULL;
+    // The thread-invariance digest folds per-trial outcome fields in
+    // trial order.
+    uint64_t digest = util::kFnvOffsetBasis;
     double corrupted_sum = 0, actor_sum = 0, strikes_sum = 0;
     double attempts_sum = 0, restarts_sum = 0, relocations_sum = 0;
     double verification_sum = 0, crypto_sum = 0, msg_sum = 0;
@@ -164,21 +157,21 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
       verification_sum += slot.verification;
       crypto_sum += slot.crypto_work;
       msg_sum += slot.msg_work;
-      digest = FnvFold(digest, slot.attempted);
-      digest = FnvFold(digest, slot.detected);
-      digest = FnvFold(digest, slot.accepted);
-      digest = FnvFold(digest, slot.succeeded);
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.corrupted));
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.actor_count));
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.strikes));
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.attempts));
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.restarts));
-      digest = FnvFold(digest, static_cast<uint64_t>(slot.relocations));
-      digest = FnvFold(digest,
-                       static_cast<uint64_t>(slot.crypto_work * 16.0));
-      digest = FnvFold(digest,
-                       static_cast<uint64_t>(slot.msg_work * 16.0));
-      digest = FnvFold(digest, slot.checker_violations);
+      digest = util::FnvFold(digest, slot.attempted);
+      digest = util::FnvFold(digest, slot.detected);
+      digest = util::FnvFold(digest, slot.accepted);
+      digest = util::FnvFold(digest, slot.succeeded);
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.corrupted));
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.actor_count));
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.strikes));
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.attempts));
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.restarts));
+      digest = util::FnvFold(digest, static_cast<uint64_t>(slot.relocations));
+      digest = util::FnvFold(digest,
+                             static_cast<uint64_t>(slot.crypto_work * 16.0));
+      digest = util::FnvFold(digest,
+                             static_cast<uint64_t>(slot.msg_work * 16.0));
+      digest = util::FnvFold(digest, slot.checker_violations);
     }
     point.digest = digest;
     const double n_trials = static_cast<double>(trials);

@@ -31,15 +31,12 @@ void BatchVerifier::Defer(const PublicKey& key,
                           const Signature& sig) {
   ++pending_items_;
   // Identify the triple. The msg length is hashed too so (msg, sig)
-  // concatenation boundaries can't alias across different splits.
+  // concatenation boundaries can't alias across different splits; the
+  // id never leaves this process, so the length goes in host byte order.
   Sha256 hasher;
   hasher.Update(key.data(), key.size());
   const uint64_t msg_len = msg.size();
-  uint8_t len_le[8];
-  for (int i = 0; i < 8; ++i) {
-    len_le[i] = static_cast<uint8_t>(msg_len >> (8 * i));
-  }
-  hasher.Update(len_le, sizeof(len_le));
+  hasher.Update(reinterpret_cast<const uint8_t*>(&msg_len), sizeof(msg_len));
   hasher.Update(msg.data(), msg.size());
   hasher.Update(sig.data(), sig.size());
   const TripleId id = hasher.Finish();

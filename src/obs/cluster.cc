@@ -6,6 +6,7 @@
 #include "obs/analyzer.h"
 #include "obs/export.h"
 #include "obs/report.h"
+#include "util/fnv.h"
 
 namespace sep2p::obs {
 namespace {
@@ -132,15 +133,8 @@ Result<Trace> MergeCluster(std::vector<Trace> shards) {
 }
 
 uint64_t CausalDigest(const Trace& trace) {
-  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  constexpr uint64_t kPrime = 1099511628211ull;
-  auto mix_byte = [&h](uint8_t b) {
-    h ^= b;
-    h *= kPrime;
-  };
-  auto mix = [&mix_byte](uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<uint8_t>(v >> (8 * i)));
-  };
+  uint64_t h = util::kFnvOffsetBasis;
+  auto mix = [&h](uint64_t v) { h = util::FnvFold(h, v); };
   mix(trace.meta.node_count);
   mix(static_cast<uint64_t>(trace.meta.max_attempts));
   mix(trace.meta.process_count);
@@ -157,7 +151,9 @@ uint64_t CausalDigest(const Trace& trace) {
     mix(e.seq);
     mix(e.value);
     mix(e.detail.size());
-    for (const char c : e.detail) mix_byte(static_cast<uint8_t>(c));
+    for (const char c : e.detail) {
+      h = util::FnvFoldByte(h, static_cast<uint8_t>(c));
+    }
   }
   return h;
 }
