@@ -39,7 +39,11 @@ uint64_t FoldBytes(uint64_t digest, const uint8_t* data, size_t len) {
   return digest;
 }
 
-// Exact nearest-rank percentile over an unsorted sample (consumed).
+// The p-quantile (p in [0, 1]) of an unsorted sample (consumed): the
+// element at index round(p * (n - 1)) of the sorted sample, selected
+// without a full sort. This rounds the interpolation index rather than
+// taking the nearest rank, ceil(p * n) - 1; the perfbench task_mix
+// latencies (op_p50_us, op_p99_us) are defined by it.
 uint64_t Percentile(std::vector<uint64_t>& sample, double p) {
   if (sample.empty()) return 0;
   const size_t rank = static_cast<size_t>(
