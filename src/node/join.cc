@@ -1,9 +1,7 @@
 #include "node/join.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 #include "core/messages.h"
 #include "core/protocol_service.h"
@@ -15,30 +13,28 @@
 namespace sep2p::node {
 namespace {
 
-// Drops repeated keys, keeping first occurrences in pool order, without
-// comparison-sorting 32-byte keys: kept slots go into an open-addressed
-// table indexed by each key's leading bytes (keys are hash outputs or
-// curve points, so those are evenly spread), and whole keys are
-// compared only along a probe run.
-void DedupeKeys(std::vector<crypto::PublicKey>& keys) {
+// Drops repeated handles, keeping first occurrences in pool order,
+// without a comparison sort: kept handles go into an open-addressed
+// table indexed by their low bits. A region's handles are nearby ring
+// ranks (or handles appended after them by AddNode), so distinct ones
+// rarely share a slot.
+void DedupeHandles(std::vector<uint32_t>& handles) {
   constexpr uint32_t kEmpty = UINT32_MAX;
-  const size_t mask = std::bit_ceil(2 * keys.size()) - 1;
+  const size_t mask = std::bit_ceil(2 * handles.size()) - 1;
   std::vector<uint32_t> table(mask + 1, kEmpty);
-  uint32_t kept = 0;
-  for (const crypto::PublicKey& key : keys) {
-    uint64_t prefix = 0;
-    std::memcpy(&prefix, key.data(), sizeof(prefix));
-    for (size_t slot = prefix;; ++slot) {
+  size_t kept = 0;
+  for (uint32_t handle : handles) {
+    for (size_t slot = handle;; ++slot) {
       slot &= mask;
       if (table[slot] == kEmpty) {
-        table[slot] = kept;
-        keys[kept++] = key;
+        table[slot] = handle;
+        handles[kept++] = handle;
         break;
       }
-      if (keys[table[slot]] == key) break;
+      if (table[slot] == handle) break;
     }
   }
-  keys.resize(kept);
+  handles.resize(kept);
 }
 
 }  // namespace
@@ -54,7 +50,8 @@ std::vector<uint8_t> AttestedCache::SignedBytes() const {
 }
 
 Result<AttestedCache> JoinProtocol::AttestCache(
-    uint32_t owner_index, util::Rng& rng, core::AttackHooks* attack) const {
+    uint32_t owner_index, util::Rng& rng, core::AttackHooks* attack,
+    std::vector<uint32_t>* entry_handles) const {
   const dht::Directory& dir = *ctx_.directory;
   AttestedCache cache;
   cache.owner_cert = dir.cert(owner_index);
@@ -114,6 +111,7 @@ Result<AttestedCache> JoinProtocol::AttestCache(
     if (!att.ok()) return att.status();
     cache.attestations.push_back({std::move(att->cert), std::move(att->sig)});
   }
+  if (entry_handles != nullptr) *entry_handles = std::move(entries);
   return cache;
 }
 
@@ -139,12 +137,14 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(
   obs::Span span(transport_.trace(), transport_.metrics(), newcomer_index,
                  "join");
 
-  // Request + receive the two attested caches and pool their keys. The
-  // pool's order never reaches the outcome, whose cache is sorted by
-  // handle.
-  std::vector<crypto::PublicKey> pool;
+  // Request + receive the two attested caches and pool their entries,
+  // in received order (Outcome::cache), as the directory handles their
+  // attested keys were read from.
+  std::vector<uint32_t> pool;
+  std::vector<uint32_t> handles;
   for (uint32_t neighbor : {*successor, *predecessor}) {
-    Result<AttestedCache> attested = AttestCache(neighbor, rng, attack);
+    Result<AttestedCache> attested =
+        AttestCache(neighbor, rng, attack, &handles);
     if (!attested.ok()) return attested.status();
     // k signatures + the request/response and attestation messages.
     outcome.cost.Then(net::Cost::Step(0, 2));
@@ -154,22 +154,18 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(
     Result<net::Cost> verified = VerifyAttestedCache(ctx_, *attested);
     if (!verified.ok()) return verified.status();
     outcome.cost.Then(*verified);
-    pool.insert(pool.end(), attested->entries.begin(),
-                attested->entries.end());
-    pool.push_back(dir.pub(neighbor));  // the neighbor itself is known
+    pool.insert(pool.end(), handles.begin(), handles.end());
+    pool.push_back(neighbor);  // the neighbor itself is known
   }
-  DedupeKeys(pool);
+  DedupeHandles(pool);
 
-  // Keep the union's entries legitimate w.r.t. rs3 centered on self.
+  // Keep the union's entries legitimate w.r.t. rs3 centered on self
+  // (dir.pub(idx) is the key attested for the entry).
   dht::Region coverage = dht::Region::Centered(newcomer_pos, ctx_.rs3);
-  for (const crypto::PublicKey& key : pool) {
-    dht::NodeId id = dht::NodeIdForKey(key);
-    if (!coverage.Contains(id)) continue;
-    std::optional<uint32_t> idx = dir.IndexOf(id);
-    if (!idx.has_value() || *idx == newcomer_index) continue;
-    outcome.cache.push_back(*idx);
+  for (uint32_t idx : pool) {
+    if (!coverage.Contains(dht::NodeIdForKey(dir.pub(idx)))) continue;
+    if (idx != newcomer_index) outcome.cache.push_back(idx);
   }
-  std::sort(outcome.cache.begin(), outcome.cache.end());
 
   // Announce to the nodes whose caches must now include the newcomer;
   // each checks the newcomer's certificate before insertion.

@@ -61,12 +61,20 @@ class JoinProtocol {
   // digest. Costs one hash of the snapshot, k signatures and 2k
   // messages. The attestors are drawn (the only rng draw) before the
   // entry list is built, which a non-null `attack` may then shrink
-  // (core::AttackHooks::OwnerOmitsEntries).
-  Result<AttestedCache> AttestCache(uint32_t owner_index, util::Rng& rng,
-                                    core::AttackHooks* attack = nullptr) const;
+  // (core::AttackHooks::OwnerOmitsEntries). A non-null `entry_handles`
+  // receives the directory handle of each entry, in entry order.
+  Result<AttestedCache> AttestCache(
+      uint32_t owner_index, util::Rng& rng,
+      core::AttackHooks* attack = nullptr,
+      std::vector<uint32_t>* entry_handles = nullptr) const;
 
   struct Outcome {
-    std::vector<uint32_t> cache;  // validated cache for the newcomer
+    // Validated cache for the newcomer, in received order: the
+    // successor's attested entries, the successor, then what the
+    // predecessor's snapshot adds, then the predecessor. Each entry
+    // appears once, at its first occurrence, and only if it is in the
+    // newcomer's rs3 coverage; the newcomer itself is left out.
+    std::vector<uint32_t> cache;
     net::Cost cost;
     uint32_t successor = 0;
     uint32_t predecessor = 0;

@@ -13,6 +13,25 @@
 namespace sep2p::node {
 namespace {
 
+// Records what the owner-side hook sees and keeps every other entry.
+class OmitEveryOther final : public core::AttackHooks {
+ public:
+  void OwnerOmitsEntries(uint32_t owner,
+                         const std::vector<uint32_t>& attestors,
+                         std::vector<uint32_t>* entries) override {
+    owners.push_back(owner);
+    planned = attestors;
+    std::vector<uint32_t> kept;
+    for (size_t i = 0; i < entries->size(); i += 2) {
+      kept.push_back((*entries)[i]);
+    }
+    *entries = kept;
+  }
+
+  std::vector<uint32_t> owners;
+  std::vector<uint32_t> planned;
+};
+
 class JoinTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -23,6 +42,83 @@ class JoinTest : public ::testing::Test {
     transport_ = std::make_unique<net::SimNetwork>(
         static_cast<uint32_t>(network_->directory().size()),
         net::kIdealLink, net::RetryPolicy{}, /*seed=*/0);
+  }
+
+  // What Join must return, built from the neighbours' real caches in
+  // received order (see CacheEqualsFilteredNeighbourUnion). `stride` 2
+  // mirrors OmitEveryOther, which keeps each owner's entries at even
+  // positions.
+  std::vector<uint32_t> ReceivedUnion(uint32_t newcomer, size_t stride) {
+    const dht::Directory& dir = network_->directory();
+    const dht::RingPos pos = dir.pos(newcomer);
+    const dht::Region coverage = dht::Region::Centered(pos, ctx_.rs3);
+    std::vector<uint32_t> received;
+    for (uint32_t neighbour :
+         {*dir.SuccessorIndex(pos + 1), *dir.PredecessorIndex(pos)}) {
+      const std::vector<uint32_t> entries =
+          NodeCache(&dir, neighbour, ctx_.rs3).Entries();
+      for (size_t i = 0; i < entries.size(); i += stride) {
+        received.push_back(entries[i]);
+      }
+      received.push_back(neighbour);
+    }
+    std::erase_if(received, [&](uint32_t idx) {
+      return idx == newcomer || !coverage.Contains(dir.pos(idx));
+    });
+    std::vector<uint32_t> out;
+    for (uint32_t idx : received) {
+      if (std::find(out.begin(), out.end(), idx) == out.end()) {
+        out.push_back(idx);
+      }
+    }
+    return out;
+  }
+
+  // Joins `newcomer` plainly and, if `omit`, once more with every owner
+  // omitting half its entries; both caches must be the received union.
+  void ExpectReceivedUnion(uint32_t newcomer, bool omit) {
+    SCOPED_TRACE(newcomer);
+    JoinProtocol join(ctx_, *transport_);
+    auto outcome = join.Join(newcomer, rng_);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome->cache, ReceivedUnion(newcomer, 1));
+    if (omit) {
+      OmitEveryOther hook;
+      auto omitted = join.Join(newcomer, rng_, &hook);
+      ASSERT_TRUE(omitted.ok()) << omitted.status().ToString();
+      EXPECT_EQ(omitted->cache, ReceivedUnion(newcomer, 2));
+    }
+  }
+
+  void RemoveAFifth(util::Rng& draw) {
+    dht::Directory& dir = network_->directory();
+    for (uint32_t i = 0; i < dir.size(); ++i) {
+      if (draw.NextDouble() < 0.2) dir.RemoveNode(i);
+    }
+  }
+
+  // Adds `count` certified nodes through Directory::AddNode. Their
+  // handles are appended, and every insertion shifts the ring ranks
+  // after it, so handles stop being ring ranks. The transport is
+  // rebuilt to span the new handles.
+  void Grow(size_t count, util::Rng& draw) {
+    dht::Directory& dir = network_->directory();
+    for (size_t i = 0; i < count; ++i) {
+      auto pair = network_->provider().GenerateKeyPair(draw);
+      ASSERT_TRUE(pair.ok());
+      auto cert = network_->ca().Issue(pair->pub);
+      ASSERT_TRUE(cert.ok());
+      dht::NodeRecord record;
+      record.pub = pair->pub;
+      record.priv = std::move(pair->priv);
+      record.id = dht::NodeIdForKey(record.pub);
+      record.pos = record.id.ring_pos();
+      record.cert = std::move(cert.value());
+      dir.AddNode(std::move(record));
+    }
+    transport_ = std::make_unique<net::SimNetwork>(
+        static_cast<uint32_t>(dir.size()), net::kIdealLink,
+        net::RetryPolicy{}, /*seed=*/0);
   }
 
   std::unique_ptr<sim::Network> network_;
@@ -44,7 +140,8 @@ TEST_F(JoinTest, AttestedCacheVerifies) {
 
 TEST_F(JoinTest, AttestedEntriesMatchTheOwnersRealCache) {
   JoinProtocol join(ctx_, *transport_);
-  auto cache = join.AttestCache(99, rng_);
+  std::vector<uint32_t> handles;
+  auto cache = join.AttestCache(99, rng_, nullptr, &handles);
   ASSERT_TRUE(cache.ok());
   NodeCache truth(&network_->directory(), 99, ctx_.rs3);
   std::vector<crypto::PublicKey> expected;
@@ -52,6 +149,7 @@ TEST_F(JoinTest, AttestedEntriesMatchTheOwnersRealCache) {
     expected.push_back(network_->directory().pub(idx));
   }
   EXPECT_EQ(cache->entries, expected);
+  EXPECT_EQ(handles, truth.Entries());
 }
 
 TEST_F(JoinTest, TamperedEntryListRejected) {
@@ -201,25 +299,6 @@ TEST_F(JoinTest, AttestCacheUnavailableWhenEveryCandidateCrashed) {
   EXPECT_GT(transport_->stats().timeouts, 0u);
 }
 
-// Records what the owner-side hook sees and keeps every other entry.
-class OmitEveryOther final : public core::AttackHooks {
- public:
-  void OwnerOmitsEntries(uint32_t owner,
-                         const std::vector<uint32_t>& attestors,
-                         std::vector<uint32_t>* entries) override {
-    owners.push_back(owner);
-    planned = attestors;
-    std::vector<uint32_t> kept;
-    for (size_t i = 0; i < entries->size(); i += 2) {
-      kept.push_back((*entries)[i]);
-    }
-    *entries = kept;
-  }
-
-  std::vector<uint32_t> owners;
-  std::vector<uint32_t> planned;
-};
-
 TEST_F(JoinTest, OwnerOmissionIsSignedByThePlannedAttestors) {
   const dht::Directory& dir = network_->directory();
   OmitEveryOther hook;
@@ -284,51 +363,65 @@ TEST_F(JoinTest, JoinBuildsNearCompleteValidCache) {
 
 // The joined cache is exactly the neighbours' attested entries plus the
 // neighbours themselves, kept where they fall in the newcomer's rs3
-// coverage, minus the newcomer, sorted by handle. The churn digest
-// folds only whether each join succeeded, so this pins the union.
+// coverage, minus the newcomer, in received order: the successor's
+// entries, the successor, the predecessor's entries, the predecessor,
+// each at its first occurrence. The churn digest folds only whether
+// each join succeeded, so these pin the union.
 TEST_F(JoinTest, CacheEqualsFilteredNeighbourUnion) {
-  dht::Directory& dir = network_->directory();
+  const dht::Directory& dir = network_->directory();
   util::Rng draw(43);
-  for (uint32_t i = 0; i < dir.size(); ++i) {
-    if (draw.NextDouble() < 0.2) dir.RemoveNode(i);
-  }
-  // `stride` 2 mirrors OmitEveryOther, which keeps each owner's entries
-  // at even positions.
-  auto reference = [&](uint32_t newcomer, size_t stride) {
-    const dht::Region coverage =
-        dht::Region::Centered(dir.pos(newcomer), ctx_.rs3);
-    const dht::RingPos pos = dir.pos(newcomer);
-    std::vector<uint32_t> out;
-    for (uint32_t neighbour :
-         {*dir.SuccessorIndex(pos + 1), *dir.PredecessorIndex(pos)}) {
-      const std::vector<uint32_t> entries =
-          NodeCache(&dir, neighbour, ctx_.rs3).Entries();
-      for (size_t i = 0; i < entries.size(); i += stride) {
-        out.push_back(entries[i]);
-      }
-      out.push_back(neighbour);
-    }
-    std::erase_if(out, [&](uint32_t idx) {
-      return idx == newcomer || !coverage.Contains(dir.pos(idx));
-    });
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
-
-  JoinProtocol join(ctx_, *transport_);
-  OmitEveryOther omit;
+  RemoveAFifth(draw);
   for (int i = 0; i < 60; ++i) {
-    const uint32_t newcomer = *dir.NthAlive(draw.NextUint64(dir.alive_count()));
-    SCOPED_TRACE(newcomer);
-    auto outcome = join.Join(newcomer, rng_);
+    ExpectReceivedUnion(*dir.NthAlive(draw.NextUint64(dir.alive_count())),
+                        /*omit=*/i % 10 == 0);
+  }
+}
+
+TEST_F(JoinTest, CacheEqualsUnionOnAGrownDirectory) {
+  const dht::Directory& dir = network_->directory();
+  const size_t built = dir.size();
+  util::Rng draw(44);
+  Grow(600, draw);
+  RemoveAFifth(draw);
+  // Newcomers among the built handles and among the added ones. Their
+  // caches mix both, so received order is not handle order.
+  bool grown_entry = false;
+  bool unsorted = false;
+  for (int i = 0; i < 40; ++i) {
+    const uint32_t newcomer =
+        *dir.NthAlive(draw.NextUint64(dir.alive_count()));
+    ExpectReceivedUnion(newcomer, /*omit=*/i % 10 == 0);
+    const std::vector<uint32_t> expected = ReceivedUnion(newcomer, 1);
+    for (uint32_t idx : expected) grown_entry = grown_entry || idx >= built;
+    unsorted = unsorted || !std::is_sorted(expected.begin(), expected.end());
+  }
+  EXPECT_TRUE(grown_entry);
+  EXPECT_TRUE(unsorted);
+}
+
+// The lowest-positioned alive node's rs3 coverage wraps ring position 0:
+// its predecessor is the highest-positioned alive node.
+TEST_F(JoinTest, LowestNewcomerCoverageWrapsPositionZero) {
+  const dht::Directory& dir = network_->directory();
+  util::Rng draw(45);
+  for (bool grown : {false, true}) {
+    SCOPED_TRACE(grown);
+    if (grown) Grow(300, draw);
+    const uint32_t lowest = *dir.NthAlive(0);
+    const uint32_t highest = *dir.NthAlive(dir.alive_count() - 1);
+    const dht::Region coverage =
+        dht::Region::Centered(dir.pos(lowest), ctx_.rs3);
+    ASSERT_TRUE(coverage.Contains(dir.pos(highest)));
+    ExpectReceivedUnion(lowest, /*omit=*/true);
+    JoinProtocol join(ctx_, *transport_);
+    auto outcome = join.Join(lowest, rng_);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->cache, reference(newcomer, 1));
-    if (i % 10 == 0) {
-      auto omitted = join.Join(newcomer, rng_, &omit);
-      ASSERT_TRUE(omitted.ok()) << omitted.status().ToString();
-      EXPECT_EQ(omitted->cache, reference(newcomer, 2));
-    }
+    EXPECT_EQ(outcome->predecessor, highest);
+    // Entries from both sides of position 0.
+    const std::vector<uint32_t>& cache = outcome->cache;
+    EXPECT_NE(std::find(cache.begin(), cache.end(), highest), cache.end());
+    EXPECT_NE(std::find(cache.begin(), cache.end(), outcome->successor),
+              cache.end());
   }
 }
 
