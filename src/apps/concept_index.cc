@@ -49,12 +49,7 @@ ConceptIndex::ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
         if (store_it != storage_.end()) {
           std::string key(query->share_key.begin(), query->share_key.end());
           auto list_it = store_it->second.find(key);
-          if (list_it != store_it->second.end()) {
-            for (const StoredShare& stored : list_it->second) {
-              reply.posting_ids.push_back(stored.posting_id);
-              reply.shares.push_back(stored.share);
-            }
-          }
+          if (list_it != store_it->second.end()) reply.rows = list_it->second;
         }
         return msg::Encode(reply);
       });
@@ -158,13 +153,12 @@ Result<ConceptIndex::LookupResult> ConceptIndex::Lookup(
   // Join the p share lists on posting id: a posting reconstructs only
   // when every queried MI still holds its share. Publish order is
   // id order, so walk the first list and probe the others.
-  for (size_t j = 0; j < replies[0].shares.size(); ++j) {
-    const uint64_t id = replies[0].posting_ids[j];
-    std::vector<crypto::SecretShare> shares{replies[0].shares[j]};
+  for (const StoredShare& first : replies[0].rows) {
+    std::vector<crypto::SecretShare> shares{first.share};
     for (size_t r = 1; r < replies.size(); ++r) {
-      for (size_t i = 0; i < replies[r].posting_ids.size(); ++i) {
-        if (replies[r].posting_ids[i] == id) {
-          shares.push_back(replies[r].shares[i]);
+      for (const StoredShare& row : replies[r].rows) {
+        if (row.posting_id == first.posting_id) {
+          shares.push_back(row.share);
           break;
         }
       }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/messages.h"
 #include "crypto/shamir.h"
 #include "net/cost.h"
 #include "node/app_runtime.h"
@@ -85,10 +86,7 @@ class ConceptIndex {
   const Options& options() const { return options_; }
 
  private:
-  struct StoredShare {
-    uint64_t posting_id = 0;
-    crypto::SecretShare share;
-  };
+  using StoredShare = core::msg::ConceptShares::Row;
 
   static std::string ShareKey(const std::string& concept_name, int share);
   static std::vector<uint8_t> EncodePosting(uint32_t node_index);

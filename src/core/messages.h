@@ -247,14 +247,19 @@ struct ConceptQuery {
   static constexpr auto kFields = std::tuple(&ConceptQuery::share_key);
 };
 
-// MI → TF: the stored shares, tagged with their posting ids.
+// MI → TF: the stored shares, each tagged with its posting id.
 struct ConceptShares {
-  std::vector<uint64_t> posting_ids;        // aligned with `shares`
-  std::vector<crypto::SecretShare> shares;
+  struct Row {
+    uint64_t posting_id = 0;
+    crypto::SecretShare share;
+
+    static constexpr auto kFields = std::tuple(&Row::posting_id, &Row::share);
+  };
+  std::vector<Row> rows;
 
   static constexpr uint8_t kTag = kTagConceptShares;
-  static constexpr auto kFields = std::tuple(wire::Zip{
-      &ConceptShares::posting_ids, &ConceptShares::shares, wire::kMaxActors});
+  static constexpr auto kFields =
+      std::tuple(wire::Count{&ConceptShares::rows, 0, wire::kMaxActors});
 };
 
 // Sender → proxy: relay `sealed` to directory node `recipient_index`.

@@ -210,16 +210,6 @@ struct CountLike {
   std::vector<F> C::*like;
 };
 
-// Two lists under one u32 count (at most `max`), written row by row: the
-// first list's i-th element, then the second's. A first list shorter
-// than the second writes default rows.
-template <typename C, typename A, typename B>
-struct Zip {
-  std::vector<A> C::*first;
-  std::vector<B> C::*second;
-  uint32_t max;
-};
-
 // An int travelling as a u32 of at most `max`.
 template <typename C>
 struct AtMost {
@@ -286,16 +276,6 @@ void PutField(Out& out, const C& obj, const Count<M, E>& field) {
 template <typename Out, typename C, typename M, typename E, typename F>
 void PutField(Out& out, const C& obj, const CountLike<M, E, F>& field) {
   PutList(out, obj.*field.member);
-}
-template <typename Out, typename C, typename M, typename A, typename B>
-void PutField(Out& out, const C& obj, const Zip<M, A, B>& field) {
-  const std::vector<A>& first = obj.*field.first;
-  const std::vector<B>& second = obj.*field.second;
-  out.U32(static_cast<uint32_t>(second.size()));
-  for (size_t i = 0; i < second.size(); ++i) {
-    Put(out, i < first.size() ? first[i] : A{});
-    Put(out, second[i]);
-  }
 }
 template <typename Out, typename C, typename M>
 void PutField(Out& out, const C& obj, const AtMost<M>& field) {
@@ -376,23 +356,6 @@ Status GetField(Reader& in, C& obj, const CountLike<M, E, F>& field) {
   uint32_t count = 0;
   SEP2P_RETURN_IF_ERROR(GetBounded(in, like, like, &count));
   return GetElements(in, count, obj.*field.member);
-}
-template <typename C, typename M, typename A, typename B>
-Status GetField(Reader& in, C& obj, const Zip<M, A, B>& field) {
-  uint32_t count = 0;
-  SEP2P_RETURN_IF_ERROR(GetBounded(in, 0, field.max, &count));
-  if (count > in.remaining()) {
-    return Status::InvalidArgument("wire: truncated list");
-  }
-  std::vector<A>& first = obj.*field.first;
-  std::vector<B>& second = obj.*field.second;
-  first.resize(count);
-  second.resize(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SEP2P_RETURN_IF_ERROR(Get(in, first[i]));
-    SEP2P_RETURN_IF_ERROR(Get(in, second[i]));
-  }
-  return Status::Ok();
 }
 template <typename C, typename M>
 Status GetField(Reader& in, C& obj, const AtMost<M>& field) {

@@ -73,15 +73,15 @@ TEST(AppMessagesTest, ConceptMessagesRoundTrip) {
   EXPECT_EQ(query_back->share_key, store.share_key);
 
   msg::ConceptShares shares;
-  shares.posting_ids = {7, 9};
-  shares.shares.push_back(crypto::SecretShare{1, {1, 2}});
-  shares.shares.push_back(crypto::SecretShare{2, {3, 4}});
+  shares.rows = {{7, crypto::SecretShare{1, {1, 2}}},
+                 {9, crypto::SecretShare{2, {3, 4}}}};
   auto shares_back = msg::Decode<msg::ConceptShares>(msg::Encode(shares));
   ASSERT_TRUE(shares_back.ok());
-  EXPECT_EQ(shares_back->posting_ids, shares.posting_ids);
-  ASSERT_EQ(shares_back->shares.size(), 2u);
-  EXPECT_EQ(shares_back->shares[1].x, 2);
-  EXPECT_EQ(shares_back->shares[1].data, (std::vector<uint8_t>{3, 4}));
+  ASSERT_EQ(shares_back->rows.size(), 2u);
+  EXPECT_EQ(shares_back->rows[0].posting_id, 7u);
+  EXPECT_EQ(shares_back->rows[1].posting_id, 9u);
+  EXPECT_EQ(shares_back->rows[1].share.x, 2);
+  EXPECT_EQ(shares_back->rows[1].share.data, (std::vector<uint8_t>{3, 4}));
 }
 
 TEST(AppMessagesTest, ProxyAndDeliveryRoundTrip) {

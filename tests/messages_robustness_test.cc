@@ -147,9 +147,8 @@ std::vector<Codec> AllCodecs() {
                     Decoder<msg::ConceptQuery>()});
 
   msg::ConceptShares shares;
-  shares.posting_ids = {7, 9};
-  shares.shares.push_back(crypto::SecretShare{1, {1, 2}});
-  shares.shares.push_back(crypto::SecretShare{2, {3, 4}});
+  shares.rows = {{7, crypto::SecretShare{1, {1, 2}}},
+                 {9, crypto::SecretShare{2, {3, 4}}}};
   codecs.push_back({"ConceptShares", msg::kTagConceptShares,
                     msg::Encode(shares), Decoder<msg::ConceptShares>()});
 

@@ -175,9 +175,8 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> Layouts() {
   out.emplace_back("ConceptQuery", msg::Encode(query));
 
   msg::ConceptShares shares;
-  shares.posting_ids = {7, 9};
-  shares.shares.push_back(crypto::SecretShare{1, {1, 2}});
-  shares.shares.push_back(crypto::SecretShare{2, {3, 4}});
+  shares.rows = {{7, crypto::SecretShare{1, {1, 2}}},
+                 {9, crypto::SecretShare{2, {3, 4}}}};
   out.emplace_back("ConceptShares", msg::Encode(shares));
 
   msg::ProxyRelay relay;
