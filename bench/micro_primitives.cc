@@ -1,8 +1,8 @@
 // Micro-benchmarks for the primitives underlying the cost model:
 // SHA-256 (free in the paper's accounting), Ed25519 sign/verify (the
 // "asymmetric crypto operation" unit), Chord/CAN routing, region
-// queries, and the k-table math. These calibrate what one unit of the
-// paper's metrics costs on real hardware.
+// queries, an attested join, and the k-table math. These calibrate
+// what one unit of the paper's metrics costs on real hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,8 @@
 #include "dht/can.h"
 #include "dht/chord.h"
 #include "dht/directory.h"
+#include "net/sim_network.h"
+#include "node/join.h"
 #include "sim/network.h"
 
 namespace {
@@ -201,6 +203,38 @@ void BM_RegionQueryChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionQueryChurn)->Arg(0)->Arg(10)->Arg(500)->Arg(990);
+
+// One §3.6 attested join per iteration: two attested cache snapshots
+// (k signatures each), their verification, and the union the newcomer
+// keeps. Arg: N. The network is perfbench churn's: the reference network
+// (paper Table 3) with a 1% standby pool, SimProvider, over ideal links.
+// The newcomer is a uniform alive node.
+void BM_AttestedJoin(benchmark::State& state) {
+  static std::map<int64_t, std::unique_ptr<sim::Network>> cache;
+  auto& net = cache[state.range(0)];
+  if (!net) {
+    sim::Parameters params;
+    params.n = static_cast<uint64_t>(state.range(0));
+    params.churn_pool = params.n / 100;
+    net = std::move(sim::Network::Build(params).value());
+  }
+  const dht::Directory& dir = net->directory();
+  const core::ProtocolContext ctx = net->context();
+  net::SimNetwork transport(static_cast<uint32_t>(dir.size()),
+                            net::kIdealLink, net::RetryPolicy{},
+                            /*seed=*/0);
+  node::JoinProtocol join(ctx, transport);
+  util::Rng rng(9);
+  for (auto _ : state) {
+    const uint32_t newcomer =
+        *dir.NthAlive(rng.NextUint64(dir.alive_count()));
+    benchmark::DoNotOptimize(join.Join(newcomer, rng));
+  }
+}
+BENCHMARK(BM_AttestedJoin)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_KTableBuild(benchmark::State& state) {
   for (auto _ : state) {
