@@ -195,6 +195,65 @@ TEST(DirectoryTest, EmptyWhenAllDead) {
   EXPECT_TRUE(dir->NodesInRegion(Region::Centered(0, 1.0)).empty());
 }
 
+// Construction sorts its input: any permutation of one record set
+// builds the same directory, handle for handle. The set mixes
+// certified nodes, pool nodes with neither a private key nor a CA
+// signature, and runs of nodes sharing one position (ordered by id).
+TEST(DirectoryTest, ShuffledRecordsBuildTheSameDirectory) {
+  crypto::SimProvider provider;
+  util::Rng rng(21);
+  std::vector<NodeRecord> records;
+  for (uint64_t i = 0; i < 300; ++i) {
+    NodeRecord record;
+    if (i % 10 == 3) {
+      // Several ids at one position: the top 128 bits agree.
+      record.id = NodeId::FromRingPos(records.back().pos);
+      record.id.bytes()[31] = static_cast<uint8_t>(rng.NextUint64());
+      record.pub = record.id.bytes();
+      record.pos = record.id.ring_pos();
+    } else {
+      auto pair = provider.GenerateKeyPair(rng);
+      record.pub = pair->pub;
+      record.id = NodeIdForKey(record.pub);
+      record.pos = record.id.ring_pos();
+      if (i % 7 != 0) record.priv = std::move(pair->priv);
+    }
+    record.cert.subject = record.pub;
+    record.cert.serial = 1000 + i;
+    if (i % 4 == 0) {
+      record.alive = false;  // a pool node: no CA signature yet
+    } else {
+      crypto::Digest sig = crypto::Sha256Hash(record.pub.data(), 32);
+      record.cert.ca_signature.assign(sig.begin(), sig.end());
+    }
+    records.push_back(std::move(record));
+  }
+  std::vector<NodeRecord> sorted = records;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const NodeRecord& a, const NodeRecord& b) {
+              if (a.pos != b.pos) return a.pos < b.pos;
+              return a.id < b.id;
+            });
+  std::vector<NodeRecord> shuffled = records;
+  rng.Shuffle(shuffled);
+
+  Directory from_sorted(sorted);
+  Directory from_shuffled(shuffled);
+  test::ExpectSameNodes(from_sorted, from_shuffled);
+  size_t shared = 0;
+  for (uint32_t i = 0; i < from_shuffled.size(); ++i) {
+    EXPECT_EQ(from_shuffled.id(i), sorted[i].id) << "handle " << i;
+    EXPECT_EQ(from_shuffled.has_cert(i),
+              !sorted[i].cert.ca_signature.empty());
+    if (i > 0 && from_shuffled.pos(i) == from_shuffled.pos(i - 1)) {
+      EXPECT_LT(from_shuffled.id(i - 1), from_shuffled.id(i));
+      ++shared;
+    }
+  }
+  EXPECT_EQ(shared, 30u);
+  EXPECT_EQ(from_shuffled.alive_count(), 225u);
+}
+
 TEST(DirectoryTest, ImposedIdsAreUniformAcrossRing) {
   // Chi-square-ish check: bucket 4000 node positions into 16 arcs.
   auto dir = test::MakeDirectory(4000);

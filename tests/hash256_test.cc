@@ -41,6 +41,16 @@ TEST(Hash256Test, RingPosUsesTop128BitsBigEndian) {
   EXPECT_EQ(ignored.ring_pos(), static_cast<RingPos>(0));
 }
 
+// Every byte of the prefix at once, against SHA-256("abc"): a
+// position assembled from two swapped halves, or from bytes in the
+// wrong order within a half, reads differently.
+TEST(Hash256Test, RingPosOfKnownDigest) {
+  const RingPos expected =
+      (static_cast<RingPos>(0xba7816bf8f01cfeaULL) << 64) |
+      0x414140de5dae2223ULL;
+  EXPECT_TRUE(Hash256::Of("abc").ring_pos() == expected);
+}
+
 TEST(Hash256Test, FromRingPosRoundTrips) {
   util::Rng rng(5);
   for (int i = 0; i < 100; ++i) {

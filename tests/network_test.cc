@@ -113,6 +113,24 @@ TEST(NetworkTest, SameSeedSameNetwork) {
   EXPECT_EQ(a->ColluderIndices(), b->ColluderIndices());
 }
 
+// The provisioned SimProvider world, byte for byte: every handle's
+// position, id, keys, serial, certificate (CA signature included),
+// alive and has-cert, folded in handle order. The churn pool adds dead
+// nodes whose certificates are not yet signed. Provisioning and the
+// directory's construction may get faster, never different.
+TEST(NetworkTest, SimProviderWorldIsPinned) {
+  Parameters params;
+  params.n = 2000;
+  params.churn_pool = 20;
+  params.seed = 1;
+  auto network = Network::Build(params);
+  ASSERT_TRUE(network.ok());
+  const dht::Directory& dir = (*network)->directory();
+  EXPECT_EQ(dir.size(), 2020u);
+  EXPECT_EQ(dir.alive_count(), 2000u);
+  EXPECT_EQ(test::DirectoryDigest(dir), 0x804dfce9c3ca3d6eull);
+}
+
 TEST(NetworkTest, CanOverlayIsLazilyAvailable) {
   auto network = test::MakeNetwork(128, 0.01);
   ASSERT_NE(network, nullptr);

@@ -3,6 +3,8 @@
 #ifndef SEP2P_TESTS_TEST_UTIL_H_
 #define SEP2P_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -14,9 +16,57 @@
 #include "net/sim_network.h"
 #include "node/app_runtime.h"
 #include "sim/network.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace sep2p::test {
+
+// FNV-1a over every handle's columns, in handle order: position, id,
+// public key, serial, private key, certificate (subject, serial, CA
+// signature), alive and has-cert. Byte strings fold their length first.
+inline uint64_t DirectoryDigest(const dht::Directory& dir) {
+  uint64_t h = util::kFnvOffsetBasis;
+  auto fold_bytes = [&h](const uint8_t* data, size_t len) {
+    h = util::FnvFold(h, len);
+    for (size_t i = 0; i < len; ++i) h = util::FnvFoldByte(h, data[i]);
+  };
+  for (uint32_t i = 0; i < dir.size(); ++i) {
+    h = util::FnvFold(h, static_cast<uint64_t>(dir.pos(i) >> 64));
+    h = util::FnvFold(h, static_cast<uint64_t>(dir.pos(i)));
+    fold_bytes(dir.id(i).bytes().data(), dir.id(i).bytes().size());
+    fold_bytes(dir.pub(i).data(), dir.pub(i).size());
+    h = util::FnvFold(h, dir.serial(i));
+    const crypto::PrivateKey priv = dir.priv(i);
+    fold_bytes(priv.data.data(), priv.data.size());
+    const crypto::Certificate cert = dir.cert(i);
+    fold_bytes(cert.subject.data(), cert.subject.size());
+    h = util::FnvFold(h, cert.serial);
+    fold_bytes(cert.ca_signature.data(), cert.ca_signature.size());
+    h = util::FnvFoldByte(h, dir.alive(i) ? 1 : 0);
+    h = util::FnvFoldByte(h, dir.has_cert(i) ? 1 : 0);
+  }
+  return h;
+}
+
+// Expects `a` and `b` to hold the same node under every handle, column
+// by column.
+inline void ExpectSameNodes(const dht::Directory& a,
+                            const dht::Directory& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (uint32_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(a.pos(i) == b.pos(i)) << "node " << i;
+    EXPECT_EQ(a.id(i), b.id(i)) << "node " << i;
+    EXPECT_EQ(a.pub(i), b.pub(i)) << "node " << i;
+    EXPECT_EQ(a.serial(i), b.serial(i)) << "node " << i;
+    EXPECT_EQ(a.priv(i).data, b.priv(i).data) << "node " << i;
+    EXPECT_EQ(a.cert(i).ca_signature, b.cert(i).ca_signature)
+        << "node " << i;
+    EXPECT_EQ(a.alive(i), b.alive(i)) << "node " << i;
+    EXPECT_EQ(a.has_cert(i), b.has_cert(i)) << "node " << i;
+  }
+  EXPECT_EQ(a.alive_count(), b.alive_count());
+  EXPECT_EQ(DirectoryDigest(a), DirectoryDigest(b));
+}
 
 // Builds a bare directory of `n` nodes with imposed ids (no CA/certs),
 // enough for DHT-layer tests.
