@@ -6,8 +6,10 @@
 // hash(RND_T) (§3.5). Every SHA-256 in the tree, HMAC-SHA256 and the
 // simulation signature provider included, goes through this class. The
 // context is a plain SHA256_CTX held by value, so instances live on the
-// stack and share no state between threads. tests/sha256_test.cc checks
-// the NIST vectors and digests computed without libcrypto.
+// stack and share no state between threads, and a copy is an
+// independent context at the same point of its stream (HmacSha256Key
+// resumes from copies). tests/sha256_test.cc checks the NIST vectors
+// and digests computed without libcrypto.
 
 #ifndef SEP2P_CRYPTO_SHA256_H_
 #define SEP2P_CRYPTO_SHA256_H_

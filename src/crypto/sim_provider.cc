@@ -1,7 +1,9 @@
 #include "crypto/sim_provider.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <optional>
 
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -19,6 +21,29 @@ Digest MacKey(const PublicKey& pub) {
   ctx.Update(pub.data(), pub.size());
   return ctx.Finish();
 }
+
+// The HMAC schedule a private key signs with. Recompute pub from priv,
+// then MAC under the pub-derived key so Verify (which only has the
+// public key) can recompute it.
+HmacSha256Key SigningSchedule(const PrivateKey& key) {
+  const Digest mac_key = MacKey(Sha256Hash(key.data));
+  return HmacSha256Key(mac_key.data(), mac_key.size());
+}
+
+// Everything signing under one private key derives from it. A pure
+// function of the key bytes, so one entry serves every SimProvider.
+struct SigningState {
+  explicit SigningState(const PrivateKey& key) : mac(SigningSchedule(key)) {
+    std::copy(key.data.begin(), key.data.end(), priv.begin());
+  }
+
+  std::array<uint8_t, 32> priv{};
+  HmacSha256Key mac;
+};
+
+// The last key this thread signed with (sim_provider.h says why one
+// entry per thread and not a map).
+thread_local std::optional<SigningState> last_signer;
 
 }  // namespace
 
@@ -47,13 +72,12 @@ Result<Signature> SimProvider::DoSign(const PrivateKey& key,
   if (key.data.size() != 32) {
     return Status::InvalidArgument("sim: bad private key");
   }
-  // Recompute pub from priv, then MAC under the pub-derived key so Verify
-  // (which only has the public key) can recompute it.
-  Digest pub_digest = Sha256Hash(key.data);
-  PublicKey pub;
-  std::memcpy(pub.data(), pub_digest.data(), pub_digest.size());
-  Digest mac_key = MacKey(pub);
-  Digest mac = HmacSha256(mac_key.data(), mac_key.size(), msg, len);
+  if (!last_signer.has_value() ||
+      !std::equal(key.data.begin(), key.data.end(),
+                  last_signer->priv.begin())) {
+    last_signer.emplace(key);
+  }
+  Digest mac = last_signer->mac.Mac(msg, len);
   return Signature(mac.begin(), mac.end());
 }
 

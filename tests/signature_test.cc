@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "crypto/ed25519_provider.h"
+#include "crypto/hmac.h"
 #include "crypto/sealed.h"
+#include "crypto/sha256.h"
 #include "crypto/sim_provider.h"
 #include "util/hex.h"
 #include "util/rng.h"
@@ -188,6 +190,39 @@ TEST(SimProviderTest, SignatureBytesArePinned) {
   EXPECT_EQ(ok[0], 1);
   EXPECT_EQ(ok[1], 0);
   EXPECT_EQ(ok[2], 1);
+}
+
+// Each thread keeps the derived signing state of the last key it signed
+// with. Interleaved signers and a second provider instance must not move
+// a byte or a count: key A keeps the pinned signature above, and key B
+// signs under its own MAC key, SHA-256("sep2p-sim-tag" || SHA-256(B)).
+TEST(SimProviderTest, SignaturesDoNotDependOnThePreviousSigner) {
+  PrivateKey a, b;
+  for (int i = 0; i < 32; ++i) {
+    a.data.push_back(static_cast<uint8_t>(i));
+    b.data.push_back(static_cast<uint8_t>(255 - i));
+  }
+  std::vector<uint8_t> msg(16384);
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<uint8_t>(i % 251);
+  }
+  const std::string a_hex =
+      "ef65c8e14c129ce3ab93bc436fe37973cf426b10fb47769ec13e642e403e51d9";
+  Sha256 b_key;
+  b_key.Update(std::string("sep2p-sim-tag"));
+  b_key.Update(Sha256Hash(b.data));
+  const Digest b_mac_key = b_key.Finish();
+  const Digest b_expected = HmacSha256(b_mac_key.data(), b_mac_key.size(),
+                                       msg.data(), msg.size());
+
+  SimProvider first, second;
+  EXPECT_EQ(util::ToHex(*first.Sign(a, msg)), a_hex);
+  EXPECT_EQ(*first.Sign(b, msg),
+            Signature(b_expected.begin(), b_expected.end()));
+  EXPECT_EQ(util::ToHex(*second.Sign(a, msg)), a_hex);
+  EXPECT_EQ(util::ToHex(*first.Sign(a, msg)), a_hex);
+  EXPECT_EQ(first.meter().signs(), 3u);
+  EXPECT_EQ(second.meter().signs(), 1u);
 }
 
 PrivateKey KeyFromHex(const std::string& hex) {
