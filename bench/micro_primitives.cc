@@ -1,8 +1,9 @@
 // Micro-benchmarks for the primitives underlying the cost model:
 // SHA-256 (free in the paper's accounting), Ed25519 sign/verify (the
 // "asymmetric crypto operation" unit), Chord/CAN routing, region
-// queries, an attested join, and the k-table math. These calibrate
-// what one unit of the paper's metrics costs on real hardware.
+// queries, an attested join, a whole network's provisioning, and the
+// k-table math. These calibrate what one unit of the paper's metrics
+// costs on real hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -58,6 +59,27 @@ BENCHMARK(BM_Sign<crypto::Ed25519Provider>)
 BENCHMARK(BM_Sign<crypto::SimProvider>)
     ->Name("BM_Sign/sim")
     ->Apply(MessageSizes);
+
+// BM_Sign signs under one key, as the CA does while it provisions a
+// network; SimProvider keeps that key's derived state between calls.
+// The protocols' TL and SL signatures change key on every call: this row
+// cycles through 1,024 keys, so each call signs under a new one.
+void BM_SignNewKey(benchmark::State& state) {
+  crypto::SimProvider provider;
+  util::Rng rng(2);
+  std::vector<crypto::KeyPair> pairs;
+  for (int i = 0; i < 1024; ++i) {
+    pairs.push_back(*provider.GenerateKeyPair(rng));
+  }
+  std::vector<uint8_t> msg(state.range(0));
+  rng.FillBytes(msg.data(), msg.size());
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(provider.Sign(pairs[next].priv, msg));
+    next = (next + 1) % pairs.size();
+  }
+}
+BENCHMARK(BM_SignNewKey)->Name("BM_Sign/sim_new_key")->Apply(MessageSizes);
 
 template <typename Provider>
 void BM_Verify(benchmark::State& state) {
@@ -235,6 +257,22 @@ BENCHMARK(BM_AttestedJoin)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
+
+// Provisioning a whole network at one thread (sim::Network::Build): N
+// SimProvider key pairs, N CA certificates, the directory's
+// construction, the colluder draw and the k-table. Arg: N.
+void BM_NetworkBuild(benchmark::State& state) {
+  sim::Parameters params;
+  params.n = static_cast<uint64_t>(state.range(0));
+  params.threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::Network::Build(params));
+  }
+}
+BENCHMARK(BM_NetworkBuild)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KTableBuild(benchmark::State& state) {
   for (auto _ : state) {

@@ -14,7 +14,14 @@
 // positions, 256-bit ids, public keys, certificate serials, flag bytes —
 // plus two shared fixed-stride blobs for private keys and CA signatures.
 // A node costs ~150 bytes and zero per-node allocations, so 10^6 nodes
-// fit in ~150 MB and build is a single streaming pass.
+// fit in ~150 MB.
+//
+// Construction sorts compact (position, input index) keys, 32 bytes
+// each, instead of the input records (176 bytes and two heap vectors
+// apiece); ties on position order by id. It then sizes every column and
+// both blobs once and writes each record at its ring rank in one pass
+// over the input, so handle == rank, and builds the Fenwick tree below
+// in O(N).
 //
 // Churn (incremental maintenance): node handles (uint32_t indices) are
 // STABLE for the lifetime of the directory — protocols and caches store
@@ -62,7 +69,8 @@ struct NodeRecord {
 
 class Directory {
  public:
-  // Takes ownership of the records and sorts them by ring position.
+  // Takes ownership of the records and lays them out in ring order
+  // (position, then id): handle == rank afterwards.
   explicit Directory(std::vector<NodeRecord> records);
 
   size_t size() const { return positions_.size(); }
@@ -176,7 +184,13 @@ class Directory {
   size_t SelectAlive(size_t k) const;
   void RebuildFenwick();
 
-  void AppendColumns(const NodeRecord& record);
+  // The one column writer, shared by construction and AddNode: the
+  // strides come from the first private key and CA signature seen
+  // (uniform within one directory), every column and both blobs are
+  // sized once, then each record is written at its handle.
+  void AdoptStrides(const NodeRecord& record);
+  void ResizeColumns(size_t n);
+  void WriteColumns(uint32_t handle, const NodeRecord& record);
 
   template <typename Fn>
   void ForEachAliveInRegion(const Region& region, Fn&& fn) const;
