@@ -12,14 +12,6 @@ Hash256 Hash256::Xor(const Hash256& other) const {
   return out;
 }
 
-RingPos Hash256::ring_pos() const {
-  RingPos pos = 0;
-  for (int i = 0; i < 16; ++i) {
-    pos = (pos << 8) | bytes_[i];
-  }
-  return pos;
-}
-
 Hash256 Hash256::FromRingPos(RingPos pos) {
   Hash256 out;
   for (int i = 15; i >= 0; --i) {

@@ -12,7 +12,9 @@
 #define SEP2P_CRYPTO_HASH256_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "crypto/sha256.h"
@@ -48,8 +50,11 @@ class Hash256 {
   // actor-list sort key kpub_n xor RND_S (§3.5 step 8.e).
   Hash256 Xor(const Hash256& other) const;
 
-  // The top 128 bits as a ring position.
-  RingPos ring_pos() const;
+  // The top 128 bits as a ring position: two big-endian 64-bit loads.
+  RingPos ring_pos() const {
+    return (static_cast<RingPos>(LoadBigEndian64(bytes_.data())) << 64) |
+           LoadBigEndian64(bytes_.data() + 8);
+  }
 
   // Builds a Hash256 whose ring position is `pos` (lower 128 bits zero).
   static Hash256 FromRingPos(RingPos pos);
@@ -70,6 +75,15 @@ class Hash256 {
   }
 
  private:
+  static uint64_t LoadBigEndian64(const uint8_t* p) {
+    uint64_t v = 0;
+    std::memcpy(&v, p, sizeof(v));
+    if constexpr (std::endian::native == std::endian::little) {
+      v = __builtin_bswap64(v);
+    }
+    return v;
+  }
+
   Digest bytes_;
 };
 

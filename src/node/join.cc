@@ -80,6 +80,7 @@ Result<AttestedCache> JoinProtocol::AttestCache(
     attack->OwnerOmitsEntries(
         owner_index, {attestors.begin(), attestors.begin() + k}, &entries);
   }
+  cache.entries.reserve(entries.size());
   for (uint32_t idx : entries) cache.entries.push_back(dir.pub(idx));
 
   // Each attestor cross-checks the entries against its own cache (its
