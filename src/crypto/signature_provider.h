@@ -134,8 +134,9 @@ class SignatureProvider {
   // amortize per-key setup across the batch (DoVerifyBatch); the default
   // implementation is a plain loop. Thread-safe: worker pools call this
   // concurrently on disjoint batches (the meter is atomic and
-  // verification keeps no state; the only provider state is
-  // Ed25519Provider's signing-key cache, which a mutex guards).
+  // verification keeps no state; the only signing state is
+  // Ed25519Provider's key cache, which a mutex guards, and
+  // SimProvider's per-thread entry, which no two threads share).
   void VerifyBatch(const VerifyItem* items, size_t count, uint8_t* ok_out);
 
   // Recomputes the public key matching `key`. Used by the sealed-message
