@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
+#include "core/messages.h"
+#include "crypto/sealed.h"
 #include "tests/test_util.h"
 
 namespace sep2p::apps {
 namespace {
+
+namespace msg = core::msg;
 
 class QueryTest : public ::testing::Test {
  protected:
@@ -224,6 +229,63 @@ TEST_F(QueryTest, RetriesNeverCountAContributionTwice) {
     EXPECT_GE(result->value, 0.0);
     EXPECT_LE(result->value, 9.0);
   }
+}
+
+// A round's tags are served only at the nodes holding its roles: the
+// DAs open sealed deliveries, the MDA and the querier take answers.
+// Elsewhere, and before any round, an answer is refused and the call
+// times out as against a deaf node; a sealed delivery to a node that is
+// no DA is only acknowledged.
+TEST_F(QueryTest, OnlyTheRoundsRolesAnswerItsTags) {
+  const uint32_t querier = 2;
+  msg::QueryAnswer answer;
+  answer.da_slot = 0;
+  auto refused = [&](uint32_t server, const std::vector<uint8_t>& request) {
+    net::Transport::RpcResult rpc = runtime_->Call(querier, server, request);
+    EXPECT_FALSE(rpc.ok) << "node " << server;
+    EXPECT_EQ(rpc.attempts, simnet_->retry().max_attempts) << "node " << server;
+  };
+  auto acked = [&](uint32_t server, const std::vector<uint8_t>& request) {
+    net::Transport::RpcResult rpc = runtime_->Call(querier, server, request);
+    ASSERT_TRUE(rpc.ok) << "node " << server;
+    EXPECT_TRUE(msg::Decode<msg::AppAck>(rpc.reply).ok()) << "node " << server;
+  };
+  auto sealed_to = [&](uint32_t node) {
+    std::vector<uint8_t> payload(sizeof(double));
+    const double value = 4.0;
+    std::memcpy(payload.data(), &value, sizeof(double));
+    msg::SealedDelivery delivery;
+    delivery.contribution_id = uint64_t{1} << 40;  // no runtime id
+    delivery.sealed = crypto::SealForRecipient(network_->directory().pub(node),
+                                               payload, rng_);
+    return msg::Encode(delivery);
+  };
+
+  refused(querier, msg::Encode(answer));  // no round yet
+  refused(5, msg::Encode(answer));
+
+  QuerySpec spec;
+  spec.profile_expression = "pilot AND age:40s";
+  spec.attribute = "sick_leave_days";
+  auto result = app_->Execute(querier, spec, rng_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<uint32_t>& das = result->aggregators;
+  ASSERT_GT(das.size(), 1u);
+  const uint32_t mda = das.front();
+  uint32_t outsider = 0;
+  while (outsider == querier ||
+         std::find(das.begin(), das.end(), outsider) != das.end()) {
+    ++outsider;
+  }
+
+  refused(outsider, msg::Encode(answer));
+  if (das[1] != querier) refused(das[1], msg::Encode(answer));
+  acked(mda, msg::Encode(answer));
+  answer.da_slot = msg::kMergedSlot;
+  acked(querier, msg::Encode(answer));
+
+  acked(outsider, sealed_to(outsider));
+  acked(das[1], sealed_to(das[1]));
 }
 
 TEST_F(QueryTest, AggregatorsChangePerQuery) {
