@@ -13,10 +13,10 @@ namespace msg = core::msg;
 ConceptIndex::ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
                            Options options)
     : network_(network), runtime_(runtime), options_(options) {
-  // MI-side handlers. Any node can serve as indexer, so both are global
-  // registrations. They MUST be idempotent: a store retransmission is
+  // MI-side handlers. Any node can serve as indexer, so both answer at
+  // every node. They MUST be idempotent: a store retransmission is
   // recognized by (posting id, share x) and not stored twice.
-  runtime_->Register(
+  runtime_->network()->Register(
       msg::kTagConceptStore,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
@@ -38,7 +38,7 @@ ConceptIndex::ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
         }
         return msg::Encode(msg::AppAck{});
       });
-  runtime_->Register(
+  runtime_->network()->Register(
       msg::kTagConceptQuery,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {

@@ -25,7 +25,7 @@ DiffusionApp::DiffusionApp(sim::Network* network,
   // evaluate it against the candidate's OWN concepts (node-local data —
   // nobody else ever reads this profile), keep the payload on match.
   // Idempotent via the offer id.
-  runtime_->Register(
+  runtime_->network()->Register(
       msg::kTagDiffusionOffer,
       [this](uint32_t server, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {

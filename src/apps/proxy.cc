@@ -8,28 +8,18 @@ namespace sep2p::apps {
 
 namespace msg = core::msg;
 
-void EnsureProxyHandlers(node::AppRuntime& runtime) {
+void RegisterProxyRelay(net::Transport& transport) {
   // A relay's observable behaviour is just the acknowledgement; the
   // onward leg is issued by the delivery driver with the relay as
   // client, because a handler must not re-enter the network.
-  runtime.Register(msg::kTagProxyRelay,
-                   [](uint32_t, const std::vector<uint8_t>& request)
-                       -> std::optional<std::vector<uint8_t>> {
-                     if (!msg::Decode<msg::ProxyRelay>(request).ok()) {
-                       return std::nullopt;
-                     }
-                     return msg::Encode(msg::AppAck{});
-                   });
-  // Default recipient behaviour: accept the sealed payload. Apps that
-  // must act on it (e.g. a DA accumulating values) override per-node.
-  runtime.Register(msg::kTagSealedDelivery,
-                   [](uint32_t, const std::vector<uint8_t>& request)
-                       -> std::optional<std::vector<uint8_t>> {
-                     if (!msg::Decode<msg::SealedDelivery>(request).ok()) {
-                       return std::nullopt;
-                     }
-                     return msg::Encode(msg::AppAck{});
-                   });
+  transport.Register(msg::kTagProxyRelay,
+                     [](uint32_t, const std::vector<uint8_t>& request)
+                         -> std::optional<std::vector<uint8_t>> {
+                       if (!msg::Decode<msg::ProxyRelay>(request).ok()) {
+                         return std::nullopt;
+                       }
+                       return msg::Encode(msg::AppAck{});
+                     });
 }
 
 Result<ProxyDelivery> ForwardViaProxy(
@@ -51,7 +41,6 @@ Result<ProxyDelivery> ForwardViaProxy(
     proxy = static_cast<uint32_t>(rng.NextUint64(dir.size()));
   } while (proxy == sender_index || proxy == *recipient_index);
 
-  EnsureProxyHandlers(runtime);
   ProxyDelivery delivery;
   delivery.proxy_index = proxy;
   delivery.delivered = crypto::SealForRecipient(recipient_key, plaintext, rng);
@@ -99,7 +88,6 @@ Result<ChainDelivery> ForwardViaProxyChain(
     return Status::InvalidArgument("proxy chain: network too small");
   }
 
-  EnsureProxyHandlers(runtime);
   ChainDelivery delivery;
   std::set<uint32_t> used{sender_index, *recipient_index};
   while (static_cast<int>(delivery.chain.size()) < chain_length) {

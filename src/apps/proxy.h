@@ -10,6 +10,10 @@
 // sender, P sees a sender without data. The probability that both DA
 // and P collude is ~(C/N)^2.
 //
+// The relay's handler is registered once per transport
+// (RegisterProxyRelay); the recipient's SealedDelivery handler belongs
+// to the app whose DAs receive (QueryApp registers both).
+//
 // Sealing itself lives in crypto/sealed.h (the wire messages carry
 // crypto::SealedMessage payloads).
 
@@ -23,6 +27,7 @@
 #include "crypto/sealed.h"
 #include "crypto/signature_provider.h"
 #include "net/cost.h"
+#include "net/transport.h"
 #include "node/app_runtime.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -30,12 +35,10 @@
 
 namespace sep2p::apps {
 
-// Installs the global relay handler (a relay acknowledges a ProxyRelay
-// and holds the sealed payload for its own onward leg — any node can
-// serve as proxy) plus a default SealedDelivery acknowledgement for
-// recipients without an app-specific handler. Idempotent; apps override
-// SealedDelivery per-node (RegisterNode) for their aggregators.
-void EnsureProxyHandlers(node::AppRuntime& runtime);
+// Registers the relay handler on `transport`: any node can serve as
+// proxy, and a relay acknowledges a ProxyRelay and holds the sealed
+// payload for its own onward leg.
+void RegisterProxyRelay(net::Transport& transport);
 
 // What each party observed during a proxied delivery; the privacy tests
 // assert the knowledge separation.

@@ -30,13 +30,14 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
       index_(index),
       runtime_(runtime),
       finder_(network, pdms, index, runtime) {
+  RegisterProxyRelay(*runtime_->network());
   // Remote control plane (never exercised by sim runs, which install the
   // round in-process and ship partials directly): a QueryDeploy installs
   // the round in every hosting process after checking the VAL — the
   // deployment is only accepted when the claimed aggregators really are
   // this round's verifiable selection — and a QueryFlush reads a slot's
   // partial (or the MDA's merged result) back out as a QueryAnswer.
-  runtime_->Register(
+  runtime_->network()->Register(
       msg::kTagQueryDeploy,
       [this](uint32_t, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
@@ -62,7 +63,7 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
         InstallRound(deploy->round_id, deploy->querier, aggregators);
         return msg::Encode(msg::AppAck{});
       });
-  runtime_->Register(
+  runtime_->network()->Register(
       msg::kTagQueryFlush,
       [this](uint32_t, const std::vector<uint8_t>& request)
           -> std::optional<std::vector<uint8_t>> {
@@ -87,91 +88,90 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
         answer.max = partial->max;
         return msg::Encode(answer);
       });
-}
-
-void QueryApp::ClearRoundRegistrations() {
-  for (const auto& [node, tag] : round_registrations_) {
-    runtime_->UnregisterNode(node, tag);
-  }
-  round_registrations_.clear();
-}
-
-void QueryApp::InstallRound(uint64_t round_id, uint32_t querier_index,
-                            const std::vector<uint32_t>& aggregators) {
-  ClearRoundRegistrations();
-  round_ = std::make_unique<RoundState>();
-  round_->round_id = round_id;
-  round_->partials.assign(aggregators.size(), Partial{});
 
   // DA side: open the proxied sealed value, fold it into this DA's
   // partial statistic. Idempotent via the contribution id; the dedup
   // set is round-global so a proxy retry landing on a failover DA can
-  // never count twice.
-  auto delivery_handler =
+  // never count twice. A node that is no DA of the round holds no
+  // partial, and only acknowledges.
+  runtime_->network()->Register(
+      msg::kTagSealedDelivery,
       [this](uint32_t server, const std::vector<uint8_t>& request)
-      -> std::optional<std::vector<uint8_t>> {
-    Result<msg::SealedDelivery> delivery =
-        msg::Decode<msg::SealedDelivery>(request);
-    if (!delivery.ok()) return std::nullopt;
-    auto slot_it = round_->slot_of.find(server);
-    if (slot_it == round_->slot_of.end()) return std::nullopt;
-    if (round_->seen_contributions.insert(delivery->contribution_id).second) {
-      Result<std::vector<uint8_t>> opened =
-          crypto::OpenSealed(network_->provider(), delivery->sealed,
-                     network_->directory().priv(server));
-      if (!opened.ok() || opened->size() != sizeof(double)) {
-        return std::nullopt;
-      }
-      double value;
-      std::memcpy(&value, opened->data(), sizeof(double));
-      Partial& partial = round_->partials[slot_it->second];
-      partial.min = partial.count == 0 ? value : std::min(partial.min, value);
-      partial.max = partial.count == 0 ? value : std::max(partial.max, value);
-      partial.sum += value;
-      partial.count += 1;
-      round_->values_seen.push_back(value);
-    }
-    return msg::Encode(msg::AppAck{});
-  };
+          -> std::optional<std::vector<uint8_t>> {
+        Result<msg::SealedDelivery> delivery =
+            msg::Decode<msg::SealedDelivery>(request);
+        if (!delivery.ok()) return std::nullopt;
+        if (round_ == nullptr) return msg::Encode(msg::AppAck{});
+        auto slot_it = round_->slot_of.find(server);
+        if (slot_it != round_->slot_of.end() &&
+            round_->seen_contributions.insert(delivery->contribution_id)
+                .second) {
+          Result<std::vector<uint8_t>> opened =
+              crypto::OpenSealed(network_->provider(), delivery->sealed,
+                                 network_->directory().priv(server));
+          if (!opened.ok() || opened->size() != sizeof(double)) {
+            return std::nullopt;
+          }
+          double value;
+          std::memcpy(&value, opened->data(), sizeof(double));
+          Partial& partial = round_->partials[slot_it->second];
+          partial.min =
+              partial.count == 0 ? value : std::min(partial.min, value);
+          partial.max =
+              partial.count == 0 ? value : std::max(partial.max, value);
+          partial.sum += value;
+          partial.count += 1;
+          round_->values_seen.push_back(value);
+        }
+        return msg::Encode(msg::AppAck{});
+      });
 
   // MDA / querier side: merge each DA slot exactly once; the
   // kMergedSlot answer is the MDA's reply to the querier. The same
-  // handler serves both, so querier == MDA needs no special case.
-  auto answer_handler =
-      [this](uint32_t, const std::vector<uint8_t>& request)
-      -> std::optional<std::vector<uint8_t>> {
-    Result<msg::QueryAnswer> answer = msg::Decode<msg::QueryAnswer>(request);
-    if (!answer.ok()) return std::nullopt;
-    if (answer->da_slot == msg::kMergedSlot) {
-      round_->answered = true;
-      round_->answer = {answer->count, answer->sum, answer->min, answer->max};
-      return msg::Encode(msg::AppAck{});
-    }
-    if (answer->da_slot >= round_->partials.size()) return std::nullopt;
-    if (round_->merged_slots.insert(answer->da_slot).second &&
-        answer->count > 0) {
-      Partial& merged = round_->merged;
-      merged.min =
-          merged.count == 0 ? answer->min : std::min(merged.min, answer->min);
-      merged.max =
-          merged.count == 0 ? answer->max : std::max(merged.max, answer->max);
-      merged.sum += answer->sum;
-      merged.count += answer->count;
-    }
-    return msg::Encode(msg::AppAck{});
-  };
+  // handler serves both, so querier == MDA needs no special case; any
+  // other node refuses.
+  runtime_->network()->Register(
+      msg::kTagQueryAnswer,
+      [this](uint32_t server, const std::vector<uint8_t>& request)
+          -> std::optional<std::vector<uint8_t>> {
+        if (round_ == nullptr ||
+            (server != round_->querier && server != round_->mda)) {
+          return std::nullopt;
+        }
+        Result<msg::QueryAnswer> answer =
+            msg::Decode<msg::QueryAnswer>(request);
+        if (!answer.ok()) return std::nullopt;
+        if (answer->da_slot == msg::kMergedSlot) {
+          round_->answered = true;
+          round_->answer = {answer->count, answer->sum, answer->min,
+                            answer->max};
+          return msg::Encode(msg::AppAck{});
+        }
+        if (answer->da_slot >= round_->partials.size()) return std::nullopt;
+        if (round_->merged_slots.insert(answer->da_slot).second &&
+            answer->count > 0) {
+          Partial& merged = round_->merged;
+          merged.min = merged.count == 0 ? answer->min
+                                         : std::min(merged.min, answer->min);
+          merged.max = merged.count == 0 ? answer->max
+                                         : std::max(merged.max, answer->max);
+          merged.sum += answer->sum;
+          merged.count += answer->count;
+        }
+        return msg::Encode(msg::AppAck{});
+      });
+}
 
+void QueryApp::InstallRound(uint64_t round_id, uint32_t querier_index,
+                            const std::vector<uint32_t>& aggregators) {
+  round_ = std::make_unique<RoundState>();
+  round_->round_id = round_id;
+  round_->querier = querier_index;
+  round_->mda = aggregators.front();
+  round_->partials.assign(aggregators.size(), Partial{});
   for (size_t slot = 0; slot < aggregators.size(); ++slot) {
     round_->slot_of[aggregators[slot]] = slot;
-    runtime_->RegisterNode(aggregators[slot], msg::kTagSealedDelivery,
-                           delivery_handler);
-    round_registrations_.push_back({aggregators[slot], msg::kTagSealedDelivery});
   }
-  const uint32_t mda = aggregators.front();
-  runtime_->RegisterNode(querier_index, msg::kTagQueryAnswer, answer_handler);
-  round_registrations_.push_back({querier_index, msg::kTagQueryAnswer});
-  runtime_->RegisterNode(mda, msg::kTagQueryAnswer, answer_handler);
-  round_registrations_.push_back({mda, msg::kTagQueryAnswer});
 }
 
 Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
@@ -206,11 +206,11 @@ Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
   result.selection_done_us = runtime_->now_us();
   const size_t da_count = result.aggregators.size();
 
-  // Fresh round state + per-node handlers on this round's DAs, MDA and
-  // querier. A sim run installs directly (every node is hosted here);
-  // a remote run deploys the round as a message carrying the VAL, so
-  // each hosting process — this one included — verifies the selection
-  // and installs its own replica on its dispatch path.
+  // Fresh round state naming this round's DAs, MDA and querier. A sim
+  // run installs it directly (every node is hosted here); a remote run
+  // deploys the round as a message carrying the VAL, so each hosting
+  // process — this one included — verifies the selection and installs
+  // its own replica on its dispatch path.
   const bool remote = runtime_->network()->remote_dispatch();
   uint64_t round_id = 0;
   if (!remote) {

@@ -387,8 +387,7 @@ void TcpTransport::ServiceLoop(int fd) {
           trace_->set_remote_span(f.span);
         }
         RecordDeliver(EventTime(), f.src, f.dst, f.rpc_id, 0);
-        std::optional<std::vector<uint8_t>> reply =
-            DispatchLocked(f.dst, f.payload);
+        std::optional<std::vector<uint8_t>> reply = Dispatch(f.dst, f.payload);
         if (reply.has_value()) {
           resp.status = kFrameOk;
           resp.payload = std::move(*reply);
@@ -419,15 +418,6 @@ void TcpTransport::ServiceLoop(int fd) {
   }
   ::close(fd);
   service_conns_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-std::optional<std::vector<uint8_t>> TcpTransport::DispatchLocked(
-    uint32_t server, const std::vector<uint8_t>& request) {
-  dispatch_thread_.store(std::this_thread::get_id(),
-                         std::memory_order_relaxed);
-  std::optional<std::vector<uint8_t>> reply = Dispatch(server, request);
-  dispatch_thread_.store(std::thread::id(), std::memory_order_relaxed);
-  return reply;
 }
 
 std::optional<std::vector<uint8_t>> TcpTransport::AttemptRemote(
@@ -512,7 +502,7 @@ std::optional<std::vector<uint8_t>> TcpTransport::Attempt(
   std::lock_guard<std::mutex> lock(mu_);
   RecordSend(EventTime(), client, server, rpc, 0, request.size());
   RecordDeliver(EventTime(), client, server, rpc, 0);
-  std::optional<std::vector<uint8_t>> reply = DispatchLocked(server, request);
+  std::optional<std::vector<uint8_t>> reply = Dispatch(server, request);
   if (reply.has_value()) {
     RecordSend(EventTime(), server, client, rpc, 0, reply->size());
     RecordDeliver(EventTime(), server, client, rpc, 0);
@@ -522,29 +512,6 @@ std::optional<std::vector<uint8_t>> TcpTransport::Attempt(
 
 void TcpTransport::Wait(uint64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
-std::unique_lock<std::mutex> TcpTransport::LockRegistry() {
-  if (dispatch_thread_.load(std::memory_order_relaxed) ==
-      std::this_thread::get_id()) {
-    return {};
-  }
-  return std::unique_lock<std::mutex>(mu_);
-}
-
-void TcpTransport::Register(uint8_t tag, Handler handler) {
-  const auto lock = LockRegistry();
-  Transport::Register(tag, std::move(handler));
-}
-
-void TcpTransport::RegisterNode(uint32_t node, uint8_t tag, Handler handler) {
-  const auto lock = LockRegistry();
-  Transport::RegisterNode(node, tag, std::move(handler));
-}
-
-void TcpTransport::UnregisterNode(uint32_t node, uint8_t tag) {
-  const auto lock = LockRegistry();
-  Transport::UnregisterNode(node, tag);
 }
 
 std::string TcpTransport::BuildStatusText() {

@@ -28,10 +28,11 @@
 //
 // Threading: Call and CallBatch are driver-side and may be used from one
 // driver thread; service threads run concurrently with it. ONE mutex
-// (mu_) serializes every dispatch, stats update and obs emission, and
-// the base class takes it as its obs lock — TraceRecorder and
-// MetricsRegistry are single-threaded by contract, so correctness beats
-// parallel handler execution here.
+// (mu_) serializes every dispatch, registration, stats update and obs
+// emission, and the base class takes it as its obs lock — TraceRecorder
+// and MetricsRegistry are single-threaded by contract, so correctness
+// beats parallel handler execution here. Handlers neither call nor
+// register, so a thread that holds mu_ never asks for it again.
 //
 // Shutdown: RequestStop() (safe from a SIGTERM handler via the flag it
 // sets) makes the accept loop exit; Stop() closes the listener, drains
@@ -135,14 +136,6 @@ class TcpTransport : public Transport {
   void set_trace(obs::TraceRecorder* trace) override;
   void FinalizeTrace() override;
 
-  // Registry mutation is serialized under mu_ against concurrent
-  // dispatch — except when the caller IS a handler running inside
-  // Dispatch (which already holds mu_); re-locking would deadlock, so
-  // the dispatch thread goes straight through.
-  void Register(uint8_t tag, Handler handler) override;
-  void RegisterNode(uint32_t node, uint8_t tag, Handler handler) override;
-  void UnregisterNode(uint32_t node, uint8_t tag) override;
-
  protected:
   // One attempt: a locally-hosted server answers through the dispatch
   // table, any other through AttemptRemote. Ignores `handler`: the
@@ -190,16 +183,6 @@ class TcpTransport : public Transport {
   std::optional<std::vector<uint8_t>> AttemptRemote(uint32_t process,
                                                     Frame& request);
 
-  // Dispatch for a request that arrived (or short-circuited) here. The
-  // caller holds mu_; the thread is marked as the dispatch thread so
-  // that handlers registering from inside go straight through.
-  std::optional<std::vector<uint8_t>> DispatchLocked(
-      uint32_t server, const std::vector<uint8_t>& request);
-
-  // Locks mu_ for a registry change, unless the caller is a handler
-  // running inside DispatchLocked, which already holds it.
-  std::unique_lock<std::mutex> LockRegistry();
-
   uint32_t node_count_;
   uint32_t process_count_;
   uint32_t process_index_;
@@ -220,16 +203,11 @@ class TcpTransport : public Transport {
   std::condition_variable wait_cv_;
   std::map<uint64_t, PendingReply> pending_;
 
-  // Serializes dispatch + stats + trace/metrics (single-threaded obs
-  // contract); the base class's obs lock. Never held while blocking on a
-  // socket.
+  // Serializes dispatch + registration + stats + trace/metrics (single-
+  // threaded obs contract); the base class's obs lock. Never held while
+  // blocking on a socket.
   std::mutex mu_;
   uint64_t now_cache_ = 0;  // wall clock mirror for BindClock
-
-  // The thread currently running Dispatch under mu_ (an empty id when
-  // none is): lets LockRegistry detect handler-side registration and
-  // skip the lock it already holds.
-  std::atomic<std::thread::id> dispatch_thread_{};
 
   std::atomic<uint64_t> next_nonce_{0};
   // Status-plane gauges (lock-free: scraped from service threads).

@@ -17,15 +17,8 @@ std::unique_lock<std::mutex> LockIf(std::mutex* mu) {
 }  // namespace
 
 void Transport::Register(uint8_t tag, Handler handler) {
+  const auto lock = LockIf(obs_mu_);
   handlers_[tag] = std::move(handler);
-}
-
-void Transport::RegisterNode(uint32_t node, uint8_t tag, Handler handler) {
-  node_handlers_[{node, tag}] = std::move(handler);
-}
-
-void Transport::UnregisterNode(uint32_t node, uint8_t tag) {
-  node_handlers_.erase({node, tag});
 }
 
 std::optional<std::vector<uint8_t>> Transport::Dispatch(
@@ -40,10 +33,6 @@ std::optional<std::vector<uint8_t>> Transport::Dispatch(
     e.node = server;
     e.value = tag.value();
     trace_->Record(std::move(e));
-  }
-  auto node_it = node_handlers_.find({server, tag.value()});
-  if (node_it != node_handlers_.end()) {
-    return node_it->second(server, request);
   }
   auto it = handlers_.find(tag.value());
   if (it == handlers_.end()) return std::nullopt;

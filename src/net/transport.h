@@ -20,10 +20,10 @@
 //     lifecycle events with their counters), the message accounting
 //     (RecordSend / RecordDeliver / RecordDrop write Stats, the metrics
 //     counters and the trace event of every transmission), the seeded
-//     Rng and the RPC ids. It also owns the handler registry and
-//     PeekTag dispatch (moved here from node::AppRuntime so a *remote*
-//     process can route an incoming frame to the same handler a sim run
-//     would invoke in-process), the obs hooks, and the EngageQuorum
+//     Rng and the RPC ids. It also owns the handler registry (one
+//     handler per message tag) and PeekTag dispatch, so a *remote*
+//     process routes an incoming frame to the same handler a sim run
+//     invokes in-process, the obs hooks, and the EngageQuorum
 //     replacement-wave algorithm (pure control flow over CallBatch).
 //   * Implementations own one attempt (Attempt: a request and, in time,
 //     its reply), the wait before a retry (Wait), the clock and the
@@ -45,11 +45,11 @@
 // NewEngagementNonce, SetVirtualTime) let shared code ask which world
 // it is in without #ifdef forks. Crash injection is SimNetwork's own.
 //
-// Thread-safety: the registry and stats are NOT internally locked. A
-// SimNetwork must stay on one thread and has no obs lock. TcpTransport
-// hands the base class its mutex as the obs lock, which serializes
-// Stats, metrics, trace writes and dispatch against its service
-// threads.
+// Thread-safety: the registry and stats are guarded by the obs lock
+// only. A SimNetwork must stay on one thread and has no obs lock.
+// TcpTransport hands the base class its mutex as the obs lock, which
+// serializes Stats, metrics, trace writes, Register and dispatch
+// against its service threads.
 
 #ifndef SEP2P_NET_TRANSPORT_H_
 #define SEP2P_NET_TRANSPORT_H_
@@ -121,7 +121,8 @@ class Transport {
   // Server-side behaviour: given (server node, request bytes), produce
   // reply bytes, or nullopt when the server refuses to answer. Handlers
   // MUST be idempotent — a lost reply makes the caller retransmit, which
-  // re-invokes the handler — and must never re-enter the transport.
+  // re-invokes the handler — and must never re-enter the transport (no
+  // Call, no Register: dispatch runs under the obs lock).
   using Handler = std::function<std::optional<std::vector<uint8_t>>(
       uint32_t server, const std::vector<uint8_t>& request)>;
 
@@ -178,23 +179,16 @@ class Transport {
 
   // ---- Registered dispatch -----------------------------------------
 
-  // Installs `handler` for `tag` on EVERY node (homogeneous deployment,
-  // e.g. any node can serve as metadata indexer). Last registration
-  // wins. Virtual so a threaded transport can serialize registrations
-  // against its concurrent dispatch (handlers themselves may register —
-  // e.g. a QueryDeploy installing the round's per-node handlers — which
-  // a threaded transport already runs under its dispatch lock).
-  virtual void Register(uint8_t tag, Handler handler);
+  // Installs `handler` for `tag` on every node; the handler decides per
+  // `server` (a round's handler refuses at nodes without a role in it).
+  // Last registration wins. Takes the obs lock, so a threaded transport
+  // serializes it against its concurrent dispatch.
+  void Register(uint8_t tag, Handler handler);
 
-  // Installs `handler` for `tag` on one specific node (e.g. this
-  // round's data aggregators); takes precedence over the global
-  // registration.
-  virtual void RegisterNode(uint32_t node, uint8_t tag, Handler handler);
-  virtual void UnregisterNode(uint32_t node, uint8_t tag);
-
-  // Routes (server, request) through the registry: peeks the tag, then
-  // per-node registration, then global. Unknown tags are refused (the
-  // caller times out, as against a node that does not run the app).
+  // Routes (server, request) through the registry: peeks the tag and
+  // runs its handler. Unknown tags are refused (the caller times out, as
+  // against a node that does not run the app). The caller holds the
+  // obs lock.
   std::optional<std::vector<uint8_t>> Dispatch(
       uint32_t server, const std::vector<uint8_t>& request);
 
@@ -310,7 +304,6 @@ class Transport {
   // from the Rng), so traced and untraced runs stay bit-identical.
   uint64_t next_rpc_id_;
   std::map<uint8_t, Handler> handlers_;
-  std::map<std::pair<uint32_t, uint8_t>, Handler> node_handlers_;
 };
 
 }  // namespace sep2p::net

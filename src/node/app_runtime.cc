@@ -2,18 +2,6 @@
 
 namespace sep2p::node {
 
-void AppRuntime::Register(uint8_t tag, Handler handler) {
-  network_->Register(tag, std::move(handler));
-}
-
-void AppRuntime::RegisterNode(uint32_t node, uint8_t tag, Handler handler) {
-  network_->RegisterNode(node, tag, std::move(handler));
-}
-
-void AppRuntime::UnregisterNode(uint32_t node, uint8_t tag) {
-  network_->UnregisterNode(node, tag);
-}
-
 net::Transport::RpcResult AppRuntime::Call(
     uint32_t client, uint32_t server, const std::vector<uint8_t>& request) {
   cost_.Then(net::Cost::Step(0, 1));

@@ -53,6 +53,7 @@ class AppCostParityTest : public ::testing::Test {
 };
 
 TEST_F(AppCostParityTest, ProxyDeliveryCostsTwoMessages) {
+  test::ServeProxyDeliveries(*simnet_);
   auto delivery = ForwardViaProxy(*runtime_, *network_, 3,
                                   network_->directory().pub(7),
                                   {1, 2, 3}, rng_);
@@ -63,6 +64,7 @@ TEST_F(AppCostParityTest, ProxyDeliveryCostsTwoMessages) {
 }
 
 TEST_F(AppCostParityTest, ProxyChainCostsChainPlusOneMessages) {
+  test::ServeProxyDeliveries(*simnet_);
   auto delivery = ForwardViaProxyChain(*runtime_, *network_, 3,
                                        network_->directory().pub(7),
                                        {1, 2, 3},

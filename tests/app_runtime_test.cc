@@ -154,34 +154,6 @@ TEST(AppMessagesTest, CrossDecodingIsRejected) {
   EXPECT_FALSE(msg::Decode<msg::SensingPartial>(msg::Encode(ack)).ok());
 }
 
-TEST(AppRuntimeTest, NodeRegistrationWinsOverGlobal) {
-  net::SimNetwork simnet = test::MakeZeroFaultSimNet(16);
-  AppRuntime runtime(&simnet);
-  std::vector<int> global_hits, node_hits;
-  runtime.Register(msg::kTagAppAck,
-                   [&](uint32_t server, const std::vector<uint8_t>&)
-                       -> std::optional<std::vector<uint8_t>> {
-                     global_hits.push_back(server);
-                     return msg::Encode(msg::AppAck{});
-                   });
-  runtime.RegisterNode(3, msg::kTagAppAck,
-                       [&](uint32_t server, const std::vector<uint8_t>&)
-                           -> std::optional<std::vector<uint8_t>> {
-                         node_hits.push_back(server);
-                         return msg::Encode(msg::AppAck{});
-                       });
-
-  EXPECT_TRUE(runtime.Call(0, 3, msg::Encode(msg::AppAck{})).ok);
-  EXPECT_TRUE(runtime.Call(0, 5, msg::Encode(msg::AppAck{})).ok);
-  EXPECT_EQ(node_hits, (std::vector<int>{3}));
-  EXPECT_EQ(global_hits, (std::vector<int>{5}));
-
-  // After unregistration the global handler serves node 3 again.
-  runtime.UnregisterNode(3, msg::kTagAppAck);
-  EXPECT_TRUE(runtime.Call(0, 3, msg::Encode(msg::AppAck{})).ok);
-  EXPECT_EQ(global_hits, (std::vector<int>{5, 3}));
-}
-
 TEST(AppRuntimeTest, UnknownTagTimesOutLikeADeafNode) {
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(8);
   AppRuntime runtime(&simnet);
@@ -194,11 +166,11 @@ TEST(AppRuntimeTest, UnknownTagTimesOutLikeADeafNode) {
 TEST(AppRuntimeTest, CostChargesFollowTheMeasurementRules) {
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(8);
   AppRuntime runtime(&simnet);
-  runtime.Register(msg::kTagAppAck,
-                   [](uint32_t, const std::vector<uint8_t>&)
-                       -> std::optional<std::vector<uint8_t>> {
-                     return msg::Encode(msg::AppAck{});
-                   });
+  simnet.Register(msg::kTagAppAck,
+                  [](uint32_t, const std::vector<uint8_t>&)
+                      -> std::optional<std::vector<uint8_t>> {
+                    return msg::Encode(msg::AppAck{});
+                  });
 
   // Sequential call: latency AND work.
   runtime.Call(0, 1, msg::Encode(msg::AppAck{}));
@@ -227,11 +199,11 @@ TEST(AppRuntimeTest, CostChargesFollowTheMeasurementRules) {
 TEST(AppRuntimeTest, FailedRpcStillChargesTheLogicalMessage) {
   net::SimNetwork simnet = test::MakeSimNet(8, /*drop=*/1.0);
   AppRuntime runtime(&simnet);
-  runtime.Register(msg::kTagAppAck,
-                   [](uint32_t, const std::vector<uint8_t>&)
-                       -> std::optional<std::vector<uint8_t>> {
-                     return msg::Encode(msg::AppAck{});
-                   });
+  simnet.Register(msg::kTagAppAck,
+                  [](uint32_t, const std::vector<uint8_t>&)
+                      -> std::optional<std::vector<uint8_t>> {
+                    return msg::Encode(msg::AppAck{});
+                  });
   auto rpc = runtime.Call(0, 1, msg::Encode(msg::AppAck{}));
   EXPECT_FALSE(rpc.ok);
   // The paper's figures count the protocol message whether or not the
@@ -243,11 +215,11 @@ TEST(AppRuntimeTest, FailedRpcStillChargesTheLogicalMessage) {
 TEST(AppRuntimeTest, CallBatchClockLandsOnSlowestCall) {
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(8);
   AppRuntime runtime(&simnet);
-  runtime.Register(msg::kTagAppAck,
-                   [](uint32_t, const std::vector<uint8_t>&)
-                       -> std::optional<std::vector<uint8_t>> {
-                     return msg::Encode(msg::AppAck{});
-                   });
+  simnet.Register(msg::kTagAppAck,
+                  [](uint32_t, const std::vector<uint8_t>&)
+                      -> std::optional<std::vector<uint8_t>> {
+                    return msg::Encode(msg::AppAck{});
+                  });
   const uint64_t before = simnet.now_us();
   std::vector<AppRuntime::Outgoing> wave;
   for (uint32_t i = 0; i < 4; ++i) {

@@ -339,6 +339,7 @@ TEST(TracedAppsTest, ProxyAndChainTraceSatisfiesInvariants) {
                                             /*jitter_mean_us=*/0, /*seed=*/6);
   obs::TraceRecorder recorder;
   simnet.set_trace(&recorder);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(6);
   const crypto::PublicKey recipient_pub = network->directory().pub(33);

@@ -71,6 +71,7 @@ TEST(ProxyTest, DeliveryEnforcesKnowledgeSeparation) {
   auto network = test::MakeNetwork(500, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(500);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(6);
   const crypto::PublicKey recipient_pub = network->directory().pub(33);
@@ -99,6 +100,7 @@ TEST(ProxyTest, BothPartiesColludingIsRare) {
   auto network = test::MakeNetwork(500, 0.05);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(500);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(8);
   const auto& dir = network->directory();
@@ -136,6 +138,7 @@ TEST(ProxyTest, DeadProxyLeavesRelayedFalse) {
   ASSERT_NE(network, nullptr);
   // Every link drops everything: the relay leg must exhaust its retries.
   net::SimNetwork simnet = test::MakeSimNet(100, /*drop=*/1.0);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(10);
   const crypto::PublicKey recipient_pub = network->directory().pub(12);
@@ -154,6 +157,7 @@ TEST(ProxyChainTest, ChainHasDistinctRelaysExcludingEndpoints) {
   auto network = test::MakeNetwork(300, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(300);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(21);
   const crypto::PublicKey recipient_pub = network->directory().pub(50);
@@ -174,6 +178,7 @@ TEST(ProxyChainTest, OnlyEndsOfChainSeeEndpoints) {
   auto network = test::MakeNetwork(300, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(300);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(23);
   const crypto::PublicKey recipient_pub = network->directory().pub(9);
@@ -192,6 +197,7 @@ TEST(ProxyChainTest, PayloadStaysSealedAcrossChain) {
   auto network = test::MakeNetwork(300, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(300);
+  test::ServeProxyDeliveries(simnet);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(25);
   const crypto::PublicKey recipient_pub = network->directory().pub(11);

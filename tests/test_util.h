@@ -7,9 +7,12 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "apps/proxy.h"
 #include "core/ktable.h"
+#include "core/messages.h"
 #include "crypto/sim_provider.h"
 #include "dht/directory.h"
 #include "dht/node_id.h"
@@ -123,6 +126,21 @@ inline net::SimNetwork MakeSimNet(uint32_t node_count, double drop = 0.0,
 inline net::SimNetwork MakeZeroFaultSimNet(uint32_t node_count,
                                            uint64_t seed = 7) {
   return MakeSimNet(node_count, 0.0, 0, seed);
+}
+
+// Serves apps::ForwardViaProxy on a transport that runs no app: the
+// proxy relay, and a SealedDelivery recipient that only acknowledges.
+inline void ServeProxyDeliveries(net::Transport& transport) {
+  apps::RegisterProxyRelay(transport);
+  transport.Register(
+      core::msg::kTagSealedDelivery,
+      [](uint32_t, const std::vector<uint8_t>& request)
+          -> std::optional<std::vector<uint8_t>> {
+        if (!core::msg::Decode<core::msg::SealedDelivery>(request).ok()) {
+          return std::nullopt;
+        }
+        return core::msg::Encode(core::msg::AppAck{});
+      });
 }
 
 // Region sizes a verifier must refuse for security degree `k`: just past

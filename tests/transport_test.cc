@@ -11,17 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "apps/concept_index.h"
 #include "apps/diffusion.h"
-#include "apps/proxy.h"
 #include "apps/query.h"
 #include "core/messages.h"
 #include "core/protocol_service.h"
@@ -141,6 +142,49 @@ TEST(TcpTransportTest, UnknownTagAndGarbageAreRefusedCleanly) {
 
   for (auto& t : cluster) t->Stop();
   EXPECT_GE(cluster[0]->stats().rpc_failures, 2u);
+}
+
+// Register takes the lock dispatch runs under, so a tag can be
+// registered again while the transports serve it: one thread keeps
+// calling a local and a remote node while another re-registers the tag
+// on both transports, and every call is answered.
+TEST(TcpTransportTest, RegisterWhileServing) {
+  auto cluster = MakeBareCluster(/*processes=*/2, /*nodes=*/4);
+  for (auto& t : cluster) {
+    t->Register(core::msg::kTagAppAck, EchoWithServer());
+  }
+  const std::vector<uint8_t> request =
+      core::msg::Encode(core::msg::AppAck{});
+  std::atomic<bool> done{false};
+  std::atomic<int> registrations{0};
+  std::thread registrar([&] {
+    while (!done.load()) {
+      for (auto& t : cluster) {
+        t->Register(core::msg::kTagAppAck, EchoWithServer());
+      }
+      registrations.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  while (registrations.load() == 0) std::this_thread::yield();
+
+  // Node 2 lives in process 0 (local dispatch), node 3 in process 1
+  // (across a socket).
+  const int kRounds = 100;
+  int answered = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (uint32_t server : {2u, 3u}) {
+      net::Transport::RpcResult rpc = cluster[0]->Call(0, server, request);
+      if (rpc.ok && rpc.reply.back() == server) ++answered;
+    }
+  }
+  done.store(true);
+  registrar.join();
+  EXPECT_EQ(answered, 2 * kRounds);
+  EXPECT_GT(registrations.load(), 1);
+
+  for (auto& t : cluster) t->Stop();
+  EXPECT_EQ(cluster[0]->stats().rpc_failures, 0u);
 }
 
 // One transport under observation: its recorder and metrics registry.
@@ -452,7 +496,6 @@ std::unique_ptr<LivePeer> MakeLivePeer(const sim::Parameters& params,
 
   peer->pdms = ReplicatedPdms(node_count);
   peer->runtime = std::make_unique<node::AppRuntime>(peer->transport.get());
-  apps::EnsureProxyHandlers(*peer->runtime);
   peer->index = std::make_unique<apps::ConceptIndex>(peer->world.get(),
                                                      peer->runtime.get());
   peer->diffusion = std::make_unique<apps::DiffusionApp>(

@@ -85,7 +85,6 @@
 
 #include "apps/concept_index.h"
 #include "apps/diffusion.h"
-#include "apps/proxy.h"
 #include "apps/query.h"
 #include "apps/sensing.h"
 #include "attack/oracle.h"
@@ -735,7 +734,6 @@ int CmdServe(int argc, char** argv) {
 
   std::vector<node::PdmsNode> pdms = BuildDemoPdms(node_count);
   node::AppRuntime runtime(&transport);
-  apps::EnsureProxyHandlers(runtime);
   apps::ConceptIndex index(&net, &runtime);
   apps::DiffusionApp diffusion(&net, &pdms, &index, &runtime);
   apps::QueryApp query(&net, &pdms, &index, &runtime);
