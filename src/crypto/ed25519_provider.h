@@ -44,6 +44,8 @@ struct EvpPkeyFree {
 class Ed25519Provider : public SignatureProvider {
  public:
   const char* name() const override { return "ed25519"; }
+  size_t private_key_size() const override { return 32; }  // the seed
+  size_t signature_size() const override { return 64; }
 
   Result<PublicKey> DerivePublicKey(const PrivateKey& key) override;
 

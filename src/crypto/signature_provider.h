@@ -147,6 +147,12 @@ class SignatureProvider {
 
   virtual const char* name() const = 0;
 
+  // Byte lengths of this scheme's private keys and signatures, the same
+  // for every key and message, so a store of many (the directory's
+  // credential blobs) can size fixed strides before it sees one.
+  virtual size_t private_key_size() const = 0;
+  virtual size_t signature_size() const = 0;
+
   CryptoMeter& meter() { return meter_; }
   const CryptoMeter& meter() const { return meter_; }
 

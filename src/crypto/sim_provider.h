@@ -32,6 +32,8 @@ namespace sep2p::crypto {
 class SimProvider : public SignatureProvider {
  public:
   const char* name() const override { return "sim"; }
+  size_t private_key_size() const override { return 32; }
+  size_t signature_size() const override { return 32; }  // HMAC-SHA256
 
   Result<PublicKey> DerivePublicKey(const PrivateKey& key) override;
 

@@ -46,16 +46,19 @@ Result<std::unique_ptr<Network>> Network::Build(const Parameters& params) {
   // This is the dominant setup cost at scale (N key generations + N CA
   // signatures — with Ed25519, two EVP operations per node), so it is
   // sharded across the pool. Node i draws its key material from its own
-  // RNG stream and gets serial `first_serial + i`, so the provisioned
-  // network is a pure function of the parameters — identical for every
-  // thread count.
+  // RNG stream, gets serial `first_serial + i` and is written straight
+  // into slot i of the directory's staged columns, whose credential
+  // strides come from the provider; so the provisioned network is a
+  // pure function of the parameters — identical for every thread count.
   // Churn-pool nodes (indices n..n+pool) are provisioned dead and
   // WITHOUT a CA signature: certificate issuance is part of the join
   // they will later perform (sim/churn_driver.h), which is exactly the
   // CA load the paper's §3.6 analysis charges to churn. Their serials
   // are reserved here so issuance order never depends on join order.
   const uint64_t total = params.n + params.churn_pool;
-  std::vector<dht::NodeRecord> records(total);
+  dht::Directory::Columns staged(total,
+                                 network->provider_->private_key_size(),
+                                 network->provider_->signature_size());
   const uint64_t first_serial = network->ca_->ReserveSerials(total);
   const uint64_t provision_seed = MixSeed(params.seed, kProvisionSalt);
   std::mutex error_mutex;
@@ -81,28 +84,25 @@ Result<std::unique_ptr<Network>> Network::Build(const Parameters& params) {
           fail(pair.status());
           return;
         }
-        dht::NodeRecord& record = records[i];
-        if (i < params.n) {
+        const uint64_t serial = first_serial + i;
+        const bool pooled = i >= params.n;
+        crypto::Signature ca_signature;  // none yet for a pool node
+        if (!pooled) {
           Result<crypto::Certificate> cert =
-              network->ca_->IssueWithSerial(pair->pub, first_serial + i);
+              network->ca_->IssueWithSerial(pair->pub, serial);
           if (!cert.ok()) {
             fail(cert.status());
             return;
           }
-          record.cert = std::move(cert.value());
-        } else {
-          record.cert.subject = pair->pub;
-          record.cert.serial = first_serial + i;
-          record.alive = false;
+          ca_signature = std::move(cert->ca_signature);
         }
-        record.pub = pair->pub;
-        record.priv = std::move(pair->priv);
-        record.id = dht::NodeIdForKey(record.pub);
-        record.pos = record.id.ring_pos();
+        const dht::NodeId id = dht::NodeIdForKey(pair->pub);
+        staged.Write(i, id.ring_pos(), id, pair->pub, serial, pair->priv,
+                     ca_signature, /*alive=*/!pooled);
       },
       /*grain=*/64);
   if (!error.ok()) return error;
-  network->directory_ = std::make_unique<dht::Directory>(std::move(records));
+  network->directory_ = std::make_unique<dht::Directory>(std::move(staged));
   network->chord_ =
       std::make_unique<dht::ChordOverlay>(network->directory_.get());
 

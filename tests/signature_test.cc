@@ -105,6 +105,20 @@ TEST_P(SignatureProviderTest, DerivePublicKeyMatchesKeyPair) {
   EXPECT_EQ(*derived, pair->pub);
 }
 
+// Every key and signature has the declared size: the directory sizes
+// its credential blobs from these before provisioning a network.
+TEST_P(SignatureProviderTest, DeclaredSizesMatchKeysAndSignatures) {
+  for (size_t len : {0, 1, 40, 300}) {
+    auto pair = provider_->GenerateKeyPair(rng_);
+    ASSERT_TRUE(pair.ok());
+    EXPECT_EQ(pair->priv.data.size(), provider_->private_key_size());
+    std::vector<uint8_t> msg(len, 0x11);
+    auto sig = provider_->Sign(pair->priv, msg);
+    ASSERT_TRUE(sig.ok());
+    EXPECT_EQ(sig->size(), provider_->signature_size()) << len;
+  }
+}
+
 TEST_P(SignatureProviderTest, MeterCountsOperations) {
   provider_->meter().Reset();
   auto pair = provider_->GenerateKeyPair(rng_);
