@@ -92,8 +92,10 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
   // DA side: open the proxied sealed value, fold it into this DA's
   // partial statistic. Idempotent via the contribution id; the dedup
   // set is round-global so a proxy retry landing on a failover DA can
-  // never count twice. A node that is no DA of the round holds no
-  // partial, and only acknowledges.
+  // never count twice. An id is recorded only once its value opened,
+  // so a value the DA cannot take is refused on every attempt and no
+  // retransmission acknowledges it. A node that is no DA of the round
+  // holds no partial, and only acknowledges.
   runtime_->network()->Register(
       msg::kTagSealedDelivery,
       [this](uint32_t server, const std::vector<uint8_t>& request)
@@ -104,8 +106,7 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
         if (round_ == nullptr) return msg::Encode(msg::AppAck{});
         auto slot_it = round_->slot_of.find(server);
         if (slot_it != round_->slot_of.end() &&
-            round_->seen_contributions.insert(delivery->contribution_id)
-                .second) {
+            !round_->seen_contributions.contains(delivery->contribution_id)) {
           Result<std::vector<uint8_t>> opened =
               crypto::OpenSealed(network_->provider(), delivery->sealed,
                                  network_->directory().priv(server));
@@ -114,6 +115,7 @@ QueryApp::QueryApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
           }
           double value;
           std::memcpy(&value, opened->data(), sizeof(double));
+          round_->seen_contributions.insert(delivery->contribution_id);
           Partial& partial = round_->partials[slot_it->second];
           partial.min =
               partial.count == 0 ? value : std::min(partial.min, value);

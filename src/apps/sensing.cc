@@ -22,8 +22,10 @@ ParticipatorySensingApp::ParticipatorySensingApp(
     : network_(network), pdms_(pdms), runtime_(runtime), config_(config) {
   // DA side: open the sealed tuple, accumulate into this DA's partial.
   // Idempotent via the contribution id (round-global set, so a resend
-  // to a spare DA can never count twice either). A node that is no DA
-  // of the round refuses.
+  // to a spare DA can never count twice either). An id is recorded only
+  // once its tuple opened and names a cell of the grid, so a tuple the
+  // DA cannot take is refused on every attempt and no retransmission
+  // acknowledges it. A node that is no DA of the round refuses.
   runtime_->network()->Register(
       msg::kTagSensingContribution,
       [this](uint32_t server, const std::vector<uint8_t>& request)
@@ -34,8 +36,9 @@ ParticipatorySensingApp::ParticipatorySensingApp(
         Result<msg::SensingContribution> tuple =
             msg::Decode<msg::SensingContribution>(request);
         if (!tuple.ok()) return std::nullopt;
-        if (round_->seen_contributions.insert(tuple->contribution_id)
-                .second) {
+        if (!round_->seen_contributions.contains(tuple->contribution_id)) {
+          const uint32_t grid = static_cast<uint32_t>(config_.grid);
+          if (tuple->cell >= grid * grid) return std::nullopt;
           Result<std::vector<uint8_t>> opened =
               crypto::OpenSealed(network_->provider(), tuple->sealed,
                                  network_->directory().priv(server));
@@ -44,9 +47,9 @@ ParticipatorySensingApp::ParticipatorySensingApp(
           }
           double value;
           std::memcpy(&value, opened->data(), sizeof(double));
-          const int ix = static_cast<int>(tuple->cell) % config_.grid;
-          const int iy = static_cast<int>(tuple->cell) / config_.grid;
-          if (iy >= config_.grid) return std::nullopt;
+          round_->seen_contributions.insert(tuple->contribution_id);
+          const int ix = static_cast<int>(tuple->cell % grid);
+          const int iy = static_cast<int>(tuple->cell / grid);
           SpatialAggregate& partial = round_->partials[slot_it->second];
           partial.at(ix, iy).sum += value;
           partial.at(ix, iy).count += 1;

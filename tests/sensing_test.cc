@@ -217,6 +217,48 @@ TEST_F(SensingTest, PartialWithShortCountsIsRefused) {
   EXPECT_FALSE(rpc.ok);
 }
 
+// A contribution its DA cannot take is refused on every attempt, and
+// again when sent anew under the same id: a 3-byte value, a cell past
+// the grid, and a cell whose top bit is set. The DA records an id only
+// once its tuple opened and named a cell, so no retransmission
+// acknowledges a contribution the DA never took; a valid tuple under
+// the same id is then taken.
+TEST_F(SensingTest, UnopenedContributionIsNeverAcknowledged) {
+  ParticipatorySensingApp app(network_.get(), &pdms_, runtime_.get());
+  const uint32_t trigger = 3;
+  auto round = app.RunRound(trigger, rng_);  // no readings
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  EXPECT_EQ(round->aggregate.total_count(), 0u);
+  ASSERT_FALSE(round->aggregators.empty());
+  const uint32_t da = round->aggregators.back();
+  const int grid = ParticipatorySensingApp::Config().grid;
+
+  auto contribution = [&](uint32_t cell, size_t value_size) {
+    msg::SensingContribution tuple;
+    tuple.contribution_id = uint64_t{1} << 40;  // no runtime id
+    tuple.cell = cell;
+    tuple.sealed = crypto::SealForRecipient(
+        network_->directory().pub(da), std::vector<uint8_t>(value_size, 0),
+        rng_);
+    return msg::Encode(tuple);
+  };
+  const std::vector<uint8_t> refused[] = {
+      contribution(0, 3), contribution(grid * grid, sizeof(double)),
+      contribution(uint32_t{1} << 31, sizeof(double))};
+  for (const std::vector<uint8_t>& request : refused) {
+    for (int call = 0; call < 2; ++call) {
+      net::Transport::RpcResult rpc = runtime_->Call(trigger, da, request);
+      EXPECT_FALSE(rpc.ok) << "call " << call;
+      EXPECT_EQ(rpc.attempts, simnet_->retry().max_attempts)
+          << "call " << call;
+    }
+  }
+  net::Transport::RpcResult taken =
+      runtime_->Call(trigger, da, contribution(0, sizeof(double)));
+  ASSERT_TRUE(taken.ok);
+  EXPECT_EQ(taken.attempts, 1);
+}
+
 TEST_F(SensingTest, LossyRoundDegradesButAveragesStayCorrect) {
   // Heavy loss: some contributions exhaust their retries. The round must
   // still complete, report the shrinkage honestly, and the merged
