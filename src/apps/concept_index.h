@@ -51,6 +51,10 @@ class ConceptIndex {
   ConceptIndex(sim::Network* network, node::AppRuntime* runtime,
                Options options);
 
+  // The registered handlers hold this index's address.
+  ConceptIndex(const ConceptIndex&) = delete;
+  ConceptIndex& operator=(const ConceptIndex&) = delete;
+
   // Publishes `concepts` for `node_index`: one posting per concept,
   // sharded into s shares routed and stored at their indexers over the
   // network. A share whose store RPC fails is lost (degraded), not

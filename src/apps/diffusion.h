@@ -47,6 +47,10 @@ class DiffusionApp {
   DiffusionApp(sim::Network* network, std::vector<node::PdmsNode>* pdms,
                ConceptIndex* index, node::AppRuntime* runtime);
 
+  // The registered handler holds this app's address.
+  DiffusionApp(const DiffusionApp&) = delete;
+  DiffusionApp& operator=(const DiffusionApp&) = delete;
+
   // Registers every PDMS's concepts in the index.
   Result<net::Cost> PublishAllProfiles(util::Rng& rng);
 

@@ -4,11 +4,19 @@
 
 #include <algorithm>
 #include <set>
+#include <type_traits>
 
 #include "tests/test_util.h"
 
 namespace sep2p::apps {
 namespace {
+
+// The registered handlers capture the app's address: a copy or a move
+// would leave them pointing at the original.
+static_assert(!std::is_copy_constructible_v<ConceptIndex> &&
+              !std::is_copy_assignable_v<ConceptIndex> &&
+              !std::is_move_constructible_v<ConceptIndex> &&
+              !std::is_move_assignable_v<ConceptIndex>);
 
 class ConceptIndexTest : public ::testing::Test {
  protected:

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "tests/test_util.h"
 
 namespace sep2p::apps {
 namespace {
+
+// The registered handlers capture the app's address: a copy or a move
+// would leave them pointing at the original.
+static_assert(!std::is_copy_constructible_v<DiffusionApp> &&
+              !std::is_copy_assignable_v<DiffusionApp> &&
+              !std::is_move_constructible_v<DiffusionApp> &&
+              !std::is_move_assignable_v<DiffusionApp>);
 
 class DiffusionTest : public ::testing::Test {
  protected:
