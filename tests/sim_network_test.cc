@@ -212,6 +212,38 @@ TEST(SimNetworkTest, AdvanceRouteChargesOneLatencyPerHop) {
   EXPECT_EQ(net.stats().messages_sent, 5u);
 }
 
+// A timeout barely above the mean round trip: many replies land after
+// their attempt gave up, at clients that next call (counted late) or
+// next serve (dropped uncounted). Pins that accounting, the delivery
+// and timeout totals and the whole trace.
+TEST(SimNetworkTest, LateReplyAccountingIsPinned) {
+  RetryPolicy retry;
+  retry.timeout_us = 55'000;
+  SimNetwork net(6, LinkModel(), retry, /*seed=*/11);
+  obs::TraceRecorder rec;
+  net.set_trace(&rec);
+  util::Rng draw(5);
+  uint64_t ok = 0;
+  for (int i = 0; i < 300; ++i) {
+    const uint32_t client = static_cast<uint32_t>(draw.NextUint64(6));
+    const uint32_t server =
+        static_cast<uint32_t>((client + 1 + draw.NextUint64(5)) % 6);
+    if (net.Call(client, server, {static_cast<uint8_t>(i)}, Echo()).ok) {
+      ++ok;
+    }
+  }
+  net.set_trace(nullptr);
+  uint64_t digest = util::kFnvOffsetBasis;
+  for (char c : obs::ToJsonl(rec.trace())) {
+    digest = util::FnvFoldByte(digest, static_cast<uint8_t>(c));
+  }
+  EXPECT_EQ(ok, 267u);
+  EXPECT_EQ(net.stats().late_replies, 277u);
+  EXPECT_EQ(net.stats().messages_delivered, 1264u);
+  EXPECT_EQ(net.stats().timeouts, 365u);
+  EXPECT_EQ(digest, 0x53060739109df496u);
+}
+
 // ------------------------------------------------------------ messages
 
 TEST(MessagesTest, PlainMessagesRoundTrip) {
