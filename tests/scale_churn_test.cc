@@ -4,9 +4,10 @@
 //  - ChordOverlay's hop bound is per-overlay state (it was a mutable
 //    process-global static shared across concurrent trials) — the
 //    ChordOverlayRace suite runs under TSan in CI.
-//  - Incremental directory maintenance (SetAlive / MarkCrashed /
-//    AddNode) must answer every query exactly like a from-scratch
-//    rebuild of the surviving population.
+//  - Incremental directory maintenance (SetAlive / RemoveNode /
+//    MarkCrashed, and the churn-pool activations a join makes) must
+//    answer every query exactly like a from-scratch rebuild of the
+//    same records.
 //  - CAN incremental join/leave keeps a valid partition equal (as an
 //    owner set) to a from-scratch rebuild.
 //  - The ChurnDriver is deterministic for any build thread count, and
@@ -17,6 +18,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
@@ -115,13 +117,12 @@ TEST(DirectoryChurnEquivalenceTest, RandomChurnMatchesRebuild) {
   const size_t kInitial = 400;
   std::vector<dht::NodeRecord> records = MakeRecords(kInitial + 100, 21);
 
-  // Incremental directory starts with the initial population; the last
-  // 100 records are fed through AddNode mid-sequence.
-  std::vector<dht::NodeRecord> initial(records.begin(),
-                                       records.begin() + kInitial);
-  dht::Directory incremental(initial);
+  // The last 100 records are a churn pool: provisioned dead, then
+  // activated mid-sequence the way sim::ChurnDriver joins them.
+  for (size_t i = kInitial; i < records.size(); ++i) records[i].alive = false;
+  dht::Directory incremental(records);
 
-  std::vector<dht::NodeRecord> mirror = initial;  // rebuild input
+  std::vector<dht::NodeRecord> mirror = records;  // rebuild input
   auto mirror_of = [&mirror](const dht::NodeId& id) -> dht::NodeRecord& {
     for (auto& r : mirror) {
       if (r.id == id) return r;
@@ -135,9 +136,11 @@ TEST(DirectoryChurnEquivalenceTest, RandomChurnMatchesRebuild) {
   for (int step = 0; step < 600; ++step) {
     const double p = rng.NextDouble();
     if (p < 0.25 && next_new < records.size()) {
-      // Genuine insertion.
-      incremental.AddNode(records[next_new]);
-      mirror.push_back(records[next_new]);
+      // Pool activation.
+      std::optional<uint32_t> idx = incremental.IndexOf(records[next_new].id);
+      ASSERT_TRUE(idx.has_value());
+      incremental.SetAlive(*idx, true);
+      mirror_of(records[next_new].id).alive = true;
       ++next_new;
     } else if (p < 0.50) {
       // Revive (no-op when already alive).
@@ -158,42 +161,37 @@ TEST(DirectoryChurnEquivalenceTest, RandomChurnMatchesRebuild) {
       EXPECT_TRUE(incremental.crashed(idx));
     }
   }
+  EXPECT_EQ(next_new, records.size());
 
+  // Both directories hold the same records in the same ring order, so
+  // handles match: compare them directly.
   dht::Directory rebuilt(mirror);
   ASSERT_EQ(incremental.size(), rebuilt.size());
   ASSERT_EQ(incremental.alive_count(), rebuilt.alive_count());
+  for (uint32_t i = 0; i < incremental.size(); ++i) {
+    EXPECT_EQ(incremental.id(i), rebuilt.id(i)) << "node " << i;
+    EXPECT_EQ(incremental.alive(i), rebuilt.alive(i)) << "node " << i;
+  }
 
-  // Handles differ between the two directories (rebuild re-sorts), so
-  // compare by node id everywhere.
-  auto id_of = [](const dht::Directory& d, std::optional<uint32_t> idx) {
-    return idx.has_value() ? d.id(*idx) : dht::NodeId();
-  };
   util::Rng probe_rng(41);
   for (int probe = 0; probe < 300; ++probe) {
     dht::RingPos pos =
         (static_cast<dht::RingPos>(probe_rng.NextUint64()) << 64) |
         probe_rng.NextUint64();
-    EXPECT_EQ(id_of(incremental, incremental.SuccessorIndex(pos)),
-              id_of(rebuilt, rebuilt.SuccessorIndex(pos)));
-    EXPECT_EQ(id_of(incremental, incremental.PredecessorIndex(pos)),
-              id_of(rebuilt, rebuilt.PredecessorIndex(pos)));
-    EXPECT_EQ(id_of(incremental, incremental.NearestIndex(pos)),
-              id_of(rebuilt, rebuilt.NearestIndex(pos)));
+    EXPECT_EQ(incremental.SuccessorIndex(pos), rebuilt.SuccessorIndex(pos));
+    EXPECT_EQ(incremental.PredecessorIndex(pos),
+              rebuilt.PredecessorIndex(pos));
+    EXPECT_EQ(incremental.NearestIndex(pos), rebuilt.NearestIndex(pos));
 
     dht::Region region = dht::Region::Centered(pos, 0.04);
     EXPECT_EQ(incremental.CountInRegion(region),
               rebuilt.CountInRegion(region));
-    std::vector<uint32_t> a = incremental.NodesInRegion(region);
-    std::vector<uint32_t> b = rebuilt.NodesInRegion(region);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(incremental.id(a[i]), rebuilt.id(b[i]));
-    }
+    EXPECT_EQ(incremental.NodesInRegion(region),
+              rebuilt.NodesInRegion(region));
   }
   // Ring enumeration via NthAlive agrees end-to-end.
   for (size_t k = 0; k < incremental.alive_count(); ++k) {
-    EXPECT_EQ(id_of(incremental, incremental.NthAlive(k)),
-              id_of(rebuilt, rebuilt.NthAlive(k)));
+    EXPECT_EQ(incremental.NthAlive(k), rebuilt.NthAlive(k));
   }
   EXPECT_FALSE(incremental.NthAlive(incremental.alive_count()).has_value());
 }
