@@ -125,7 +125,9 @@ std::optional<uint64_t> SimNetwork::Transmit(
   return at_us;
 }
 
-void SimNetwork::AdvanceTo(uint64_t at_us) {
+std::optional<std::vector<uint8_t>> SimNetwork::AdvanceTo(
+    uint64_t at_us, std::optional<uint64_t> awaited) {
+  std::optional<std::vector<uint8_t>> reply;
   while (!in_flight_.empty() && in_flight_.front().at_us <= at_us) {
     std::pop_heap(in_flight_.begin(), in_flight_.end(), Later{});
     Delivery d = std::move(in_flight_.back());
@@ -133,14 +135,16 @@ void SimNetwork::AdvanceTo(uint64_t at_us) {
     if (!IsUp(d.to, d.at_us)) {
       // The destination crashed while the message was in flight (a step
       // crash recorded after the transmission passed its liveness
-      // check): the bytes evaporate like a drop instead of landing in a
-      // dead node's inbox.
+      // check): the bytes evaporate like a drop instead of reaching a
+      // dead node.
       RecordDrop(d.at_us, d.from, d.to, d.rpc, d.seq, "dead-dest");
       continue;
     }
     RecordDeliver(d.at_us, d.from, d.to, d.rpc, d.seq);
-    endpoints_[d.to].inbox.push_back(std::move(d));
+    ++endpoints_[d.to].unread;
+    if (d.seq == awaited) reply = std::move(d.payload);
   }
+  return reply;
 }
 
 std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
@@ -152,9 +156,10 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
   std::optional<uint64_t> req_at =
       Transmit(client, server, rpc, request, now_us_, nullptr);
   if (req_at.has_value() && !StepCrash(server, *req_at)) {
-    // The server consumes the request from its inbox at arrival...
+    // The server reads the request at arrival, with everything else it
+    // was sent...
     AdvanceTo(*req_at);
-    endpoints_[server].inbox.clear();
+    endpoints_[server].unread = 0;
     // ...handles it (idempotent; retransmissions re-invoke it), and
     // replies after its processing delay. The clock tracks the handling
     // instant so dispatch hooks see the arrival time; both exits below
@@ -175,22 +180,16 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     return std::nullopt;
   }
   now_us_ = *reply_at;
-  AdvanceTo(now_us_);
-  // Consume the matching reply; anything else sitting in the inbox is a
-  // stale reply from an abandoned attempt or parallel branch.
-  std::vector<Delivery>& inbox = endpoints_[client].inbox;
-  std::optional<std::vector<uint8_t>> reply;
-  for (Delivery& d : inbox) {
-    if (d.seq == reply_seq) {
-      reply = std::move(d.payload);
-      break;
-    }
-  }
-  stats_.late_replies += inbox.size() - 1;
+  // Take the matching reply; anything else the client was sent since it
+  // last called or served is a stale reply from an abandoned attempt or
+  // parallel branch.
+  std::optional<std::vector<uint8_t>> reply = AdvanceTo(now_us_, reply_seq);
+  uint64_t& unread = endpoints_[client].unread;
+  stats_.late_replies += unread - 1;
   if (metrics_ != nullptr) {
-    metrics_->Inc(obs::Counter::kLateReplies, inbox.size() - 1);
+    metrics_->Inc(obs::Counter::kLateReplies, unread - 1);
   }
-  inbox.clear();
+  unread = 0;
   return reply;
 }
 
