@@ -3,35 +3,25 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <numeric>
 
 namespace sep2p::dht {
 
 namespace {
 
-// Blob strides a record implies: the first non-empty private key's and
-// CA signature's sizes (uniform within one directory).
-void AdoptStrides(const NodeRecord& record, size_t& priv_stride,
-                  size_t& sig_stride) {
-  if (priv_stride == 0) priv_stride = record.priv.data.size();
-  if (sig_stride == 0) sig_stride = record.cert.ca_signature.size();
-}
-
-void WriteRecord(Directory::Columns& columns, size_t slot,
-                 const NodeRecord& record) {
-  columns.Write(slot, record.pos, record.id, record.pub, record.cert.serial,
-                record.priv, record.cert.ca_signature, record.alive);
-}
-
 Directory::Columns Stage(const std::vector<NodeRecord>& records) {
+  // Blob strides: the first non-empty private key's and CA signature's
+  // sizes (uniform within one directory).
   size_t priv_stride = 0;
   size_t sig_stride = 0;
   for (const NodeRecord& record : records) {
-    AdoptStrides(record, priv_stride, sig_stride);
+    if (priv_stride == 0) priv_stride = record.priv.data.size();
+    if (sig_stride == 0) sig_stride = record.cert.ca_signature.size();
   }
   Directory::Columns staged(records.size(), priv_stride, sig_stride);
   for (size_t i = 0; i < records.size(); ++i) {
-    WriteRecord(staged, i, records[i]);
+    const NodeRecord& r = records[i];
+    staged.Write(i, r.pos, r.id, r.pub, r.cert.serial, r.priv,
+                 r.cert.ca_signature, r.alive);
   }
   return staged;
 }
@@ -52,19 +42,15 @@ std::vector<T> InRingOrder(std::vector<T> column, size_t stride,
 }  // namespace
 
 Directory::Columns::Columns(size_t n, size_t priv_stride, size_t sig_stride)
-    : priv_stride_(priv_stride), sig_stride_(sig_stride) {
-  Resize(n);
-}
-
-void Directory::Columns::Resize(size_t n) {
-  positions_.resize(n);
-  ids_.resize(n);
-  pubs_.resize(n);
-  serials_.resize(n);
-  flags_.resize(n);
-  privs_.resize(priv_stride_ * n, 0);
-  cert_sigs_.resize(sig_stride_ * n, 0);
-}
+    : positions_(n),
+      ids_(n),
+      pubs_(n),
+      serials_(n),
+      flags_(n),
+      privs_(priv_stride * n),
+      cert_sigs_(sig_stride * n),
+      priv_stride_(priv_stride),
+      sig_stride_(sig_stride) {}
 
 void Directory::Columns::Write(size_t slot, RingPos pos, const NodeId& id,
                                const crypto::PublicKey& pub, uint64_t serial,
@@ -95,12 +81,12 @@ Directory::Directory(const std::vector<NodeRecord>& records)
 
 Directory::Directory(Columns staged) {
   const size_t n = staged.size();
-  // order_ maps ring rank -> input slot until every column is laid out.
-  order_.resize(n);
+  // Ring rank -> input slot, while the columns are laid out.
+  std::vector<uint32_t> order(n);
   {
     // Ring order over compact (pos, input slot) keys rather than the
-    // staged rows; equal positions order by id, as AddNode inserts
-    // them. The keys are freed before any column is laid out.
+    // staged rows; equal positions order by id. The keys are freed
+    // before any column is laid out.
     struct RankKey {
       RingPos pos;
       uint32_t input;
@@ -114,25 +100,21 @@ Directory::Directory(Columns staged) {
                 if (a.pos != b.pos) return a.pos < b.pos;
                 return staged.ids_[a.input] < staged.ids_[b.input];
               });
-    for (size_t r = 0; r < n; ++r) order_[r] = keys[r].input;
+    for (size_t r = 0; r < n; ++r) order[r] = keys[r].input;
   }
   // One column at a time, each staged column freed once laid out, so
   // the build never holds two copies of more than one column.
   Columns& c = columns_;
   c.priv_stride_ = staged.priv_stride_;
   c.sig_stride_ = staged.sig_stride_;
-  c.positions_ = InRingOrder(std::move(staged.positions_), 1, order_);
-  c.ids_ = InRingOrder(std::move(staged.ids_), 1, order_);
-  c.pubs_ = InRingOrder(std::move(staged.pubs_), 1, order_);
-  c.serials_ = InRingOrder(std::move(staged.serials_), 1, order_);
-  c.flags_ = InRingOrder(std::move(staged.flags_), 1, order_);
-  c.privs_ = InRingOrder(std::move(staged.privs_), c.priv_stride_, order_);
+  c.positions_ = InRingOrder(std::move(staged.positions_), 1, order);
+  c.ids_ = InRingOrder(std::move(staged.ids_), 1, order);
+  c.pubs_ = InRingOrder(std::move(staged.pubs_), 1, order);
+  c.serials_ = InRingOrder(std::move(staged.serials_), 1, order);
+  c.flags_ = InRingOrder(std::move(staged.flags_), 1, order);
+  c.privs_ = InRingOrder(std::move(staged.privs_), c.priv_stride_, order);
   c.cert_sigs_ =
-      InRingOrder(std::move(staged.cert_sigs_), c.sig_stride_, order_);
-  // Handle == rank from here on.
-  std::iota(order_.begin(), order_.end(), 0u);
-  rank_ = order_;
-  sorted_pos_ = c.positions_;
+      InRingOrder(std::move(staged.cert_sigs_), c.sig_stride_, order);
   RebuildFenwick();
 }
 
@@ -183,11 +165,11 @@ void Directory::SetAlive(uint32_t index, bool alive) {
     flags |= kAliveBit;
     flags &= static_cast<uint8_t>(~kCrashedBit);
     ++alive_count_;
-    FenwickAdd(rank_[index], +1);
+    FenwickAdd(index, +1);
   } else {
     flags &= static_cast<uint8_t>(~kAliveBit);
     --alive_count_;
-    FenwickAdd(rank_[index], -1);
+    FenwickAdd(index, -1);
   }
 }
 
@@ -196,54 +178,18 @@ void Directory::MarkCrashed(uint32_t index) {
   columns_.flags_[index] |= kCrashedBit;
 }
 
-uint32_t Directory::AddNode(NodeRecord record) {
-  const uint32_t handle = static_cast<uint32_t>(size());
-  // Insertion rank: equal positions order by id, matching the
-  // constructor's sort, so incremental growth and a from-scratch
-  // rebuild produce the identical ring order.
-  size_t r = RankLowerBound(record.pos);
-  while (r < sorted_pos_.size() && sorted_pos_[r] == record.pos &&
-         columns_.ids_[order_[r]] < record.id) {
-    ++r;
-  }
-  AdoptStrides(record, columns_.priv_stride_, columns_.sig_stride_);
-  columns_.Resize(handle + 1);
-  WriteRecord(columns_, handle, record);
-  order_.insert(order_.begin() + static_cast<ptrdiff_t>(r), handle);
-  sorted_pos_.insert(sorted_pos_.begin() + static_cast<ptrdiff_t>(r),
-                     record.pos);
-  rank_.push_back(0);
-  for (size_t j = r; j < order_.size(); ++j) rank_[order_[j]] = j;
-  RebuildFenwick();
-  return handle;
-}
-
 // --------------------------------------------------------------- ranks
 
 size_t Directory::RankLowerBound(RingPos pos) const {
-  size_t lo = 0, hi = sorted_pos_.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (sorted_pos_[mid] < pos) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  const std::vector<RingPos>& p = columns_.positions_;
+  return static_cast<size_t>(std::lower_bound(p.begin(), p.end(), pos) -
+                             p.begin());
 }
 
 size_t Directory::RankUpperBound(RingPos pos) const {
-  size_t lo = 0, hi = sorted_pos_.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (sorted_pos_[mid] <= pos) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  const std::vector<RingPos>& p = columns_.positions_;
+  return static_cast<size_t>(std::upper_bound(p.begin(), p.end(), pos) -
+                             p.begin());
 }
 
 // ------------------------------------------------------------- fenwick
@@ -255,7 +201,7 @@ void Directory::RebuildFenwick() {
   fenwick_.assign(n + 1, 0);
   alive_count_ = 0;
   for (size_t i = 1; i <= n; ++i) {
-    if (alive(order_[i - 1])) {
+    if (alive(i - 1)) {
       ++fenwick_[i];
       ++alive_count_;
     }
@@ -277,7 +223,7 @@ size_t Directory::AliveBefore(size_t rank) const {
   return sum;
 }
 
-size_t Directory::SelectAlive(size_t k) const {
+uint32_t Directory::SelectAlive(size_t k) const {
   assert(k < alive_count_);
   // Binary lifting over the implicit Fenwick prefix sums: find the
   // smallest rank whose prefix count is k + 1.
@@ -292,7 +238,8 @@ size_t Directory::SelectAlive(size_t k) const {
       remaining -= fenwick_[next];
     }
   }
-  return pos;  // ranks are 0-based; `pos` is the last rank with prefix < k+1
+  // Ranks are 0-based; `pos` is the last rank with prefix < k+1.
+  return static_cast<uint32_t>(pos);
 }
 
 // ------------------------------------------------------------- queries
@@ -301,22 +248,20 @@ std::optional<uint32_t> Directory::SuccessorIndex(RingPos pos) const {
   if (alive_count_ == 0) return std::nullopt;
   const size_t before = AliveBefore(RankLowerBound(pos));
   const size_t k = before == alive_count_ ? 0 : before;  // wrap
-  return order_[SelectAlive(k)];
+  return SelectAlive(k);
 }
 
 std::optional<uint32_t> Directory::PredecessorIndex(RingPos pos) const {
   if (alive_count_ == 0) return std::nullopt;
   const size_t r = RankLowerBound(pos);
   const size_t before = AliveBefore(r);
-  if (before > 0) return order_[SelectAlive(before - 1)];
+  if (before > 0) return SelectAlive(before - 1);
   // Wrap: prefer the last alive node with position strictly after
   // `pos`; nodes at exactly `pos` are not "strictly before".
   const size_t at_or_before = AliveBefore(RankUpperBound(pos));
-  if (alive_count_ > at_or_before) {
-    return order_[SelectAlive(alive_count_ - 1)];
-  }
+  if (alive_count_ > at_or_before) return SelectAlive(alive_count_ - 1);
   // Degenerate single-position ring: every alive node sits at `pos`.
-  return order_[SelectAlive(0)];
+  return SelectAlive(0);
 }
 
 std::optional<uint32_t> Directory::NearestIndex(RingPos pos) const {
@@ -324,9 +269,8 @@ std::optional<uint32_t> Directory::NearestIndex(RingPos pos) const {
   if (!succ.has_value()) return std::nullopt;
   // The nearest node is either the successor or the alive predecessor.
   const size_t before = AliveBefore(RankLowerBound(pos));
-  const size_t prev_rank =
+  const uint32_t prev =
       before > 0 ? SelectAlive(before - 1) : SelectAlive(alive_count_ - 1);
-  const uint32_t prev = order_[prev_rank];
   const RingPos d_pred = RingDistance(columns_.positions_[prev], pos);
   const RingPos d_succ = RingDistance(columns_.positions_[*succ], pos);
   return d_pred < d_succ ? prev : *succ;
@@ -350,10 +294,8 @@ void Directory::ForEachAliveInRegion(const Region& region, Fn&& fn) const {
     for (size_t step = 0; step < m; ++step) {
       size_t r = start + step;
       if (r >= m) r -= m;
-      if (!full_ring && ClockwiseDistance(begin, sorted_pos_[r]) > width) {
-        break;
-      }
-      if (!fn(order_[r])) return;
+      if (!full_ring && ClockwiseDistance(begin, pos(r)) > width) break;
+      if (!fn(r)) return;
     }
     return;
   }
@@ -365,18 +307,16 @@ void Directory::ForEachAliveInRegion(const Region& region, Fn&& fn) const {
   const size_t depth = std::bit_width(m);  // SelectAlive's step count
   size_t k = AliveBefore(start);
   if (k == alive_count_) k = 0;  // wrap
-  size_t r = SelectAlive(k);
+  uint32_t r = SelectAlive(k);
   for (size_t visited = 1;; ++visited) {
-    if (!full_ring && ClockwiseDistance(begin, sorted_pos_[r]) > width) {
-      return;
-    }
-    if (!fn(order_[r]) || visited == alive_count_) return;
+    if (!full_ring && ClockwiseDistance(begin, pos(r)) > width) return;
+    if (!fn(r) || visited == alive_count_) return;
     if (++k == alive_count_) k = 0;
     size_t scanned = 0;
     do {
       if (++r == m) r = 0;
-    } while (!alive(order_[r]) && ++scanned < depth);
-    if (!alive(order_[r])) r = SelectAlive(k);
+    } while (!alive(r) && ++scanned < depth);
+    if (!alive(r)) r = SelectAlive(k);
   }
 }
 
@@ -417,7 +357,7 @@ std::optional<uint32_t> Directory::FirstAliveInRange(RingPos lo,
   const size_t a = AliveBefore(lo_rank);
   const size_t b = AliveBefore(hi_rank);
   if (b <= a) return std::nullopt;
-  return order_[SelectAlive(a)];
+  return SelectAlive(a);
 }
 
 size_t Directory::CountAliveInRange(RingPos lo, RingPos hi) const {
@@ -429,14 +369,14 @@ size_t Directory::CountAliveInRange(RingPos lo, RingPos hi) const {
 
 std::optional<uint32_t> Directory::NthAlive(size_t k) const {
   if (k >= alive_count_) return std::nullopt;
-  return order_[SelectAlive(k)];
+  return SelectAlive(k);
 }
 
 std::optional<uint32_t> Directory::IndexOf(const NodeId& id) const {
   const RingPos pos = id.ring_pos();
   for (size_t r = RankLowerBound(pos);
-       r < size() && sorted_pos_[r] == pos; ++r) {
-    if (columns_.ids_[order_[r]] == id) return order_[r];
+       r < size() && columns_.positions_[r] == pos; ++r) {
+    if (columns_.ids_[r] == id) return static_cast<uint32_t>(r);
   }
   return std::nullopt;
 }

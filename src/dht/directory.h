@@ -13,11 +13,10 @@
 // allocator slack), the directory keeps one dense column per field —
 // positions, 256-bit ids, public keys, certificate serials, flag bytes —
 // plus two shared fixed-stride blobs for private keys and CA signatures
-// (Directory::Columns). A node costs 181 bytes with SimProvider's
-// 32-byte signatures and 213 with Ed25519's 64: 153 (185) in the
-// columns and blobs, 28 in the ring order and Fenwick tree below. No
-// allocation is per node; a 10^6-node network is about 180 MB resident
-// once built.
+// (Directory::Columns). A node costs 157 bytes with SimProvider's
+// 32-byte signatures and 189 with Ed25519's 64: 153 (185) in the
+// columns and blobs, 4 in the Fenwick tree below. No allocation is per
+// node; a 10^6-node directory takes about 157 MB.
 //
 // Construction takes input-order Columns, which a provisioning loop
 // fills slot by slot (sim::Network::Build writes every node straight
@@ -25,25 +24,27 @@
 // stages from records. It sorts compact (position, input slot) keys,
 // 32 bytes each; ties on position order by id. Then it lays the
 // columns out in ring order one at a time, freeing each staged column
-// once it is laid out, so handle == rank and a build holds two copies
-// of at most one column; and it builds the Fenwick tree below in O(N).
+// once it is laid out, so a build holds two copies of at most one
+// column; and it builds the Fenwick tree below in O(N).
 //
-// Churn (incremental maintenance): node handles (uint32_t indices) are
-// STABLE for the lifetime of the directory — protocols and caches store
-// them freely. Alive/dead membership is tracked by a Fenwick tree over
-// ring ranks, so SetAlive/MarkCrashed are O(log N) and every query
-// (successor, predecessor, region count, k-th alive) stays O(log N)
-// even when most of the table is churned out — the previous
-// implementation degraded to O(N) scans past dead records. A region
-// walk under churn selects its first alive rank, then steps to each
-// next one by testing alive bits, selecting again only past a dead run
-// longer than the tree is deep: O(log N + answer) when dead runs are
-// short, never worse than O(log N) per visited node. An all-alive
+// Handles are ring ranks: a node's handle (a uint32_t index) is its
+// rank in that order, for the lifetime of the directory. No node is
+// ever inserted or moved — the simulator models a join as activating a
+// pre-provisioned, dead churn-pool node (sim::ChurnDriver) — so
+// protocols and caches store handles freely, and every query answers
+// with the rank it selects.
+//
+// Churn (incremental maintenance): alive/dead membership is tracked by
+// a Fenwick tree over ring ranks, so SetAlive/MarkCrashed are O(log N)
+// and every query (successor, predecessor, region count, k-th alive)
+// stays O(log N) even when most of the table is churned out — the
+// previous implementation degraded to O(N) scans past dead records. A
+// region walk under churn selects its first alive rank, then steps to
+// each next one by testing alive bits, selecting again only past a dead
+// run longer than the tree is deep: O(log N + answer) when dead runs
+// are short, never worse than O(log N) per visited node. An all-alive
 // directory keeps a plain rank loop, which the flag tests would slow
-// by ~25% (2.0 -> 2.5 µs per 512-node query at N=10^5). AddNode
-// inserts a genuinely new node (O(N) column shift — fine for tests and
-// small networks; large-scale churn drivers pre-provision a pool of
-// dead nodes and activate them in O(log N), see sim::ChurnDriver).
+// by ~25% (2.0 -> 2.5 µs per 512-node query at N=10^5).
 //
 // The Directory is *simulator state*, not something a real node would
 // hold — real nodes see only their node cache (node/node_cache.h) and
@@ -77,8 +78,8 @@ class Directory {
   // Node fields in structure-of-arrays layout, one slot per node: dense
   // columns for position, id, public key, serial and flag byte, and two
   // fixed-stride blobs for private keys and CA signatures. A directory
-  // keeps its nodes in one, by handle. A bulk build fills another in
-  // input order, node i in slot i, and moves it into the constructor.
+  // keeps its nodes in one, in ring order. A bulk build fills another
+  // in input order, node i in slot i, and moves it into the constructor.
   class Columns {
    public:
     Columns() = default;
@@ -100,8 +101,6 @@ class Directory {
    private:
     friend class Directory;
 
-    void Resize(size_t n);
-
     std::vector<RingPos> positions_;       // 16 B
     std::vector<NodeId> ids_;              // 32 B
     std::vector<crypto::PublicKey> pubs_;  // 32 B
@@ -117,7 +116,7 @@ class Directory {
 
   // Lays `staged` (input order) out in ring order (position, then id),
   // a column at a time, freeing each staged column once it is laid
-  // out: handle == rank afterwards.
+  // out.
   explicit Directory(Columns staged);
 
   // Stages `records` and lays them out as above (tests and
@@ -128,9 +127,7 @@ class Directory {
   size_t size() const { return columns_.size(); }
 
   // ---------------------------------------------------------------
-  // Column accessors. `index` is a stable node handle; after initial
-  // construction handles coincide with ring ranks, and they never move
-  // under SetAlive/MarkCrashed (AddNode appends a fresh handle).
+  // Column accessors. `index` is a node handle, its ring rank.
   RingPos pos(uint32_t index) const { return columns_.positions_[index]; }
   const NodeId& id(uint32_t index) const { return columns_.ids_[index]; }
   const crypto::PublicKey& pub(uint32_t index) const {
@@ -172,11 +169,6 @@ class Directory {
   // can distinguish failure flavors. Reviving with SetAlive(true)
   // clears the flag.
   void MarkCrashed(uint32_t index);
-
-  // Inserts a genuinely new node and returns its handle. O(N) (column
-  // shift + Fenwick rebuild): intended for tests and small networks;
-  // large-scale churn pre-provisions dead nodes and uses SetAlive.
-  uint32_t AddNode(NodeRecord record);
 
   // ---------------------------------------------------------------
   // Queries (handles in, handles out).
@@ -235,23 +227,16 @@ class Directory {
   // Number of alive nodes among ranks [0, rank).
   size_t AliveBefore(size_t rank) const;
   // Ring rank of the k-th alive node (0-based); requires k < alive_count_.
-  size_t SelectAlive(size_t k) const;
+  uint32_t SelectAlive(size_t k) const;
   void RebuildFenwick();
 
   template <typename Fn>
   void ForEachAliveInRegion(const Region& region, Fn&& fn) const;
 
-  Columns columns_;  // by stable handle
-
-  // ----- ring order -----
-  // order_[rank] = handle, rank_[handle] = rank. sorted_pos_ mirrors
-  // the position column in rank order and is kept densely packed because the
-  // position binary search is the single hottest directory operation
-  // (Chord routing does dozens per hop); probing a wide column per step
-  // would thrash the cache a 16-byte-element array walks cleanly.
-  std::vector<uint32_t> order_;
-  std::vector<uint32_t> rank_;
-  std::vector<RingPos> sorted_pos_;
+  // In ring order. The position column is dense (16 B a node) because
+  // its binary search is the hottest directory operation (Chord routing
+  // does dozens per hop).
+  Columns columns_;
 
   // ----- alive tracking -----
   // fenwick_[r] (1-based) partial sums of alive flags in rank order:

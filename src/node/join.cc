@@ -16,8 +16,7 @@ namespace {
 // Drops repeated handles, keeping first occurrences in pool order,
 // without a comparison sort: kept handles go into an open-addressed
 // table indexed by their low bits. A region's handles are nearby ring
-// ranks (or handles appended after them by AddNode), so distinct ones
-// rarely share a slot.
+// ranks, so distinct ones rarely share a slot.
 void DedupeHandles(std::vector<uint32_t>& handles) {
   constexpr uint32_t kEmpty = UINT32_MAX;
   const size_t mask = std::bit_ceil(2 * handles.size()) - 1;

@@ -97,30 +97,6 @@ class JoinTest : public ::testing::Test {
     }
   }
 
-  // Adds `count` certified nodes through Directory::AddNode. Their
-  // handles are appended, and every insertion shifts the ring ranks
-  // after it, so handles stop being ring ranks. The transport is
-  // rebuilt to span the new handles.
-  void Grow(size_t count, util::Rng& draw) {
-    dht::Directory& dir = network_->directory();
-    for (size_t i = 0; i < count; ++i) {
-      auto pair = network_->provider().GenerateKeyPair(draw);
-      ASSERT_TRUE(pair.ok());
-      auto cert = network_->ca().Issue(pair->pub);
-      ASSERT_TRUE(cert.ok());
-      dht::NodeRecord record;
-      record.pub = pair->pub;
-      record.priv = std::move(pair->priv);
-      record.id = dht::NodeIdForKey(record.pub);
-      record.pos = record.id.ring_pos();
-      record.cert = std::move(cert.value());
-      dir.AddNode(std::move(record));
-    }
-    transport_ = std::make_unique<net::SimNetwork>(
-        static_cast<uint32_t>(dir.size()), net::kIdealLink,
-        net::RetryPolicy{}, /*seed=*/0);
-  }
-
   std::unique_ptr<sim::Network> network_;
   core::ProtocolContext ctx_;
   std::unique_ptr<net::SimNetwork> transport_;
@@ -371,31 +347,16 @@ TEST_F(JoinTest, CacheEqualsFilteredNeighbourUnion) {
   const dht::Directory& dir = network_->directory();
   util::Rng draw(43);
   RemoveAFifth(draw);
-  for (int i = 0; i < 60; ++i) {
-    ExpectReceivedUnion(*dir.NthAlive(draw.NextUint64(dir.alive_count())),
-                        /*omit=*/i % 10 == 0);
-  }
-}
-
-TEST_F(JoinTest, CacheEqualsUnionOnAGrownDirectory) {
-  const dht::Directory& dir = network_->directory();
-  const size_t built = dir.size();
-  util::Rng draw(44);
-  Grow(600, draw);
-  RemoveAFifth(draw);
-  // Newcomers among the built handles and among the added ones. Their
-  // caches mix both, so received order is not handle order.
-  bool grown_entry = false;
+  // Each neighbour comes after its own entries, which lie on both sides
+  // of it, so received order is not handle order.
   bool unsorted = false;
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < 60; ++i) {
     const uint32_t newcomer =
         *dir.NthAlive(draw.NextUint64(dir.alive_count()));
     ExpectReceivedUnion(newcomer, /*omit=*/i % 10 == 0);
     const std::vector<uint32_t> expected = ReceivedUnion(newcomer, 1);
-    for (uint32_t idx : expected) grown_entry = grown_entry || idx >= built;
     unsorted = unsorted || !std::is_sorted(expected.begin(), expected.end());
   }
-  EXPECT_TRUE(grown_entry);
   EXPECT_TRUE(unsorted);
 }
 
@@ -403,26 +364,21 @@ TEST_F(JoinTest, CacheEqualsUnionOnAGrownDirectory) {
 // its predecessor is the highest-positioned alive node.
 TEST_F(JoinTest, LowestNewcomerCoverageWrapsPositionZero) {
   const dht::Directory& dir = network_->directory();
-  util::Rng draw(45);
-  for (bool grown : {false, true}) {
-    SCOPED_TRACE(grown);
-    if (grown) Grow(300, draw);
-    const uint32_t lowest = *dir.NthAlive(0);
-    const uint32_t highest = *dir.NthAlive(dir.alive_count() - 1);
-    const dht::Region coverage =
-        dht::Region::Centered(dir.pos(lowest), ctx_.rs3);
-    ASSERT_TRUE(coverage.Contains(dir.pos(highest)));
-    ExpectReceivedUnion(lowest, /*omit=*/true);
-    JoinProtocol join(ctx_, *transport_);
-    auto outcome = join.Join(lowest, rng_);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->predecessor, highest);
-    // Entries from both sides of position 0.
-    const std::vector<uint32_t>& cache = outcome->cache;
-    EXPECT_NE(std::find(cache.begin(), cache.end(), highest), cache.end());
-    EXPECT_NE(std::find(cache.begin(), cache.end(), outcome->successor),
-              cache.end());
-  }
+  const uint32_t lowest = *dir.NthAlive(0);
+  const uint32_t highest = *dir.NthAlive(dir.alive_count() - 1);
+  const dht::Region coverage =
+      dht::Region::Centered(dir.pos(lowest), ctx_.rs3);
+  ASSERT_TRUE(coverage.Contains(dir.pos(highest)));
+  ExpectReceivedUnion(lowest, /*omit=*/true);
+  JoinProtocol join(ctx_, *transport_);
+  auto outcome = join.Join(lowest, rng_);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->predecessor, highest);
+  // Entries from both sides of position 0.
+  const std::vector<uint32_t>& cache = outcome->cache;
+  EXPECT_NE(std::find(cache.begin(), cache.end(), highest), cache.end());
+  EXPECT_NE(std::find(cache.begin(), cache.end(), outcome->successor),
+            cache.end());
 }
 
 TEST_F(JoinTest, JoinCostsScaleWithCoverage) {
