@@ -35,7 +35,7 @@ namespace sep2p::obs {
 
 enum class EventKind : uint8_t {
   kSend = 0,      // transmission departed (node=from, peer=to)
-  kDeliver,       // transmission landed in an inbox (node=to, peer=from)
+  kDeliver,       // transmission reached its destination (node=to, peer=from)
   kDrop,          // transmission lost (link loss or dead destination)
   kTimeout,       // an RPC attempt expired (value=attempt)
   kRetry,         // the RPC re-sends (value=next attempt number)
