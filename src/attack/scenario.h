@@ -82,10 +82,6 @@ class Scenario {
                                     obs::TraceRecorder* trace,
                                     obs::MetricsRegistry* metrics) = 0;
 
-  // Returns the protocol object's ideal transport to its fresh state
-  // (core::SelectionProtocol::RestartIdealTransport).
-  void RestartIdealTransport() const { protocol_.RestartIdealTransport(); }
-
  protected:
   int CountCorrupted(const std::vector<uint32_t>& actors) const;
   // The coalition's directory handles, ascending.

@@ -52,10 +52,6 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
     for (Worker& w : workers) {
       w.ctx = net.context();
       w.ctx.colluders = &w.colluders;
-      w.scenario = MakeScenario(name, w.ctx);
-      if (w.scenario == nullptr) {
-        return Status::InvalidArgument("unknown attack scenario: " + name);
-      }
     }
 
     // One slot per trial: each trial writes only its own slot and the
@@ -82,7 +78,7 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
         sim::MixSeed(params.seed, kAdversaryColluderSalt, 0, si);
 
     // Colluder placement refreshes every kShardSize trials: each shard
-    // draws its own on its first trial.
+    // draws its own on its first trial and builds a scenario there.
     Status status = sim::RunSweepPoint(
         runner, observers, si, trials,
         sim::MixSeed(params.seed, kAdversaryTrialSalt, 0, si),
@@ -93,7 +89,11 @@ Result<std::vector<AdversaryPoint>> RunAdversarySweep(
                 colluder_seed, static_cast<uint64_t>(trial.shard)));
             w.colluders = strategies::SampleColluders(
                 net.directory(), params.c(), colluder_rng);
-            w.scenario->RestartIdealTransport();
+            w.scenario = MakeScenario(name, w.ctx);
+            if (w.scenario == nullptr) {
+              return Status::InvalidArgument("unknown attack scenario: " +
+                                             name);
+            }
           }
           // Every trial records into a trace so the oracle can replay the
           // checker invariants; the observers' slot (when this trial owns

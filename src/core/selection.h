@@ -153,10 +153,9 @@ class SelectionProtocol {
   // node that runs carry when SelectionOptions::network is null — also
   // for their vrand step. Created on first use and kept for this
   // object's lifetime; attach observers here. Not thread-safe: parallel
-  // harnesses keep one protocol object per worker and restart its
-  // ideal transport at each TrialRunner shard (sim/experiment.h).
+  // harnesses build one protocol object per worker at each TrialRunner
+  // shard (sim/experiment.h).
   net::Transport& ideal_transport() const { return vrand_.ideal_transport(); }
-  void RestartIdealTransport() const { vrand_.RestartIdealTransport(); }
 
  private:
   const ProtocolContext& ctx_;

@@ -108,13 +108,6 @@ class VrandProtocol {
   // Not thread-safe: parallel callers need one protocol object each.
   net::Transport& ideal_transport() const;
 
-  // Returns the ideal transport, if made, to the state of a fresh one
-  // (net::SimNetwork::Restart), so a reused protocol object replays
-  // what a new one would.
-  void RestartIdealTransport() const {
-    if (ideal_ != nullptr) ideal_->Restart();
-  }
-
  private:
   const ProtocolContext& ctx_;
   mutable std::unique_ptr<net::SimNetwork> ideal_;

@@ -1,20 +1,19 @@
 #include "net/sim_network.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace sep2p::net {
 
 SimNetwork::SimNetwork(uint32_t node_count, const LinkModel& link,
                        const RetryPolicy& retry, uint64_t seed)
-    : Transport(seed), link_(link), endpoints_(node_count) {
+    : Transport(seed), link_(link), node_count_(node_count) {
   retry_ = retry;
 }
 
 void SimNetwork::CrashAt(uint32_t node, uint64_t at_us) {
-  endpoints_[node].crash_at_us =
-      std::min(endpoints_[node].crash_at_us, at_us);
+  if (crash_at_us_.empty()) crash_at_us_.assign(node_count_, UINT64_MAX);
+  crash_at_us_[node] = std::min(crash_at_us_[node], at_us);
   if (trace_ != nullptr) {
     obs::Event e;
     e.t_us = at_us;
@@ -39,15 +38,8 @@ void SimNetwork::FinalizeTrace() {
                static_cast<uint64_t>(in_flight_.size()));
 }
 
-void SimNetwork::Restart() {
-  assert(in_flight_.empty());
-  RestartCounters();
-  now_us_ = 0;
-  next_seq_ = 0;
-}
-
 bool SimNetwork::IsUp(uint32_t node, uint64_t at_us) const {
-  return at_us < endpoints_[node].crash_at_us;
+  return crash_at_us_.empty() || at_us < crash_at_us_[node];
 }
 
 uint64_t SimNetwork::SampleLatencyUs() {
@@ -127,7 +119,7 @@ std::optional<uint64_t> SimNetwork::Transmit(
 
 std::optional<std::vector<uint8_t>> SimNetwork::AdvanceTo(
     uint64_t at_us, std::optional<uint64_t> awaited) {
-  std::optional<std::vector<uint8_t>> reply;
+  std::optional<std::vector<uint8_t>> payload;
   while (!in_flight_.empty() && in_flight_.front().at_us <= at_us) {
     std::pop_heap(in_flight_.begin(), in_flight_.end(), Later{});
     Delivery d = std::move(in_flight_.back());
@@ -141,10 +133,14 @@ std::optional<std::vector<uint8_t>> SimNetwork::AdvanceTo(
       continue;
     }
     RecordDeliver(d.at_us, d.from, d.to, d.rpc, d.seq);
-    ++endpoints_[d.to].unread;
-    if (d.seq == awaited) reply = std::move(d.payload);
+    if (d.seq == awaited) {
+      payload = std::move(d.payload);
+    } else {
+      ++stats_.late_replies;
+      if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kLateReplies);
+    }
   }
-  return reply;
+  return payload;
 }
 
 std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
@@ -152,14 +148,13 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     const std::vector<uint8_t>& request, const Handler& handler) {
   const uint64_t deadline = now_us_ + retry_.timeout_us;
   std::optional<uint64_t> reply_at;
+  uint64_t req_seq = 0;
   uint64_t reply_seq = 0;
   std::optional<uint64_t> req_at =
-      Transmit(client, server, rpc, request, now_us_, nullptr);
+      Transmit(client, server, rpc, request, now_us_, &req_seq);
   if (req_at.has_value() && !StepCrash(server, *req_at)) {
-    // The server reads the request at arrival, with everything else it
-    // was sent...
-    AdvanceTo(*req_at);
-    endpoints_[server].unread = 0;
+    // The server reads the request at arrival...
+    AdvanceTo(*req_at, req_seq);
     // ...handles it (idempotent; retransmissions re-invoke it), and
     // replies after its processing delay. The clock tracks the handling
     // instant so dispatch hooks see the arrival time; both exits below
@@ -180,17 +175,7 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     return std::nullopt;
   }
   now_us_ = *reply_at;
-  // Take the matching reply; anything else the client was sent since it
-  // last called or served is a stale reply from an abandoned attempt or
-  // parallel branch.
-  std::optional<std::vector<uint8_t>> reply = AdvanceTo(now_us_, reply_seq);
-  uint64_t& unread = endpoints_[client].unread;
-  stats_.late_replies += unread - 1;
-  if (metrics_ != nullptr) {
-    metrics_->Inc(obs::Counter::kLateReplies, unread - 1);
-  }
-  unread = 0;
-  return reply;
+  return AdvanceTo(now_us_, reply_seq);
 }
 
 std::vector<SimNetwork::RpcResult> SimNetwork::CallBatch(

@@ -1,12 +1,13 @@
 // SimNetwork: a deterministic discrete-event message layer — the
 // simulation implementation of net::Transport.
 //
-// Per-node endpoints (a crash schedule and a count of unread
-// deliveries), a virtual clock in microseconds, a seeded latency
-// distribution (base + exponential jitter per transmission), per-link
-// drop probability, and node-crash schedules (explicit CrashAt, or a
-// per-request crash coin — the paper's §3.6 "Failures and
-// disconnections"). It supplies one attempt of an RPC
+// A virtual clock in microseconds, an event queue of in-flight
+// messages, a seeded latency distribution (base + exponential jitter
+// per transmission), per-link drop probability, and node-crash
+// schedules (explicit CrashAt, or a per-request crash coin — the
+// paper's §3.6 "Failures and disconnections"). It keeps no per-node
+// state until a node is scheduled to crash, so building one costs the
+// same at any node count. It supplies one attempt of an RPC
 // and the virtual wait before a retry; Transport::Call runs the RPC
 // state machine over them — per-call timeouts with bounded retries and
 // exponential backoff plus deterministic jitter — so a slow or dropped
@@ -17,9 +18,10 @@
 // step-crash, backoff jitter) draws from the transport's single Rng,
 // and the protocol drivers issue calls in a fixed order, so a
 // SimNetwork seeded identically replays the exact same trace. Parallel
-// experiment harnesses give each trial its OWN SimNetwork, or restart
-// a worker's ideal one at each TrialRunner shard (sim/experiment.h); a
-// SimNetwork must never be shared across threads.
+// experiment harnesses give each trial its OWN SimNetwork, or build a
+// new protocol object, and with it a new ideal one, at each
+// TrialRunner shard (sim/experiment.h); a SimNetwork must never be
+// shared across threads.
 //
 // The cost model (net/cost.h) keeps counting the *logical* protocol
 // messages of the paper's figures; SimNetwork's Stats count transport
@@ -72,12 +74,11 @@ class SimNetwork : public Transport {
 
   uint64_t now_us() const override { return now_us_; }
   const LinkModel& link() const { return link_; }
-  uint32_t node_count() const {
-    return static_cast<uint32_t>(endpoints_.size());
-  }
+  uint32_t node_count() const { return node_count_; }
 
   // Schedules `node` to crash (become permanently unreachable) at
-  // `at_us` on the virtual clock.
+  // `at_us` on the virtual clock. The first call sizes the crash
+  // schedule to the node count.
   void CrashAt(uint32_t node, uint64_t at_us);
 
   // Per-step crash probability: every time a request reaches a live
@@ -87,13 +88,6 @@ class SimNetwork : public Transport {
   void set_step_crash_probability(double p) { step_crash_probability_ = p; }
 
   bool IsUp(uint32_t node, uint64_t at_us) const;
-
-  // Returns an idle network to the state of a fresh one built with the
-  // same arguments: virtual clock, message and RPC numbering, Rng and
-  // Stats, in O(1) where a fresh one allocates N endpoints. Idle means
-  // nothing in flight and no node crashed, which holds for the ideal
-  // link between calls. Observers and handlers stay attached.
-  void Restart();
 
   // Attaches an observability recorder: the network binds it to its
   // virtual clock, stamps its meta (node count, retry budget) and emits
@@ -157,12 +151,6 @@ class SimNetwork : public Transport {
     uint64_t rpc = 0;  // issuing RPC (trace attribution only)
     std::vector<uint8_t> payload;
   };
-  struct Endpoint {
-    uint64_t crash_at_us = UINT64_MAX;
-    // Deliveries since the node last called or served. Only an awaited
-    // reply's payload is ever read, so none is kept here (AdvanceTo).
-    uint64_t unread = 0;
-  };
   struct Later {
     bool operator()(const Delivery& a, const Delivery& b) const {
       // Min-heap on (time, seq): seq breaks ties deterministically.
@@ -183,9 +171,11 @@ class SimNetwork : public Transport {
                                    uint64_t depart_us, uint64_t* seq_out);
 
   // Delivers every in-flight message with delivery time <= `at_us`, in
-  // (time, seq) order: each adds one unread delivery at its destination.
-  // Returns the payload of message `awaited` (the reply an attempt
-  // waits for) if it is among them; every other payload is freed.
+  // (time, seq) order. Returns the payload of message `awaited` if it is
+  // among them: the running attempt's request on the server side, its
+  // reply on the client side. Every other delivery is a reply whose
+  // attempt has ended (a request is delivered only within its own
+  // attempt), so it counts as a late reply and its payload is freed.
   std::optional<std::vector<uint8_t>> AdvanceTo(
       uint64_t at_us, std::optional<uint64_t> awaited = std::nullopt);
 
@@ -195,7 +185,9 @@ class SimNetwork : public Transport {
   bool StepCrash(uint32_t node, uint64_t at_us);
 
   LinkModel link_;
-  std::vector<Endpoint> endpoints_;
+  uint32_t node_count_;
+  // Crash time per node; empty until the first CrashAt.
+  std::vector<uint64_t> crash_at_us_;
   // Binary heap managed with std::push_heap/pop_heap rather than a
   // std::priority_queue: priority_queue::top() is const, which forces a
   // deep copy of every payload on delivery; pop_heap lets AdvanceTo move

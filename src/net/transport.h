@@ -244,18 +244,7 @@ class Transport {
   // `seed` seeds the transport's Rng; RPC ids count up from
   // `rpc_id_base` + 1.
   explicit Transport(uint64_t seed = 0, uint64_t rpc_id_base = 0)
-      : rng_(seed),
-        seed_(seed),
-        rpc_id_base_(rpc_id_base),
-        next_rpc_id_(rpc_id_base) {}
-
-  // Returns the RPC numbering, the Rng and the Stats to their state at
-  // construction (SimNetwork::Restart).
-  void RestartCounters() {
-    stats_ = {};
-    rng_ = util::Rng(seed_);
-    next_rpc_id_ = rpc_id_base_;
-  }
+      : rng_(seed), next_rpc_id_(rpc_id_base) {}
 
   // One attempt of RPC `rpc`: delivers `request` to `server` and returns
   // the reply, or nullopt when none arrives in time (lost, refused, or
@@ -298,8 +287,6 @@ class Transport {
   std::mutex* obs_mu_ = nullptr;
 
  private:
-  uint64_t seed_;
-  uint64_t rpc_id_base_;
   // Advances under the obs lock whether or not tracing is on (and never
   // from the Rng), so traced and untraced runs stay bit-identical.
   uint64_t next_rpc_id_;

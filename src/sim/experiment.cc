@@ -32,16 +32,15 @@ constexpr uint64_t kAppTrialSalt = 0xa9905a17;
 constexpr uint64_t kAppNetSalt = 0xa9905e7a;
 
 // One SEP2P selection from a random trigger, as the cache and actor
-// sweeps run it. `strategy` is the trial's worker's: made by the
-// worker's first trial and restarted by each shard's first.
+// sweeps run it. `strategy` is the trial's worker's, made anew by each
+// shard's first trial.
 Result<strategies::StrategyOutcome> RunSep2p(
     const core::ProtocolContext& ctx, const SweepTrial& trial,
     std::unique_ptr<strategies::Sep2pStrategy>& strategy) {
-  if (strategy == nullptr) {
+  if (trial.first_in_shard()) {
     strategy = std::make_unique<strategies::Sep2pStrategy>(
         ctx, strategies::AdversaryConfig::Passive());
   }
-  if (trial.first_in_shard()) strategy->RestartIdealTransport();
   strategy->set_observers(trial.trace, trial.metrics);
   uint32_t trigger =
       static_cast<uint32_t>(trial.rng.NextUint64(ctx.directory->size()));
@@ -141,10 +140,6 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
       for (Worker& w : workers) {
         w.ctx = net.context();
         w.ctx.colluders = &w.colluders;
-        w.strategy = strategies::MakeStrategy(name, w.ctx, adversary);
-        if (w.strategy == nullptr) {
-          return Status::InvalidArgument("unknown strategy: " + name);
-        }
       }
 
       // One slot per trial: each trial writes only its own slot, and the
@@ -174,7 +169,10 @@ Result<std::vector<StrategyPoint>> RunStrategyComparison(
                   colluder_seed, static_cast<uint64_t>(trial.shard)));
               w.colluders = strategies::SampleColluders(
                   net.directory(), params.c(), colluder_rng);
-              w.strategy->RestartIdealTransport();
+              w.strategy = strategies::MakeStrategy(name, w.ctx, adversary);
+              if (w.strategy == nullptr) {
+                return Status::InvalidArgument("unknown strategy: " + name);
+              }
             }
             w.strategy->set_observers(trial.trace, trial.metrics);
             uint32_t trigger = static_cast<uint32_t>(
@@ -448,8 +446,8 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
   };
   TrialRunner runner(base.threads);
   std::vector<Shard> shards(TrialRunner::ShardCount(trials));
-  // One protocol object (and ideal transport) per worker, made by its
-  // first trial and restarted by each shard's first.
+  // One protocol object (and ideal transport) per worker, made anew by
+  // each shard's first trial.
   std::vector<std::unique_ptr<core::SelectionProtocol>> protocols(
       runner.threads());
   Status status = RunSweepPoint(
@@ -458,10 +456,9 @@ Result<ExhaustiveStats> RunExhaustiveSetters(
         Shard& sh = shards[trial.shard];
         std::unique_ptr<core::SelectionProtocol>& protocol =
             protocols[trial.worker];
-        if (protocol == nullptr) {
+        if (trial.first_in_shard()) {
           protocol = std::make_unique<core::SelectionProtocol>(ctx);
         }
-        if (trial.first_in_shard()) protocol->RestartIdealTransport();
         net::Transport& transport = protocol->ideal_transport();
         transport.set_trace(trial.trace);
         transport.set_metrics(trial.metrics);

@@ -72,13 +72,13 @@ struct SweepTrial {
 // pool; the error of the lowest failing trial wins.
 //
 // Protocol objects (strategies, scenarios, core::SelectionProtocol)
-// are not thread-safe and their ideal transport is costly to build, so
-// the harnesses keep them per worker, at most runner.threads() per
-// point. A worker runs many shards, and the shard's first trial returns
-// what it reuses to a fresh state: it restarts the ideal transport
-// (net::SimNetwork::Restart) and draws the shard's colluder placement
-// where the harness varies it. A trial then replays what it would on a
-// fresh object, whichever worker runs it and whatever ran there before.
+// are not thread-safe, so the harnesses keep them per worker. A worker
+// runs many shards, and each shard's first trial builds the worker's
+// protocol object anew (and with it a new ideal transport) and draws
+// the shard's colluder placement where the harness varies it. A trial
+// then replays what it would on any worker, whatever ran there before.
+// The object lives for the shard, not the trial: a shard's later trials
+// continue its ideal transport's RPC numbering and Rng.
 Status RunSweepPoint(TrialRunner& runner, const SweepObservers* observers,
                      size_t point, int trials, uint64_t seed,
                      const std::function<Status(const SweepTrial&)>& body);

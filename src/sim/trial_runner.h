@@ -20,8 +20,8 @@
 //   * shared simulator state (Network, Directory): read-only while
 //     trials run. What varies per shard, such as a colluder placement,
 //     is per-worker state that each shard sets up on its first trial
-//     (sim/experiment.h), together with a restart of the worker's
-//     reused protocol objects;
+//     (sim/experiment.h), where it also builds the worker's protocol
+//     objects anew;
 //   * errors: the failing trial with the lowest index wins, matching
 //     what a serial loop would have reported first.
 

@@ -27,9 +27,6 @@ class EsStrategyBase : public Strategy {
   using Strategy::Strategy;
   Result<StrategyOutcome> Run(uint32_t trigger_index,
                               util::Rng& rng) override;
-  void RestartIdealTransport() const override {
-    vrand_.RestartIdealTransport();
-  }
 
  protected:
   // True for ES.AV: actors must be genuine PDMSs.

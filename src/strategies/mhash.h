@@ -22,9 +22,6 @@ class MHashStrategy : public Strategy {
   const char* name() const override { return "M.Hash"; }
   Result<StrategyOutcome> Run(uint32_t trigger_index,
                               util::Rng& rng) override;
-  void RestartIdealTransport() const override {
-    vrand_.RestartIdealTransport();
-  }
 
  private:
   core::VrandProtocol vrand_{ctx_};

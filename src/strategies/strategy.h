@@ -50,11 +50,6 @@ class Strategy {
   virtual void set_observers(obs::TraceRecorder* /*trace*/,
                              obs::MetricsRegistry* /*metrics*/) {}
 
-  // Returns the strategy's ideal transport, if it has one, to the state
-  // of a fresh one (core::VrandProtocol::RestartIdealTransport), so a
-  // reused strategy replays what a new one would.
-  virtual void RestartIdealTransport() const {}
-
  protected:
   // Counts colluders among `actors`.
   int CountCorrupted(const std::vector<uint32_t>& actors) const;
@@ -74,9 +69,6 @@ class Sep2pStrategy : public Strategy {
                               util::Rng& rng) override;
   void set_observers(obs::TraceRecorder* trace,
                      obs::MetricsRegistry* metrics) override;
-  void RestartIdealTransport() const override {
-    protocol_.RestartIdealTransport();
-  }
 
  private:
   core::SelectionProtocol protocol_;

@@ -45,11 +45,11 @@ uint64_t FirstRpc(const obs::Trace& trace) {
 }
 
 // At one thread every shard runs on worker slot 0, so trial 16, the
-// first trial of shard 1, reuses the protocol objects that ran shard 0.
-// A transport restarted at the shard numbers its first RPC as trial 0
-// does; one that was not continues from where shard 0 left off. This
-// holds however the threads are scheduled.
-void ExpectShardOneRestarts(const std::vector<obs::TraceRecorder>& serial) {
+// first trial of shard 1, runs where shard 0 ran. A protocol object
+// built anew at the shard numbers its first RPC as trial 0 does; one
+// kept from shard 0 continues from where shard 0 left off. This holds
+// however the threads are scheduled.
+void ExpectShardOneStartsFresh(const std::vector<obs::TraceRecorder>& serial) {
   ASSERT_GT(serial.size(), 16u);
   const uint64_t first = FirstRpc(serial[0].trace());
   EXPECT_NE(first, 0u);
@@ -254,8 +254,8 @@ TEST(TrialRunnerTest, CacheSweepBitIdenticalAcrossThreadCounts) {
 }
 
 // Every worker of the exhaustive sweep owns a selection protocol object,
-// whose ideal transport carries the running shard's metrics registry
-// and the traced trials' recorders, and restarts at each shard. Under
+// built anew at each shard, whose ideal transport carries the running
+// shard's metrics registry and the traced trials' recorders. Under
 // heavy threading (the TSan build runs the 'TrialRunner' filter) the
 // observed sweep must stay race-free, and its metrics snapshot and the
 // traces of 20 trials (past the first shard) must equal a serial run's
@@ -272,7 +272,7 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
     auto stats =
         RunExhaustiveSetters(SmallNet(threads), /*sample=*/96, &observers);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    if (threads == 1) ExpectShardOneRestarts(recorders);
+    if (threads == 1) ExpectShardOneStartsFresh(recorders);
     *metrics_json = metrics.ToJson();
     for (const obs::TraceRecorder& rec : recorders) {
       *traces += obs::ToJsonl(rec.trace());
@@ -292,10 +292,10 @@ TEST(TrialRunnerTest, PerShardIdealTransportsAreThreadConfined) {
 // Each sweep has two points of 20 trials (two shards, each with its own
 // colluder placement where the harness varies it), so the shard
 // registries fold across shards and points, and every trial of the
-// first point is traced: a reused protocol object that did not restart
-// at the second shard would number its RPCs by what its worker ran
-// before. The serial run checks that directly (ExpectShardOneRestarts),
-// so a forgotten restart fails whatever the parallel run's scheduling.
+// first point is traced: a protocol object kept past the first shard
+// would number its RPCs by what its worker ran before. The serial run
+// checks that directly (ExpectShardOneStartsFresh), so an object kept
+// too long fails whatever the parallel run's scheduling.
 TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
   using Sweep =
       std::function<Status(const Parameters&, const SweepObservers*)>;
@@ -344,7 +344,7 @@ TEST(TrialRunnerTest, EveryObservedSweepIsThreadInvariant) {
       Status status = sweep(SmallNet(threads[i]), &observers);
       ASSERT_TRUE(status.ok()) << status.ToString();
       ASSERT_EQ(recorders.size(), 20u);
-      if (threads[i] == 1) ExpectShardOneRestarts(recorders);
+      if (threads[i] == 1) ExpectShardOneStartsFresh(recorders);
       metrics_json[i] = metrics.ToJson();
       for (const obs::TraceRecorder& rec : recorders) {
         traces[i] += obs::ToJsonl(rec.trace());
