@@ -273,7 +273,7 @@ Result<QueryApp::QueryResult> QueryApp::Execute(uint32_t querier_index,
       for (int attempt = 0; attempt < kProxyRetries; ++attempt) {
         Result<ProxyDelivery> delivery =
             ForwardViaProxy(*runtime_, *network_, target, da_pub, payload,
-                            rng, contribution_id);
+                            rng, /*relays=*/1, contribution_id);
         if (!delivery.ok()) return delivery.status();
         if (!delivery->relayed) continue;  // dead proxy: draw another
         result.senders_seen_by_proxies.push_back(target);

@@ -65,10 +65,9 @@ TEST_F(AppCostParityTest, ProxyDeliveryCostsTwoMessages) {
 
 TEST_F(AppCostParityTest, ProxyChainCostsChainPlusOneMessages) {
   test::ServeProxyDeliveries(*simnet_);
-  auto delivery = ForwardViaProxyChain(*runtime_, *network_, 3,
-                                       network_->directory().pub(7),
-                                       {1, 2, 3},
-                                       /*chain_length=*/3, rng_);
+  auto delivery = ForwardViaProxy(*runtime_, *network_, 3,
+                                  network_->directory().pub(7), {1, 2, 3},
+                                  rng_, /*relays=*/3);
   ASSERT_TRUE(delivery.ok());
   EXPECT_TRUE(delivery->delivered_ok);
   EXPECT_DOUBLE_EQ(delivery->cost.msg_work, 4.0);

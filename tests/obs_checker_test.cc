@@ -346,9 +346,9 @@ TEST(TracedAppsTest, ProxyAndChainTraceSatisfiesInvariants) {
   auto one = apps::ForwardViaProxy(runtime, *network, /*sender=*/7,
                                    recipient_pub, {1, 2, 3}, rng);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  auto chain = apps::ForwardViaProxyChain(runtime, *network, /*sender=*/7,
-                                          recipient_pub, {4, 5},
-                                          /*chain_length=*/3, rng);
+  auto chain = apps::ForwardViaProxy(runtime, *network, /*sender=*/7,
+                                     recipient_pub, {4, 5}, rng,
+                                     /*relays=*/3);
   ASSERT_TRUE(chain.ok()) << chain.status().ToString();
   simnet.FinalizeTrace();
 

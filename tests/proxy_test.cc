@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "core/messages.h"
+#include "obs/trace.h"
 #include "tests/test_util.h"
 
 namespace sep2p::apps {
@@ -67,11 +72,47 @@ TEST(SealedMessageTest, MultiBlockPayloadRoundTrips) {
   EXPECT_EQ(*opened, payload);
 }
 
+// What one relay was handed.
+struct Handed {
+  uint32_t relay = 0;
+  core::msg::ProxyRelay message;
+};
+
+// Serves proxied deliveries (test::ServeProxyDeliveries) with a relay
+// that also appends what it is handed to `handed`.
+void ServeRecordingRelays(net::Transport& transport,
+                          std::vector<Handed>* handed) {
+  test::ServeProxyDeliveries(transport);
+  transport.Register(
+      core::msg::kTagProxyRelay,
+      [handed](uint32_t relay, const std::vector<uint8_t>& request)
+          -> std::optional<std::vector<uint8_t>> {
+        auto message = core::msg::Decode<core::msg::ProxyRelay>(request);
+        if (!message.ok()) return std::nullopt;
+        handed->push_back({relay, *message});
+        return core::msg::Encode(core::msg::AppAck{});
+      });
+}
+
+using Calls = std::vector<std::pair<uint32_t, uint32_t>>;
+
+// The (client, server) pair of every RPC a trace records, in order.
+Calls CallsIn(const obs::Trace& trace) {
+  Calls calls;
+  for (const obs::Event& e : trace.events) {
+    if (e.kind == obs::EventKind::kRpcBegin) calls.emplace_back(e.node, e.peer);
+  }
+  return calls;
+}
+
 TEST(ProxyTest, DeliveryEnforcesKnowledgeSeparation) {
   auto network = test::MakeNetwork(500, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(500);
-  test::ServeProxyDeliveries(simnet);
+  std::vector<Handed> handed;
+  ServeRecordingRelays(simnet, &handed);
+  obs::TraceRecorder rec;
+  simnet.set_trace(&rec);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(6);
   const crypto::PublicKey recipient_pub = network->directory().pub(33);
@@ -80,12 +121,23 @@ TEST(ProxyTest, DeliveryEnforcesKnowledgeSeparation) {
   ASSERT_TRUE(delivery.ok()) << delivery.status().ToString();
   EXPECT_TRUE(delivery->relayed);
   EXPECT_TRUE(delivery->delivered_ok);
-  EXPECT_TRUE(delivery->proxy_saw_sender);
-  EXPECT_FALSE(delivery->proxy_saw_payload);
-  EXPECT_FALSE(delivery->recipient_saw_sender);
-  EXPECT_NE(delivery->proxy_index, 7u);
-  EXPECT_NE(delivery->proxy_index, 33u);
+  ASSERT_EQ(delivery->chain.size(), 1u);
+  const uint32_t proxy = delivery->chain[0];
+  EXPECT_NE(proxy, 7u);
+  EXPECT_NE(proxy, 33u);
   EXPECT_DOUBLE_EQ(delivery->cost.msg_work, 2.0);
+
+  // The proxy hears from the sender, the recipient only from the
+  // proxy...
+  EXPECT_EQ(CallsIn(rec.trace()), (Calls{{7, proxy}, {proxy, 33}}));
+  // ...and the proxy is handed the recipient and a payload it cannot
+  // open.
+  ASSERT_EQ(handed.size(), 1u);
+  EXPECT_EQ(handed[0].relay, proxy);
+  EXPECT_EQ(handed[0].message.recipient_index, 33u);
+  EXPECT_FALSE(crypto::OpenSealed(network->provider(), handed[0].message.sealed,
+                                  network->directory().priv(proxy))
+                   .ok());
 
   // Only the recipient opens the payload.
   auto opened = crypto::OpenSealed(network->provider(), delivery->delivered,
@@ -112,7 +164,7 @@ TEST(ProxyTest, BothPartiesColludingIsRare) {
     auto delivery = ForwardViaProxy(runtime, *network, 7,
                                     dir.pub(recipient_index), {1}, rng);
     ASSERT_TRUE(delivery.ok());
-    if (network->colluders().contains(delivery->proxy_index) &&
+    if (network->colluders().contains(delivery->chain[0]) &&
         network->colluders().contains(recipient_index)) {
       ++both_colluding;
     }
@@ -161,9 +213,10 @@ TEST(ProxyChainTest, ChainHasDistinctRelaysExcludingEndpoints) {
   node::AppRuntime runtime(&simnet);
   util::Rng rng(21);
   const crypto::PublicKey recipient_pub = network->directory().pub(50);
-  auto delivery = ForwardViaProxyChain(runtime, *network, 7, recipient_pub,
-                                       {1, 2, 3}, /*chain_length=*/4, rng);
+  auto delivery = ForwardViaProxy(runtime, *network, 7, recipient_pub,
+                                  {1, 2, 3}, rng, /*relays=*/4);
   ASSERT_TRUE(delivery.ok()) << delivery.status().ToString();
+  EXPECT_TRUE(delivery->relayed);
   EXPECT_TRUE(delivery->delivered_ok);
   EXPECT_EQ(delivery->chain.size(), 4u);
   std::set<uint32_t> unique(delivery->chain.begin(),
@@ -178,37 +231,53 @@ TEST(ProxyChainTest, OnlyEndsOfChainSeeEndpoints) {
   auto network = test::MakeNetwork(300, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(300);
-  test::ServeProxyDeliveries(simnet);
+  std::vector<Handed> handed;
+  ServeRecordingRelays(simnet, &handed);
+  obs::TraceRecorder rec;
+  simnet.set_trace(&rec);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(23);
   const crypto::PublicKey recipient_pub = network->directory().pub(9);
-  auto delivery = ForwardViaProxyChain(runtime, *network, 4, recipient_pub,
-                                       {8}, 3, rng);
+  auto delivery = ForwardViaProxy(runtime, *network, 4, recipient_pub, {8},
+                                  rng, /*relays=*/3);
   ASSERT_TRUE(delivery.ok());
-  EXPECT_TRUE(delivery->relay_saw_sender[0]);
-  EXPECT_FALSE(delivery->relay_saw_sender[1]);
-  EXPECT_FALSE(delivery->relay_saw_sender[2]);
-  EXPECT_FALSE(delivery->relay_saw_recipient[0]);
-  EXPECT_FALSE(delivery->relay_saw_recipient[1]);
-  EXPECT_TRUE(delivery->relay_saw_recipient[2]);
+  const std::vector<uint32_t>& chain = delivery->chain;
+  ASSERT_EQ(chain.size(), 3u);
+  // Only the first relay hears from the sender, and the recipient hears
+  // only from the last...
+  EXPECT_EQ(CallsIn(rec.trace()), (Calls{{4, chain[0]},
+                                         {chain[0], chain[1]},
+                                         {chain[1], chain[2]},
+                                         {chain[2], 9}}));
+  // ...which alone is handed the recipient as its next hop.
+  ASSERT_EQ(handed.size(), 3u);
+  for (size_t i = 0; i < handed.size(); ++i) {
+    EXPECT_EQ(handed[i].relay, chain[i]);
+    EXPECT_EQ(handed[i].message.recipient_index,
+              i + 1 < chain.size() ? chain[i + 1] : 9u);
+  }
 }
 
 TEST(ProxyChainTest, PayloadStaysSealedAcrossChain) {
   auto network = test::MakeNetwork(300, 0.01);
   ASSERT_NE(network, nullptr);
   net::SimNetwork simnet = test::MakeZeroFaultSimNet(300);
-  test::ServeProxyDeliveries(simnet);
+  std::vector<Handed> handed;
+  ServeRecordingRelays(simnet, &handed);
   node::AppRuntime runtime(&simnet);
   util::Rng rng(25);
   const crypto::PublicKey recipient_pub = network->directory().pub(11);
   std::vector<uint8_t> payload{9, 8, 7, 6};
-  auto delivery = ForwardViaProxyChain(runtime, *network, 4, recipient_pub,
-                                       payload, 2, rng);
+  auto delivery = ForwardViaProxy(runtime, *network, 4, recipient_pub,
+                                  payload, rng, /*relays=*/2);
   ASSERT_TRUE(delivery.ok());
-  // A relay cannot open it...
-  EXPECT_FALSE(crypto::OpenSealed(network->provider(), delivery->delivered,
-                          network->directory().priv(delivery->chain[0]))
-                   .ok());
+  // No relay can open what it was handed...
+  ASSERT_EQ(handed.size(), 2u);
+  for (const Handed& h : handed) {
+    EXPECT_FALSE(crypto::OpenSealed(network->provider(), h.message.sealed,
+                                    network->directory().priv(h.relay))
+                     .ok());
+  }
   // ...the recipient can.
   auto opened = crypto::OpenSealed(network->provider(), delivery->delivered,
                            network->directory().priv(11));
@@ -223,12 +292,12 @@ TEST(ProxyChainTest, DegenerateParametersRejected) {
   node::AppRuntime runtime(&simnet);
   util::Rng rng(27);
   const crypto::PublicKey recipient_pub = network->directory().pub(5);
-  EXPECT_FALSE(
-      ForwardViaProxyChain(runtime, *network, 1, recipient_pub, {1}, 0, rng)
-          .ok());
-  EXPECT_FALSE(
-      ForwardViaProxyChain(runtime, *network, 1, recipient_pub, {1}, 64, rng)
-          .ok());
+  EXPECT_FALSE(ForwardViaProxy(runtime, *network, 1, recipient_pub, {1}, rng,
+                               /*relays=*/0)
+                   .ok());
+  EXPECT_FALSE(ForwardViaProxy(runtime, *network, 1, recipient_pub, {1}, rng,
+                               /*relays=*/64)
+                   .ok());
 }
 
 }  // namespace
