@@ -56,6 +56,15 @@ TEST(AdversarySweepTest, AdversarySweepIsThreadInvariant) {
   EXPECT_EQ(single, digests(4));
 }
 
+// A scenario is built where a shard starts, so the unknown name is
+// reported from there, as the sweep's error.
+TEST(AdversarySweepTest, UnknownScenarioIsInvalidArgument) {
+  auto points = attack::RunAdversarySweep(
+      SweepParams(), {"none", "no-such-scenario"}, /*trials=*/1);
+  ASSERT_FALSE(points.ok());
+  EXPECT_EQ(points.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ------------------------------------------- colluder-sampling parity
 
 // The live network's placement and the closed-form adversary model must

@@ -56,6 +56,16 @@ TEST(ExperimentTest, Figure45ShapeSep2pPaysSetupMHashPaysMessages) {
   EXPECT_LT(sep2p.setup_crypto_latency, sep2p.setup_crypto_work);
 }
 
+// A strategy is built where a shard starts, so the unknown name is
+// reported from there, as the sweep's error.
+TEST(ExperimentTest, UnknownStrategyIsInvalidArgument) {
+  auto points = RunStrategyComparison(SmallNet(), {0.01},
+                                      {"SEP2P", "no-such-strategy"},
+                                      /*trials=*/1);
+  ASSERT_FALSE(points.ok());
+  EXPECT_EQ(points.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExperimentTest, Figure6KGrowsWithColluderFractionNotN) {
   KCurvePoint small = ComputeAverageK(10000, 0.01, 1e-6, 3000, 1);
   KCurvePoint large = ComputeAverageK(10000000, 0.01, 1e-6, 3000, 1);
