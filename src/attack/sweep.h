@@ -11,7 +11,7 @@
 // through sim::RunSweepPoint with per-trial SplitMix64 streams from a
 // sweep-private salt family, a colluder placement per kShardSize-trial
 // shard drawn by the SAME strategies::SampleColluders rule the
-// closed-form model uses, scenarios kept per worker and restarted per
+// closed-form model uses, a scenario per worker built anew at each
 // shard, slot-per-trial results folded in trial order, and a per-point
 // FNV-1a digest over every trial's outcome fields — bit-identical for
 // any --threads value, which bench/ablation_adversary audits.
