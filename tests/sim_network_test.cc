@@ -242,6 +242,36 @@ TEST(SimNetworkTest, LateRepliesAreCountedWhereTheyLand) {
   EXPECT_EQ(late_replies(2, 3), 1u);  // (b)
 }
 
+// A reply whose caller crashed while it was in flight is dropped where
+// it lands, not counted late. Node 0's first call times out at 15 ms
+// and its reply (seq 1) lands at 21 ms, after 0 crashed at 18 ms; the
+// next call delivers the queue up to its request's arrival at 25 ms.
+TEST(SimNetworkTest, LateReplyToACrashedClientIsDropped) {
+  RetryPolicy retry = ExactRetry();
+  retry.timeout_us = 15'000;
+  retry.max_attempts = 1;
+  SimNetwork net(4, ExactLink(), retry, /*seed=*/13);
+  obs::TraceRecorder rec;
+  net.set_trace(&rec);
+  EXPECT_FALSE(net.Call(0, 1, {0x01}, Echo()).ok);
+  net.CrashAt(0, 18'000);
+  EXPECT_FALSE(net.Call(2, 3, {0x02}, Echo()).ok);
+  EXPECT_EQ(net.stats().late_replies, 0u);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
+  // Both requests; the second reply is in flight.
+  EXPECT_EQ(net.stats().messages_delivered, 2u);
+  std::vector<obs::Event> drops;
+  for (const obs::Event& e : rec.trace().events) {
+    if (e.kind == obs::EventKind::kDrop) drops.push_back(e);
+  }
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].t_us, 21'000u);
+  EXPECT_EQ(drops[0].node, 1u);
+  EXPECT_EQ(drops[0].peer, 0u);
+  EXPECT_EQ(drops[0].seq, 1u);
+  EXPECT_EQ(drops[0].detail, "dead-dest");
+}
+
 // ------------------------------------------------------------ messages
 
 TEST(MessagesTest, PlainMessagesRoundTrip) {
