@@ -86,61 +86,53 @@ void SimNetwork::AdvanceRoute(int hops) {
   }
 }
 
-std::optional<uint64_t> SimNetwork::Transmit(
-    uint32_t from, uint32_t to, uint64_t rpc, std::vector<uint8_t> payload,
-    uint64_t depart_us, uint64_t* seq_out) {
+std::optional<uint64_t> SimNetwork::Transmit(uint32_t from, uint32_t to,
+                                             uint64_t rpc, size_t bytes,
+                                             uint64_t depart_us,
+                                             uint64_t* seq_out) {
   // Every transmission gets a seq — including ones the link then drops —
   // so trace events identify the message uniquely. next_seq_ never feeds
   // the Rng, so the numbering scheme cannot perturb results.
   const uint64_t seq = next_seq_++;
-  RecordSend(depart_us, from, to, rpc, seq, payload.size());
+  *seq_out = seq;
+  RecordSend(depart_us, from, to, rpc, seq, bytes);
   if (link_.drop_probability > 0 && rng_.NextBool(link_.drop_probability)) {
     RecordDrop(depart_us, from, to, rpc, seq, "link");
     return std::nullopt;
   }
   const uint64_t at_us = depart_us + SampleLatencyUs();
   if (!IsUp(to, at_us)) {
-    // Destination dead on arrival: the bytes evaporate like a drop.
+    // Destination dead on arrival: the message evaporates like a drop.
     RecordDrop(at_us, from, to, rpc, seq, "dead-dest");
     return std::nullopt;
   }
-  Delivery d;
-  d.at_us = at_us;
-  d.seq = seq;
-  d.from = from;
-  d.to = to;
-  d.rpc = rpc;
-  d.payload = std::move(payload);
-  if (seq_out != nullptr) *seq_out = d.seq;
-  in_flight_.push_back(std::move(d));
-  std::push_heap(in_flight_.begin(), in_flight_.end(), Later{});
+  in_flight_.push(
+      {.at_us = at_us, .seq = seq, .from = from, .to = to, .rpc = rpc});
   return at_us;
 }
 
-std::optional<std::vector<uint8_t>> SimNetwork::AdvanceTo(
-    uint64_t at_us, std::optional<uint64_t> awaited) {
-  std::optional<std::vector<uint8_t>> payload;
-  while (!in_flight_.empty() && in_flight_.front().at_us <= at_us) {
-    std::pop_heap(in_flight_.begin(), in_flight_.end(), Later{});
-    Delivery d = std::move(in_flight_.back());
-    in_flight_.pop_back();
+bool SimNetwork::AdvanceTo(uint64_t at_us, std::optional<uint64_t> awaited) {
+  bool delivered = false;
+  while (!in_flight_.empty() && in_flight_.top().at_us <= at_us) {
+    const Delivery d = in_flight_.top();
+    in_flight_.pop();
     if (!IsUp(d.to, d.at_us)) {
       // The destination crashed while the message was in flight (a step
       // crash recorded after the transmission passed its liveness
-      // check): the bytes evaporate like a drop instead of reaching a
+      // check): the message evaporates like a drop instead of reaching a
       // dead node.
       RecordDrop(d.at_us, d.from, d.to, d.rpc, d.seq, "dead-dest");
       continue;
     }
     RecordDeliver(d.at_us, d.from, d.to, d.rpc, d.seq);
     if (d.seq == awaited) {
-      payload = std::move(d.payload);
+      delivered = true;
     } else {
       ++stats_.late_replies;
       if (metrics_ != nullptr) metrics_->Inc(obs::Counter::kLateReplies);
     }
   }
-  return payload;
+  return delivered;
 }
 
 std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
@@ -148,10 +140,11 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     const std::vector<uint8_t>& request, const Handler& handler) {
   const uint64_t deadline = now_us_ + retry_.timeout_us;
   std::optional<uint64_t> reply_at;
+  std::optional<std::vector<uint8_t>> reply;
   uint64_t req_seq = 0;
   uint64_t reply_seq = 0;
   std::optional<uint64_t> req_at =
-      Transmit(client, server, rpc, request, now_us_, &req_seq);
+      Transmit(client, server, rpc, request.size(), now_us_, &req_seq);
   if (req_at.has_value() && !StepCrash(server, *req_at)) {
     // The server reads the request at arrival...
     AdvanceTo(*req_at, req_seq);
@@ -161,12 +154,9 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     // overwrite it, and nothing the handler may do reads it, so this is
     // invisible outside tracing.
     now_us_ = *req_at;
-    std::optional<std::vector<uint8_t>> reply =
-        handler ? handler(server, request) : Dispatch(server, request);
+    reply = handler ? handler(server, request) : Dispatch(server, request);
     if (reply.has_value()) {
-      // The reply buffer is dead after this point: move it into the
-      // event queue instead of copying.
-      reply_at = Transmit(server, client, rpc, std::move(*reply),
+      reply_at = Transmit(server, client, rpc, reply->size(),
                           *req_at + link_.process_us, &reply_seq);
     }
   }
@@ -175,7 +165,8 @@ std::optional<std::vector<uint8_t>> SimNetwork::Attempt(
     return std::nullopt;
   }
   now_us_ = *reply_at;
-  return AdvanceTo(now_us_, reply_seq);
+  if (!AdvanceTo(now_us_, reply_seq)) return std::nullopt;
+  return reply;
 }
 
 std::vector<SimNetwork::RpcResult> SimNetwork::CallBatch(
