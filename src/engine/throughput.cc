@@ -57,7 +57,7 @@ uint64_t Percentile(std::vector<uint64_t>& sample, double p) {
 }  // namespace
 
 ThroughputEngine::ThroughputEngine(sim::Network* world,
-                                   net::Transport* net,
+                                   net::SimNetwork* net,
                                    node::AppRuntime* runtime,
                                    const Options& options)
     : world_(world), net_(net), runtime_(runtime), options_(options) {

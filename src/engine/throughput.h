@@ -1,4 +1,5 @@
-// ThroughputEngine: concurrent-task execution over one transport (net::Transport).
+// ThroughputEngine: concurrent-task execution over one simulated transport
+// (net::SimNetwork).
 //
 // The figures so far measure one protocol run at a time. A deployed
 // SEP2P network does not: triggers fire everywhere, so thousands of
@@ -16,10 +17,10 @@
 //    in-flight completion) once the window is full — so offered load
 //    beyond capacity turns into queue delay, never into drops;
 //  * concurrency on the virtual clock: the coordinator executes
-//    admitted tasks serially in admission order (a transport is
+//    admitted tasks serially in admission order (a SimNetwork is
 //    single-threaded by contract), but each task's execution is placed
-//    at its own admission instant via Transport::SetVirtualTime — the same
-//    virtual-parallel shape CallBatch gives the calls of one wave;
+//    at its own admission instant via SimNetwork::SetVirtualTime — the
+//    same virtual-parallel shape CallBatch gives the calls of one wave;
 //  * batched deferred verification: in kBatched mode the engine
 //    installs a crypto::BatchVerifier as the world's verify sink, so
 //    every certificate/signature check any task performs is coalesced
@@ -50,7 +51,7 @@
 #include "apps/query.h"
 #include "crypto/batch_verifier.h"
 #include "engine/mempool.h"
-#include "net/transport.h"
+#include "net/sim_network.h"
 #include "node/app_runtime.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
@@ -113,7 +114,7 @@ class ThroughputEngine {
   // installs (and on destruction removes) the world's verify sink in
   // kBatched mode. One engine per (world, net) — the engine owns the
   // virtual timeline.
-  ThroughputEngine(sim::Network* world, net::Transport* net,
+  ThroughputEngine(sim::Network* world, net::SimNetwork* net,
                    node::AppRuntime* runtime, const Options& options);
   ~ThroughputEngine();
 
@@ -165,7 +166,7 @@ class ThroughputEngine {
   void ResolveVerdicts();
 
   sim::Network* world_;
-  net::Transport* net_;
+  net::SimNetwork* net_;
   node::AppRuntime* runtime_;
   Options options_;
   TaskMempool mempool_;

@@ -196,7 +196,6 @@ Transport::QuorumResult Transport::EngageQuorum(
     const std::vector<uint8_t>& request, const Handler& handler) {
   QuorumResult q;
   if (static_cast<int>(candidates.size()) < k) return q;
-  const uint64_t retries_before = stats_.retries;
   q.members.assign(candidates.begin(), candidates.begin() + k);
   q.replies.resize(k);
   size_t next = static_cast<size_t>(k);
@@ -221,7 +220,6 @@ Transport::QuorumResult Transport::EngageQuorum(
       }
       // Declared failed: substitute the next spare, if any remains.
       if (next >= candidates.size()) {
-        q.retries = static_cast<int>(stats_.retries - retries_before);
         return q;  // quorum genuinely unreachable (ok = false)
       }
       if (trace_ != nullptr) {
@@ -244,7 +242,6 @@ Transport::QuorumResult Transport::EngageQuorum(
     pending.swap(still_pending);
   }
   q.ok = true;
-  q.retries = static_cast<int>(stats_.retries - retries_before);
   return q;
 }
 

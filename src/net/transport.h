@@ -42,8 +42,10 @@
 // its own registered table (core/protocol_service.h holds the resident
 // server-side protocol state) — which is exactly the honest-execution
 // assumption the closures encode. Capability probes (remote_dispatch,
-// NewEngagementNonce, SetVirtualTime) let shared code ask which world
-// it is in without #ifdef forks. Crash injection is SimNetwork's own.
+// NewEngagementNonce) let shared code ask which world it is in without
+// #ifdef forks. Crash injection and jumps of the virtual clock are
+// SimNetwork's own: code that places work on a virtual timeline (the
+// throughput engine, the churn driver) takes a SimNetwork.
 //
 // Thread-safety: the registry and stats are guarded by the obs lock
 // only. A SimNetwork must stay on one thread and has no obs lock.
@@ -115,7 +117,6 @@ class Transport {
     std::vector<uint32_t> members;
     std::vector<std::vector<uint8_t>> replies;  // one per member
     int replacements = 0;  // candidates declared failed and substituted
-    int retries = 0;       // transport retries spent on this engagement
   };
 
   // Server-side behaviour: given (server node, request bytes), produce
@@ -150,14 +151,6 @@ class Transport {
   // the engagement state, and a zero nonce encodes to version-1 wire
   // bytes — bit-identical to pre-refactor runs.
   virtual uint64_t NewEngagementNonce() { return 0; }
-
-  // Discrete-event capability: jumps the virtual clock to `at_us`
-  // (used by the throughput engine and churn driver for virtual-
-  // parallel task placement). Wall-clock transports refuse.
-  virtual bool SetVirtualTime(uint64_t at_us) {
-    (void)at_us;
-    return false;
-  }
 
   // ---- Clock, stats, obs hooks -------------------------------------
 

@@ -17,7 +17,7 @@ constexpr double kKTableRefreshFactor = 1.25;
 
 }  // namespace
 
-ChurnDriver::ChurnDriver(Network* network, net::Transport* transport,
+ChurnDriver::ChurnDriver(Network* network, net::SimNetwork* transport,
                          Options options)
     : network_(network),
       transport_(transport),

@@ -32,7 +32,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "net/transport.h"
+#include "net/sim_network.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -70,10 +70,10 @@ class ChurnDriver {
 
   // `network` and `transport` (non-null) must outlive the driver.
   // Clock contract: each event sets the transport's clock to its time
-  // (SetVirtualTime), then a join's RPCs advance it by their latency, so
-  // a SimNetwork's clock is never behind now_us() and equals it unless
-  // the last event was a join.
-  ChurnDriver(Network* network, net::Transport* transport, Options options);
+  // (SimNetwork::SetVirtualTime), then a join's RPCs advance it by their
+  // latency, so the transport's clock is never behind now_us() and
+  // equals it unless the last event was a join.
+  ChurnDriver(Network* network, net::SimNetwork* transport, Options options);
 
   // Applies the next `count` churn events. Events that cannot proceed
   // (join with an empty standby queue, leave/crash of the last alive
@@ -94,7 +94,7 @@ class ChurnDriver {
   void Fold(Kind kind, uint32_t node, uint64_t detail);
 
   Network* network_;
-  net::Transport* transport_;
+  net::SimNetwork* transport_;
   Options options_;
   util::Rng rng_;
   Stats stats_;

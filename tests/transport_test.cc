@@ -386,7 +386,6 @@ TEST(TcpTransportTest, EngagementNoncesAreNonzeroAndProcessBranded) {
   options.process_index = 1;
   net::TcpTransport transport(options);  // never started: nonces only
   EXPECT_TRUE(transport.remote_dispatch());
-  EXPECT_FALSE(transport.SetVirtualTime(100));  // wall-clock transport
   uint64_t a = transport.NewEngagementNonce();
   uint64_t b = transport.NewEngagementNonce();
   EXPECT_NE(a, 0u);
