@@ -1,9 +1,9 @@
 // Micro-benchmarks for the primitives underlying the cost model:
 // SHA-256 (free in the paper's accounting), Ed25519 sign/verify (the
 // "asymmetric crypto operation" unit), Chord/CAN routing, region
-// queries, an attested join, a whole network's provisioning, and the
-// k-table math. These calibrate what one unit of the paper's metrics
-// costs on real hardware.
+// queries, one simulated RPC, an attested join, a whole network's
+// provisioning, and the k-table math. These calibrate what one unit of
+// the paper's metrics costs on real hardware.
 
 #include <benchmark/benchmark.h>
 
@@ -225,6 +225,24 @@ void BM_RegionQueryChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionQueryChurn)->Arg(0)->Arg(10)->Arg(500)->Arg(990);
+
+// One RPC over the ideal link (net::kIdealLink) per iteration: the
+// request's send and delivery, the handler's 2-byte reply, and the
+// reply's send and delivery. Arg: request bytes.
+void BM_SimCall(benchmark::State& state) {
+  net::SimNetwork transport(2, net::kIdealLink, net::RetryPolicy{},
+                            /*seed=*/0);
+  const std::vector<uint8_t> request(state.range(0), 0xab);
+  const net::Transport::Handler reply_ok =
+      [](uint32_t, const std::vector<uint8_t>&) {
+        return std::optional<std::vector<uint8_t>>(
+            std::vector<uint8_t>{0x4f, 0x4b});
+      };
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(transport.Call(0, 1, request, reply_ok));
+  }
+}
+BENCHMARK(BM_SimCall)->Arg(64)->Arg(1024)->Arg(16384);
 
 // One §3.6 attested join per iteration: two attested cache snapshots
 // (k signatures each), their verification, and the union the newcomer
