@@ -44,7 +44,8 @@ enum class EventKind : uint8_t {
   kRpcEnd,        // RPC succeeded (value=attempts consumed)
   kRpcFail,       // RPC exhausted its retry budget
   kCrash,         // node becomes permanently unreachable at t_us
-  kDispatch,      // AppRuntime routed a request to a handler (value=tag)
+  kDispatch,      // Transport::Dispatch routes a request by its tag
+                  // (value=tag; recorded before the handler lookup)
   kSignature,     // an asymmetric signing step (detail=role)
   kMark,          // free-form milestone (detail=label, value=payload)
   kRoute,         // greedy routing hop sequence (t_us=start time,
