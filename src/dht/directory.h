@@ -127,7 +127,9 @@ class Directory {
   size_t size() const { return columns_.size(); }
 
   // ---------------------------------------------------------------
-  // Column accessors. `index` is a node handle, its ring rank.
+  // Column accessors. `index` is a node handle, its ring rank. pos(i) is
+  // the ring position of NodeIdForKey(pub(i)), written once at
+  // provisioning: the rs3 coverage checks read it instead of hashing.
   RingPos pos(uint32_t index) const { return columns_.positions_[index]; }
   const NodeId& id(uint32_t index) const { return columns_.ids_[index]; }
   const crypto::PublicKey& pub(uint32_t index) const {

@@ -159,19 +159,17 @@ Result<JoinProtocol::Outcome> JoinProtocol::Join(
   }
   DedupeHandles(pool);
 
-  // Keep the union's entries legitimate w.r.t. rs3 centered on self
-  // (dir.pub(idx) is the key attested for the entry).
-  dht::Region coverage = dht::Region::Centered(newcomer_pos, ctx_.rs3);
+  // Keep the union's entries that the newcomer's own cache covers: those
+  // legitimate w.r.t. rs3 centered on self (see dht::Directory::pos).
+  const NodeCache own(&dir, newcomer_index, ctx_.rs3);
   for (uint32_t idx : pool) {
-    if (!coverage.Contains(dht::NodeIdForKey(dir.pub(idx)))) continue;
-    if (idx != newcomer_index) outcome.cache.push_back(idx);
+    if (own.Covers(idx)) outcome.cache.push_back(idx);
   }
 
   // Announce to the nodes whose caches must now include the newcomer;
   // each checks the newcomer's certificate before insertion.
-  const size_t covering = dir.CountInRegion(coverage);
-  outcome.cost.Then(net::Cost::ParIdentical(net::Cost::Step(1, 1),
-                                            covering));
+  outcome.cost.Then(net::Cost::ParIdentical(
+      net::Cost::Step(1, 1), dir.CountInRegion(own.coverage())));
   return outcome;
 }
 

@@ -72,8 +72,8 @@ class JoinProtocol {
     // Validated cache for the newcomer, in received order: the
     // successor's attested entries, the successor, then what the
     // predecessor's snapshot adds, then the predecessor. Each entry
-    // appears once, at its first occurrence, and only if it is in the
-    // newcomer's rs3 coverage; the newcomer itself is left out.
+    // appears once, at its first occurrence, and only if the newcomer's
+    // own NodeCache Covers it (so never the newcomer itself).
     std::vector<uint32_t> cache;
     net::Cost cost;
     uint32_t successor = 0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "dht/node_id.h"
 #include "dht/region.h"
 #include "net/sim_network.h"
 #include "node/node_cache.h"
@@ -45,7 +46,9 @@ class JoinTest : public ::testing::Test {
   }
 
   // What Join must return, built from the neighbours' real caches in
-  // received order (see CacheEqualsFilteredNeighbourUnion). `stride` 2
+  // received order (see CacheEqualsFilteredNeighbourUnion). Coverage is
+  // decided by the definition, each attested key's imposed id, which
+  // Join reads from the directory's position column instead. `stride` 2
   // mirrors OmitEveryOther, which keeps each owner's entries at even
   // positions.
   std::vector<uint32_t> ReceivedUnion(uint32_t newcomer, size_t stride) {
@@ -63,7 +66,8 @@ class JoinTest : public ::testing::Test {
       received.push_back(neighbour);
     }
     std::erase_if(received, [&](uint32_t idx) {
-      return idx == newcomer || !coverage.Contains(dir.pos(idx));
+      return idx == newcomer ||
+             !coverage.Contains(dht::NodeIdForKey(dir.pub(idx)));
     });
     std::vector<uint32_t> out;
     for (uint32_t idx : received) {

@@ -27,13 +27,23 @@ TEST(NetworkTest, AtLeastOneColluderEvenForTinyFractions) {
   EXPECT_EQ(network->ColluderIndices().size(), 1u);
 }
 
+// Every slot's position is its key's imposed id, the churn pool's dead
+// nodes included: a join keeps or drops the entries it finds in its
+// neighbours' caches by dir.pos, never re-hashing their keys.
 TEST(NetworkTest, NodeIdsAreImposedFromPublicKeys) {
-  auto network = test::MakeNetwork(200, 0.01);
-  ASSERT_NE(network, nullptr);
-  for (uint32_t i = 0; i < network->directory().size(); ++i) {
-    const dht::Directory& dir = network->directory();
+  Parameters params;
+  params.n = 200;
+  params.churn_pool = 20;
+  params.cache_size = 64;
+  params.actor_count = 8;
+  auto network = Network::Build(params);
+  ASSERT_TRUE(network.ok());
+  const dht::Directory& dir = (*network)->directory();
+  ASSERT_EQ(dir.size(), 220u);
+  ASSERT_EQ(dir.alive_count(), 200u);
+  for (uint32_t i = 0; i < dir.size(); ++i) {
     EXPECT_EQ(dir.id(i), dht::NodeIdForKey(dir.pub(i)));
-    EXPECT_EQ(dir.pos(i), dir.id(i).ring_pos());
+    EXPECT_EQ(dir.pos(i), dht::NodeIdForKey(dir.pub(i)).ring_pos());
   }
 }
 
